@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -166,6 +168,32 @@ def test_cubes_verb_defaults(tmp_path):
 # ---------------------------------------------------------------------------
 # determinism and failure modes
 # ---------------------------------------------------------------------------
+
+
+# SHA-256 of each report, recorded before the elimination, derivation and
+# accumulation code was consolidated; a refactor must leave every byte alone.
+GOLDEN_DIGESTS = [
+    ("words --n 3 --max-degree 30", "65109d9948d73dc35b207d3d64cd9d39830f1f29ccfd75f080d35f87cdd78d69"),
+    ("poincare --n 2 --p 5 --max-degree 40 --format csv", "436b683a018f0ae77c9a03e49c810bcfa1daeb32c33ee305a570a0967dc77b8b"),
+    ("tor --n 2 --max-degree 16", "8446dfd1b12844838bd0efb7036ae91274f95e7f393fd878e1bdbde9b08d3e4a"),
+    ("tor-check --from b2 --to b3 --max-degree 20", "b19fb2bc00872c164be5bf7c80dcb13942b412ac3f811d43107b7ca8d495634b"),
+    ("primitives --n 3 --max-degree 24", "ecc7aca1a5e642d79a20235cc179a72814b2167b0435878ae544a792ac9bcad2"),
+    ("relations --n 27", "e989a87a1e705f5b7d71df6939d7054a25ecdcc3a04190be387e172a549f663c"),
+    ("relations --n 12", "22c43bf322f9b87265f2b28c1bfcfae734bb960b24bf787d0081c15d270ac85f"),
+    ("decompose --n 9 --table 3:1,6:1", "4e9c8bc0fd6b2b8f5c6015fb73a1dee1a810d8507d050b685f17d1037a04bc8c"),
+    ("cubes --n 2 --p 5 --max-degree 10", "f9802e59fcd9347314c7f5146f0b44716aaaff7f13300fb5ed659f9d9b152be9"),
+    ("pterm --towers 2 --max-degree 12", "58fad939ca02da3fdbe4ad7747dc0fa71385b8beea3baf52925490d83bceebb8"),
+    ("changebasis --p 5 --r 2,1", "d7138e5f83703809905ef867aad822be971c26f691fdb8fd988784d150ead76f"),
+    ("rognes --p 5 --n 3 --control", "33f3d060b5cd4645cb58b84bfc3b87c8d39cd9c9f6c1a4401a351c1ef79a0eb6"),
+    ("rognes --n 2", "93382a0eed611ab1bfee6d0b7dc61af627be2598520a306fb83f045d0b55e9f6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS)
+def test_report_digest_is_golden(tmp_path, argv, digest):
+    code, text = _run(tmp_path, *shlex.split(argv))
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_reports_are_byte_identical(tmp_path):
