@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import graded_hopf as gh
 from . import fp_linalg
-from .fp_linalg import ContractViolation, FpSparseMatrix
+from .fp_linalg import ContractViolation, FpSparseMatrix, add_to
 
 BarTuple = Tuple[gh.Monomial, ...]
 
@@ -102,12 +102,7 @@ class BarComplex:
                 coeff, mon = merged
                 tgt = word[:i] + (mon,) + word[i + 2 :]
                 r = index[tgt]
-                sign = -1 if (i + 1) % 2 else 1
-                v = (entries.get((r, j), 0) + sign * coeff) % self.p
-                if v:
-                    entries[(r, j)] = v
-                elif (r, j) in entries:
-                    del entries[(r, j)]
+                add_to(entries, (r, j), -coeff if (i + 1) % 2 else coeff, self.p)
         mat = FpSparseMatrix(len(target), len(source), entries)
         self._diffs[(s, t)] = mat
         return mat

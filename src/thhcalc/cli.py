@@ -56,6 +56,10 @@ def _mode(args: argparse.Namespace) -> str:
     return gh.STRICT if args.strict else gh.TRUNCATING
 
 
+def _check(check_id: str, params: Dict[str, object], passed: bool, details: Dict[str, object]) -> Dict[str, object]:
+    return _check_dict(checks.CheckResult(check_id, params, passed, details))
+
+
 def _check_dict(result: checks.CheckResult) -> Dict[str, object]:
     return {
         "id": result.id,
@@ -148,16 +152,8 @@ def _run_tor_check(args) -> Dict[str, object]:
         args.max_degree,
     )
     params = {"p": p, "from": f"b{src}", "to": f"b{dst}", "max_degree": args.max_degree, "seed": args.seed}
-    check = {
-        "id": "tor.iso",
-        "params": params,
-        "verdict": "pass" if report["passed"] else "fail",
-        "details": {
-            "got": report["got"],
-            "expected": report["expected"],
-            "first_mismatch": report["first_mismatch"],
-        },
-    }
+    details = {key: report[key] for key in ("got", "expected", "first_mismatch")}
+    check = _check("tor.iso", params, report["passed"], details)
     return _envelope("tor-check", params, check_list=[check])
 
 
@@ -165,30 +161,13 @@ def _run_primitives(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
-    spec = aw.word_algebra(args.n, p, args.max_degree, mode=_mode(args))
-    word_counts: Dict[int, int] = {}
-    for w in aw.enumerate_monic(args.n, p, args.max_degree):
-        d = aw.degree(w, p)
-        word_counts[d] = word_counts.get(d, 0) + 1
-    rows = []
-    agree = True
-    for t in range(1, args.max_degree + 1):
-        kdim = len(gh.primitive_basis(spec, t, p))
-        wcount = word_counts.get(t, 0)
-        if kdim or wcount:
-            rows.append([t, kdim, wcount])
-        agree = agree and (kdim == wcount)
+    routes = checks.primitive_routes(args.n, p, args.max_degree, _mode(args))
+    rows = [[t, kdim, wcount] for t, kdim, wcount in routes if kdim or wcount]
+    agree = all(kdim == wcount for _, kdim, wcount in routes)
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     check_list = []
     if args.n >= 2:
-        check_list.append(
-            {
-                "id": "primitives.gap",
-                "params": params,
-                "verdict": "pass" if agree else "fail",
-                "details": {"routes_agree": agree},
-            }
-        )
+        check_list.append(_check("primitives.gap", params, agree, {"routes_agree": agree}))
     return _envelope(
         "primitives", params, rows=rows, columns=["degree", "kernel_dim", "word_count"], check_list=check_list
     )
@@ -201,12 +180,12 @@ def _run_relations(args) -> Dict[str, object]:
     report = mf.relation_module(args.n, p)
     params = {"p": p, "n": args.n, "seed": args.seed}
     rows = [[args.n, p, report["type"], report["dimension"], report["agrees"]]]
-    check = {
-        "id": "relations.closed-forms",
-        "params": params,
-        "verdict": "pass" if report["agrees"] else "fail",
-        "details": {"type": report["type"], "dimension": report["dimension"], "normal_form": _stringify_keys(report["normal_form"])},
+    details = {
+        "type": report["type"],
+        "dimension": report["dimension"],
+        "normal_form": _stringify_keys(report["normal_form"]),
     }
+    check = _check("relations.closed-forms", params, report["agrees"], details)
     return _envelope(
         "relations", params, rows=rows, columns=["N", "p", "type", "dimension", "agrees"], check_list=[check]
     )
@@ -239,13 +218,7 @@ def _run_decompose(args) -> Dict[str, object]:
         table = _parse_table(args.table, args.n)
     report = mf.decompose_coproduct(table, p)
     params = {"p": p, "n": args.n, "table": sorted(table.coeffs.items()), "seed": args.seed}
-    details = dict(report)
-    check = {
-        "id": "decompose.normal-form",
-        "params": params,
-        "verdict": "pass" if report["consistent"] else "fail",
-        "details": details,
-    }
+    check = _check("decompose.normal-form", params, report["consistent"], dict(report))
     return _envelope("decompose", params, check_list=[check])
 
 
@@ -255,55 +228,42 @@ def _run_cubes(args) -> Dict[str, object]:
         raise CLIError("--n (pinch directions) must be 1..3")
     report = mf.pinch_order_report(args.n, args.max_degree, p)
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
-    check = {
-        "id": "cubes.order-independence",
-        "params": params,
-        "verdict": "pass" if report["passed"] else "fail",
-        "details": {
-            "monomials_checked": report["monomials_checked"],
-            "orders_per_monomial": report["orders_per_monomial"],
-            "failures": report["failures"],
-        },
-    }
+    details = {key: report[key] for key in ("monomials_checked", "orders_per_monomial", "failures")}
+    check = _check("cubes.order-independence", params, report["passed"], details)
     return _envelope("cubes", params, check_list=[check])
 
 
 def _run_pterm(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
-    if args.towers < 1:
-        raise CLIError("--towers must be >= 1")
+    if args.towers < 1 or args.max_degree < 0:
+        raise CLIError("--towers must be >= 1 and --max-degree >= 0")
     report = se.verify_p_term(p, [2] * args.towers, args.max_degree)
     params = {"p": p, "towers": args.towers, "max_degree": args.max_degree, "seed": args.seed}
-    check = {
-        "id": "pterm.closed-form",
-        "params": params,
-        "verdict": "pass" if report["passed"] else "fail",
-        "details": {
-            "homology": _stringify_keys(report.get("homology", {})),
-            "expected": _stringify_keys(report.get("expected", {})),
-        },
+    details = {
+        "homology": _stringify_keys(report.get("homology", {})),
+        "expected": _stringify_keys(report.get("expected", {})),
     }
+    check = _check("pterm.closed-form", params, report["passed"], details)
     return _envelope("pterm", params, check_list=[check])
 
 
 def _run_changebasis(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     depth = args.depth if args.depth is not None else (2 if p == 3 else 1)
-    coeffs = tuple(int(x) for x in args.r.split(",")) if args.r else (1,)
-    if depth < 1 or not coeffs:
-        raise CLIError("--k must be >= 1 and --r non-empty")
+    try:
+        coeffs = tuple(int(x) for x in args.r.split(",")) if args.r else (1,)
+    except ValueError as exc:
+        raise CLIError(f"--r must be comma-separated integers, got {args.r!r}") from exc
+    if depth < 1:
+        raise CLIError("--k must be >= 1")
     report = se.change_basis_cycles(p, depth, coeffs)
     params = {"p": p, "k": depth, "r": list(coeffs), "seed": args.seed}
-    check = {
-        "id": "changebasis.cycles",
-        "params": params,
-        "verdict": "pass" if report["passed"] else "fail",
-        "details": {
-            "cycles": report["cycle_checks"],
-            "pth_powers": report["power_checks"],
-            "exchange_invertible": report["exchange_invertible"],
-        },
+    details = {
+        "cycles": report["cycle_checks"],
+        "pth_powers": report["power_checks"],
+        "exchange_invertible": report["exchange_invertible"],
     }
+    check = _check("changebasis.cycles", params, report["passed"], details)
     return _envelope("changebasis", params, check_list=[check])
 
 
@@ -313,15 +273,6 @@ def _run_rognes(args) -> Dict[str, object]:
         raise CLIError("--n must be >= 2")
     report = se.rognes_check(p, args.n, include_witness=args.control)
     params = {"p": p, "n": args.n, "control": args.control, "seed": args.seed}
-    if args.control:
-        ok = (
-            not report["obstructed"]
-            and report.get("witness_coefficient") == 1
-            and report.get("canonical_solves", False)
-            and report.get("witness_verified", False)
-        )
-    else:
-        ok = report["obstructed"] and report["rank_gap"] >= 1
     details = {
         "verdict": "obstructed" if report["obstructed"] else "hit",
         "rows": report["rows"],
@@ -333,12 +284,7 @@ def _run_rognes(args) -> Dict[str, object]:
             [list(tag[1]), tag[0], coeff] for tag, coeff in report["witness"].items()
         )
         details["witness_verified"] = report["witness_verified"]
-    check = {
-        "id": "rognes.obstruction",
-        "params": params,
-        "verdict": "pass" if ok else "fail",
-        "details": details,
-    }
+    check = _check("rognes.obstruction", params, checks.rognes_passed(report), details)
     return _envelope("rognes", params, check_list=[check])
 
 

@@ -5,17 +5,19 @@ shape.  Every elimination follows a fixed, documented pivot order, so ranks,
 kernel bases and solution vectors are reproducible run to run -- the CLI's
 byte-identical report guarantee bottoms out here.
 
-Two elimination strategies are used:
+All elimination runs through one step, `_pivot`: normalize the pivot row,
+clear its column from every other row, and keep the column index in step.
+Two pivot rules drive it, on matrices of every size:
 
-* a natural-order reduced row echelon form (columns scanned left to right,
-  pivot on the smallest available row index) that kernels and solves are
-  built on, and
-* a fewest-entries pivot heuristic for rank-only questions on matrices at or
-  above the dense/sparse cutoff, where natural order can fill in badly.
+* `rank` takes the column with the fewest entries and, in it, the row with
+  the fewest entries, which keeps fill-in low;
+* `_rref`, behind kernels and solves, scans columns left to right and
+  pivots on the smallest available row index.
 
-Both strategies return identical ranks; the heuristic is never used for
+Both rules give the same rank; the fewest-entries rule is never used for
 kernels or solutions, whose coordinate vectors are part of the public
-contract.
+contract.  `add_to` is the package's one "add mod p, drop the key on zero"
+step for sparse accumulators.
 """
 
 from __future__ import annotations
@@ -25,12 +27,22 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 Vector = Tuple[int, ...]
 
-#: below this size (both dimensions) rank questions run dense elimination
-_DENSE_CUTOFF = 64
-
 
 class ContractViolation(Exception):
-    """A pair of maps handed to homology_dim does not compose to zero."""
+    """A chain complex broke its contract.
+
+    Raised when d o d is nonzero, when a differential leaves its target
+    bidegree, or when a homology dimension comes out negative.
+    """
+
+
+def add_to(acc: Dict, key, value: int, p: int) -> None:
+    """acc[key] += value mod p, dropping the key when the sum is zero."""
+    v = (acc.get(key, 0) + value) % p
+    if v:
+        acc[key] = v
+    elif key in acc:
+        del acc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +87,6 @@ class FpSparseMatrix:
                     entries[(r, c)] = v
         return FpSparseMatrix(rows, len(columns), entries)
 
-    @staticmethod
-    def identity(n: int) -> "FpSparseMatrix":
-        return FpSparseMatrix(n, n, {(i, i): 1 for i in range(n)})
-
     def to_dense(self) -> List[List[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -109,17 +117,12 @@ class FpSparseMatrix:
         entries = {k: v % p for k, v in acc.items() if v % p}
         return FpSparseMatrix(self.rows, inner.cols, entries)
 
-    def transpose(self) -> "FpSparseMatrix":
-        return FpSparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def is_zero(self, p: int) -> bool:
         return all(v % p == 0 for v in self.entries.values())
 
 
 # ---------------------------------------------------------------------------
-# elimination cores
+# elimination
 # ---------------------------------------------------------------------------
 
 
@@ -132,6 +135,45 @@ def _sparse_rows(m: FpSparseMatrix, p: int) -> List[Dict[int, int]]:
     return rows
 
 
+def _column_index(rows: List[Dict[int, int]]) -> Dict[int, Set[int]]:
+    col_index: Dict[int, Set[int]] = {}
+    for rid, row in enumerate(rows):
+        for c in row:
+            col_index.setdefault(c, set()).add(rid)
+    return col_index
+
+
+def _pivot(
+    rows: List[Dict[int, int]], col_index: Dict[int, Set[int]], rid: int, c: int, p: int
+) -> Dict[int, int]:
+    """Pivot on entry (rid, c) and return the normalized pivot row.
+
+    The pivot row leaves the column index, column c is cleared from every
+    other row, and the index follows each entry this creates or cancels;
+    column c, left with no rows, is dropped from it.
+    """
+    piv = rows[rid]
+    for cc in piv:
+        col_index[cc].discard(rid)
+    inv = pow(piv[c], -1, p)
+    piv = {cc: (vv * inv) % p for cc, vv in piv.items()}
+    for other_id in list(col_index[c]):
+        other = rows[other_id]
+        f = other[c]
+        # not add_to: the column index must see each entry created or cancelled
+        for cc, vv in piv.items():
+            nv = (other.get(cc, 0) - f * vv) % p
+            if nv:
+                if cc not in other:
+                    col_index.setdefault(cc, set()).add(other_id)
+                other[cc] = nv
+            elif cc in other:
+                del other[cc]
+                col_index[cc].discard(other_id)
+    del col_index[c]
+    return piv
+
+
 def _rref(rows: List[Dict[int, int]], cols: int, p: int) -> List[Tuple[int, Dict[int, int]]]:
     """Reduced row echelon form in natural pivot order.
 
@@ -140,113 +182,22 @@ def _rref(rows: List[Dict[int, int]], cols: int, p: int) -> List[Tuple[int, Dict
     pairs in increasing pivot-column order, with each pivot normalized to 1
     and eliminated from every other returned row.  Consumes the input rows.
     """
-    col_index: Dict[int, Set[int]] = {}
-    for rid, row in enumerate(rows):
-        for c in row:
-            col_index.setdefault(c, set()).add(rid)
-
+    col_index = _column_index(rows)
     pivots: List[Tuple[int, Dict[int, int]]] = []
     for c in range(cols):
         touching = col_index.get(c)
-        if not touching:
-            continue
-        rid = min(touching)
-        piv = rows[rid]
-        for cc in piv:
-            col_index[cc].discard(rid)
-        inv = pow(piv[c], -1, p)
-        piv = {cc: (vv * inv) % p for cc, vv in piv.items()}
-        for other_id in list(col_index.get(c, ())):
-            other = rows[other_id]
-            f = other[c]
-            for cc, vv in piv.items():
-                nv = (other.get(cc, 0) - f * vv) % p
-                if nv:
-                    if cc not in other:
-                        col_index.setdefault(cc, set()).add(other_id)
-                    other[cc] = nv
-                elif cc in other:
-                    del other[cc]
-                    col_index[cc].discard(other_id)
-        pivots.append((c, piv))
+        if touching:
+            pivots.append((c, _pivot(rows, col_index, min(touching), c, p)))
 
     # clear pivot columns from the pivot rows above them
     for i in range(len(pivots) - 1, -1, -1):
         c, piv = pivots[i]
-        for j in range(i):
-            rowj = pivots[j][1]
+        for _, rowj in pivots[:i]:
             f = rowj.get(c)
-            if not f:
-                continue
-            for cc, vv in piv.items():
-                nv = (rowj.get(cc, 0) - f * vv) % p
-                if nv:
-                    rowj[cc] = nv
-                elif cc in rowj:
-                    del rowj[cc]
+            if f:
+                for cc, vv in piv.items():
+                    add_to(rowj, cc, -f * vv, p)
     return pivots
-
-
-def _rank_dense(m: FpSparseMatrix, p: int) -> int:
-    mat = [[v % p for v in row] for row in m.to_dense()]
-    nrows, ncols = m.rows, m.cols
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if mat[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        prow = [(x * inv) % p for x in mat[rank]]
-        mat[rank] = prow
-        for r in range(nrows):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_sparse(m: FpSparseMatrix, p: int) -> int:
-    rows = _sparse_rows(m, p)
-    col_index: Dict[int, Set[int]] = {}
-    for rid, row in enumerate(rows):
-        for c in row:
-            col_index.setdefault(c, set()).add(rid)
-    rank = 0
-    while col_index:
-        c = min(col_index, key=lambda cc: (len(col_index[cc]), cc))
-        touching = col_index[c]
-        if not touching:
-            del col_index[c]
-            continue
-        rid = min(touching, key=lambda r: (len(rows[r]), r))
-        piv = rows[rid]
-        for cc in piv:
-            col_index[cc].discard(rid)
-        inv = pow(piv[c], -1, p)
-        piv = {cc: (vv * inv) % p for cc, vv in piv.items()}
-        for other_id in list(col_index.get(c, ())):
-            other = rows[other_id]
-            f = other[c]
-            for cc, vv in piv.items():
-                nv = (other.get(cc, 0) - f * vv) % p
-                if nv:
-                    if cc not in other:
-                        col_index.setdefault(cc, set()).add(other_id)
-                    other[cc] = nv
-                elif cc in other:
-                    del other[cc]
-                    col_index[cc].discard(other_id)
-        del col_index[c]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +206,19 @@ def _rank_sparse(m: FpSparseMatrix, p: int) -> int:
 
 
 def rank(m: FpSparseMatrix, p: int) -> int:
-    """Rank of m over F_p."""
-    if m.rows < _DENSE_CUTOFF and m.cols < _DENSE_CUTOFF:
-        return _rank_dense(m, p)
-    return _rank_sparse(m, p)
+    """Rank of m over F_p, pivoting on the sparsest column and row first."""
+    rows = _sparse_rows(m, p)
+    col_index = _column_index(rows)
+    found = 0
+    while col_index:
+        c = min(col_index, key=lambda cc: (len(col_index[cc]), cc))
+        touching = col_index[c]
+        if not touching:
+            del col_index[c]
+            continue
+        _pivot(rows, col_index, min(touching, key=lambda r: (len(rows[r]), r)), c, p)
+        found += 1
+    return found
 
 
 def kernel_basis(m: FpSparseMatrix, p: int) -> List[Vector]:
@@ -305,16 +265,3 @@ def solve_membership(m: FpSparseMatrix, b: Sequence[int], p: int) -> Optional[Ve
             return None
         x[c] = row.get(sentinel, 0)
     return tuple(x)
-
-
-def homology_dim(d_in: FpSparseMatrix, d_out: FpSparseMatrix, p: int) -> int:
-    """dim ker(d_out) - rank(d_in) for a composable pair with d_out d_in = 0.
-
-    d_in lands in the middle space (d_in.rows == d_out.cols); the composite
-    is recomputed and must vanish, otherwise ContractViolation is raised.
-    """
-    if d_in.rows != d_out.cols:
-        raise ValueError("differentials do not compose: d_in.rows != d_out.cols")
-    if not d_out.compose(d_in, p).is_zero(p):
-        raise ContractViolation("d_out o d_in is nonzero")
-    return (d_out.cols - rank(d_out, p)) - rank(d_in, p)

@@ -21,13 +21,12 @@ psi(gamma_k) = sum_{i+j=k} gamma_i (x) gamma_j.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .fp_linalg import FpSparseMatrix, kernel_basis, rank
+from .fp_linalg import FpSparseMatrix, add_to, kernel_basis, rank
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
@@ -122,20 +121,9 @@ class AlgebraSpec:
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be distinct")
 
-    def gen_index(self, label: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.label == label:
-                return i
-        raise KeyError(label)
-
 
 def algebra(gens: Iterable[GeneratorSpec], degree_bound: int, mode: str = TRUNCATING) -> AlgebraSpec:
     return AlgebraSpec(tuple(gens), degree_bound, mode)
-
-
-def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
-    """Tensor product of two specs; the bound is the larger of the two."""
-    return AlgebraSpec(a.generators + b.generators, max(a.degree_bound, b.degree_bound), a.mode)
 
 
 def _height(g: GeneratorSpec, p: int) -> int:
@@ -164,22 +152,10 @@ def monomial_degree(spec: AlgebraSpec, mon: Monomial) -> int:
     return sum(spec.generators[i].degree * e for i, e in mon)
 
 
-def element_degrees(spec: AlgebraSpec, a: Element) -> List[int]:
-    return sorted({monomial_degree(spec, m) for m in a})
-
-
-def is_homogeneous(spec: AlgebraSpec, a: Element) -> bool:
-    return len(element_degrees(spec, a)) <= 1
-
-
 def add(a: Element, b: Element, p: int) -> Element:
     out = dict(a)
     for m, c in b.items():
-        v = (out.get(m, 0) + c) % p
-        if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
+        add_to(out, m, c, p)
     return out
 
 
@@ -240,11 +216,7 @@ def multiply(spec: AlgebraSpec, a: Element, b: Element, p: int) -> Element:
             if r is None:
                 continue
             coeff, mon = r
-            v = (out.get(mon, 0) + c1 * c2 * coeff) % p
-            if v:
-                out[mon] = v
-            elif mon in out:
-                del out[mon]
+            add_to(out, mon, c1 * c2 * coeff, p)
     return out
 
 
@@ -252,6 +224,42 @@ def power(spec: AlgebraSpec, a: Element, n: int, p: int) -> Element:
     out: Element = {ONE: 1}
     for _ in range(n):
         out = multiply(spec, out, a, p)
+    return out
+
+
+def extend_derivation(
+    spec: AlgebraSpec,
+    elem: Element,
+    p: int,
+    image: Callable[[int], Optional[Element]],
+    divided_shift: int,
+) -> Element:
+    """Extend generator images over products by the graded Leibniz rule.
+
+    image(gi) is the image of generator gi (empty or None for zero); it is
+    called once per factor, in monomial order, so it may raise on factors it
+    cannot map.  A group-like factor differentiates as d(g^e) = e g^{e-1} d(g);
+    a divided-power factor as d(gamma_e(g)) = gamma_{e-s}(g) d(g) with
+    s = divided_shift, and to zero when e < s.  Each term carries the Koszul
+    sign of the factors to its left.
+    """
+    out: Element = {}
+    for mon, coeff in elem.items():
+        prefix_degree = 0
+        for j, (gi, e) in enumerate(mon):
+            g = spec.generators[gi]
+            img = image(gi)
+            if g.kind == DIVIDED:
+                drop, factor = divided_shift, int(e >= divided_shift)
+            else:
+                drop, factor = 1, e % p
+            if img and factor:
+                head = mon[:j] + (((gi, e - drop),) if e > drop else ())
+                term = multiply(spec, multiply(spec, {head: 1}, img, p), {mon[j + 1 :]: 1}, p)
+                scale = -coeff * factor if prefix_degree % 2 else coeff * factor
+                for m, v in term.items():
+                    add_to(out, m, scale * v, p)
+            prefix_degree += e * g.degree
     return out
 
 
@@ -281,10 +289,10 @@ def _gen_coproduct(spec: AlgebraSpec, i: int, e: int, p: int) -> TensorSquare:
 def tensor_multiply(spec: AlgebraSpec, t1: TensorSquare, t2: TensorSquare, p: int) -> TensorSquare:
     """Multiply in A (x) A with the Koszul sign (-1)^{|b||c|} on (a(x)b)(c(x)d)."""
     out: TensorSquare = {}
+    terms2 = [(x, y, c2, monomial_degree(spec, x) % 2) for (x, y), c2 in t2.items()]
     for (a, b), c1 in t1.items():
-        deg_b = monomial_degree(spec, b)
-        for (x, y), c2 in t2.items():
-            sign = -1 if (deg_b * monomial_degree(spec, x)) % 2 else 1
+        b_odd = monomial_degree(spec, b) % 2
+        for x, y, c2, x_odd in terms2:
             left = mul_monomials(spec, a, x, p)
             if left is None:
                 continue
@@ -293,12 +301,8 @@ def tensor_multiply(spec: AlgebraSpec, t1: TensorSquare, t2: TensorSquare, p: in
                 continue
             cl, ml = left
             cr, mr = right
-            key = (ml, mr)
-            v = (out.get(key, 0) + sign * c1 * c2 * cl * cr) % p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            sign = -1 if b_odd and x_odd else 1
+            add_to(out, (ml, mr), sign * c1 * c2 * cl * cr, p)
     return out
 
 
@@ -309,11 +313,7 @@ def coproduct(spec: AlgebraSpec, a: Element, p: int) -> TensorSquare:
         for i, e in mon:
             part = tensor_multiply(spec, part, _gen_coproduct(spec, i, e, p), p)
         for key, v in part.items():
-            w = (out.get(key, 0) + c * v) % p
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
+            add_to(out, key, c * v, p)
     return out
 
 
@@ -322,11 +322,7 @@ def reduced_coproduct(spec: AlgebraSpec, a: Element, p: int) -> TensorSquare:
     out = coproduct(spec, a, p)
     for mon, c in a.items():
         for key in ((mon, ONE), (ONE, mon)):
-            v = (out.get(key, 0) - c) % p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            add_to(out, key, -c, p)
     return out
 
 
@@ -393,19 +389,23 @@ def _gen_series(g: GeneratorSpec, limit: int, p: int) -> List[int]:
     return series
 
 
+def convolve(a: List[int], b: List[int]) -> List[int]:
+    """Product of two dimension series, truncated to the length of a."""
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: n - i]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
 def poincare_series(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
     """Dimensions of the graded pieces in degrees 0..limit."""
     series = [1] + [0] * limit
     for g in spec.generators:
-        gs = _gen_series(g, limit, p)
-        nxt = [0] * (limit + 1)
-        for d1, c1 in enumerate(series):
-            if not c1:
-                continue
-            for d2 in range(0, limit + 1 - d1):
-                if gs[d2]:
-                    nxt[d1 + d2] += c1 * gs[d2]
-        series = nxt
+        series = convolve(series, _gen_series(g, limit, p))
     return series
 
 
@@ -472,38 +472,6 @@ def dualize(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def spec_to_json(spec: AlgebraSpec) -> str:
-    payload = {
-        "generators": [
-            {"label": g.label, "degree": g.degree, "kind": g.kind, "height": g.height}
-            for g in spec.generators
-        ],
-        "degree_bound": spec.degree_bound,
-        "mode": spec.mode,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def spec_from_json(text: str) -> AlgebraSpec:
-    payload = json.loads(text)
-    gens = tuple(
-        GeneratorSpec(g["label"], g["degree"], g["kind"], g.get("height"))
-        for g in payload["generators"]
-    )
-    return AlgebraSpec(gens, payload["degree_bound"], payload.get("mode", TRUNCATING))
-
-
-def poincare_to_json(spec: AlgebraSpec, limit: int, p: int) -> str:
-    return json.dumps(
-        {"p": p, "limit": limit, "dims": poincare_series(spec, limit, p)}, sort_keys=True
-    )
-
-
-# ---------------------------------------------------------------------------
 # randomized-element helper for property suites
 # ---------------------------------------------------------------------------
 
@@ -516,9 +484,5 @@ def random_homogeneous(spec: AlgebraSpec, t: int, p: int, rng, max_terms: int = 
     out: Element = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         mon = pool[rng.randrange(len(pool))]
-        c = (out.get(mon, 0) + rng.randrange(1, p)) % p
-        if c:
-            out[mon] = c
-        elif mon in out:
-            del out[mon]
+        add_to(out, mon, rng.randrange(1, p), p)
     return out

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fp_linalg import FpSparseMatrix, kernel_basis, rank
+from .fp_linalg import FpSparseMatrix, add_to, kernel_basis, rank
+from .graded_hopf import convolve
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,23 @@ def digits(n: int, p: int) -> List[int]:
     while n:
         n, r = divmod(n, p)
         out.append(r)
+    return out
+
+
+def compositions(total: int, parts: int, least: int = 0) -> List[Tuple[int, ...]]:
+    """Ordered ways to write total as `parts` parts, each >= least (parts >= 1).
+
+    Stars and bars: each choice of bar positions, taken in lexicographic
+    order, cuts the spare stars into parts, so the parts also come out in
+    lexicographic order.
+    """
+    if total < parts * least:
+        return []
+    slots = total - parts * least + parts - 1
+    out: List[Tuple[int, ...]] = []
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        out.append(tuple(hi - lo - 1 + least for lo, hi in zip(edges, edges[1:])))
     return out
 
 
@@ -138,14 +156,12 @@ def relation_matrix(N: int, p: int) -> FpSparseMatrix:
             c = N - a - b
             if c < 1:
                 break
-            left = lucas(a + b, b, p)
-            right = lucas(b + c, b, p)
+            # each row has two distinct columns, so nothing accumulates
+            left, right = lucas(a + b, b, p), lucas(b + c, b, p)
             if left:
                 entries[(row, a + b - 1)] = left
             if right:
-                entries[(row, a - 1)] = (entries.get((row, a - 1), 0) - right) % p
-                if not entries[(row, a - 1)]:
-                    del entries[(row, a - 1)]
+                entries[(row, a - 1)] = -right % p
             row += 1
     return FpSparseMatrix(row, N - 1, entries)
 
@@ -308,16 +324,9 @@ def cube_psi(direction: int, elem: CubeElement, p: int) -> CubeElement:
                 rest.append((var, e))
         for j in range(exp + 1):
             c = coeff * comb(exp, j) % p
-            if not c:
-                continue
-            new = cube_monomial(
-                rest + [((direction, 0), j), ((direction, 1), exp - j)]
-            )
-            v = (out.get(new, 0) + c) % p
-            if v:
-                out[new] = v
-            elif new in out:
-                del out[new]
+            if c:
+                new = cube_monomial(rest + [((direction, 0), j), ((direction, 1), exp - j)])
+                add_to(out, new, c, p)
     return out
 
 
@@ -385,10 +394,7 @@ def pushout_series_report(
         return out
 
     top = poly_series(a)
-    square = [0] * (max_degree + 1)
-    for i, vi in enumerate(top):
-        for j in range(max_degree + 1 - i):
-            square[i + j] += vi * top[j]
+    square = convolve(top, top)
     below = poly_series(a - 1)
     quotient = [0] * (max_degree + 1)
     for t in range(max_degree + 1):
@@ -409,17 +415,6 @@ def pushout_series_report(
 # ---------------------------------------------------------------------------
 # several directions at once
 # ---------------------------------------------------------------------------
-
-
-def _full_support_weights(n: int, N: int) -> List[Tuple[int, ...]]:
-    """Compositions of N into n positive parts."""
-    if n == 1:
-        return [(N,)] if N >= 1 else []
-    out = []
-    for first in range(1, N - n + 2):
-        for rest in _full_support_weights(n - 1, N - first):
-            out.append((first,) + rest)
-    return out
 
 
 def expected_local_dimension(b: Tuple[int, ...], p: int) -> int:
@@ -518,7 +513,7 @@ def multifold_solution_space(
             "passed": True,
         }
 
-    weights = _full_support_weights(n_directions, N)
+    weights = compositions(N, n_directions, least=1)
     var_index: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
     for b in weights:
         for s in range(n_directions):
@@ -528,14 +523,6 @@ def multifold_solution_space(
 
     entries: Dict[Tuple[int, int], int] = {}
     row = 0
-
-    def add(r: int, c: int, v: int) -> None:
-        v = (entries.get((r, c), 0) + v) % p
-        if v:
-            entries[(r, c)] = v
-        elif (r, c) in entries:
-            del entries[(r, c)]
-
     for b in weights:
         for s in range(n_directions):
             for a in range(1, b[s] - 1):
@@ -543,8 +530,8 @@ def multifold_solution_space(
                     c = b[s] - a - beta
                     if c < 1:
                         break
-                    add(row, var_index[(s, b, a + beta)], lucas(a + beta, beta, p))
-                    add(row, var_index[(s, b, a)], -lucas(beta + c, beta, p))
+                    add_to(entries, (row, var_index[(s, b, a + beta)]), lucas(a + beta, beta, p), p)
+                    add_to(entries, (row, var_index[(s, b, a)]), -lucas(beta + c, beta, p), p)
                     row += 1
         for i in range(n_directions):
             if b[i] < 2:
@@ -554,8 +541,8 @@ def multifold_solution_space(
                     continue
                 for ai in range(1, b[i]):
                     for ak in range(1, b[k]):
-                        add(row, var_index[(i, b, ai)], lucas(b[k], ak, p))
-                        add(row, var_index[(k, b, ak)], -lucas(b[i], ai, p))
+                        add_to(entries, (row, var_index[(i, b, ai)]), lucas(b[k], ak, p), p)
+                        add_to(entries, (row, var_index[(k, b, ak)]), -lucas(b[i], ai, p), p)
                         row += 1
 
     mat = FpSparseMatrix(row, nvars, entries)

@@ -33,6 +33,7 @@ from . import fp_linalg
 from . import graded_hopf as gh
 from . import torus_model as tm
 from .fp_linalg import ContractViolation, FpSparseMatrix
+from .multifold import compositions
 
 
 @dataclass
@@ -77,37 +78,10 @@ def bn_ss_term(n: int, p: int, max_degree: int) -> SSTerm:
 
 def apply_differential(term: SSTerm, dspec: DifferentialSpec, elem: gh.Element) -> gh.Element:
     """Extend the generator images over products as a graded derivation."""
-    spec, p = term.spec, term.p
-    out: gh.Element = {}
-    for mon, coeff in elem.items():
-        pairs = list(mon)
-        prefix_degree = 0
-        for j, (gi, e) in enumerate(pairs):
-            g = spec.generators[gi]
-            value = dspec.values.get(g.label)
-            if value:
-                if g.kind == gh.DIVIDED:
-                    if e >= p:
-                        head = tuple(pairs[:j])
-                        if e > p:
-                            head += ((gi, e - p),)
-                        factor = 1
-                    else:
-                        factor = 0
-                        head = ()
-                else:
-                    factor = e % p
-                    head = tuple(pairs[:j])
-                    if e > 1:
-                        head += ((gi, e - 1),)
-                if factor:
-                    tail = tuple(pairs[j + 1 :])
-                    sign = -1 if prefix_degree % 2 else 1
-                    piece = gh.multiply(spec, {head: 1}, value, p)
-                    piece = gh.multiply(spec, piece, {tail: 1}, p)
-                    out = gh.add(out, gh.scalar_mul(coeff * factor * sign, piece, p), p)
-            prefix_degree += e * g.degree
-    return out
+    gens = term.spec.generators
+    return gh.extend_derivation(
+        term.spec, elem, term.p, lambda gi: dspec.values.get(gens[gi].label), term.p
+    )
 
 
 def validate_differential(term: SSTerm, dspec: DifferentialSpec) -> Dict[str, object]:
@@ -276,16 +250,6 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
 def change_basis_cycles(
     p: int,
     k_max: int,
@@ -337,7 +301,7 @@ def change_basis_cycles(
     def replacement(k: int) -> gh.Element:
         out: gh.Element = {}
         for j in range(p ** (k - 1) + 1):
-            for alpha in _compositions(j, L):
+            for alpha in compositions(j, L):
                 piece = gamma("z", p**k - p * j)
                 coeff = (-1) ** j
                 for i, a in enumerate(alpha):
@@ -505,7 +469,7 @@ def rognes_check(p: int, n: int, include_witness: bool = False) -> Dict[str, obj
     weight = p ** (n - 1)
 
     def monomials(w: int) -> List[Tuple[int, ...]]:
-        return _compositions(w, n)
+        return compositions(w, n)
 
     rows: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     for i in range(1, n + 1):

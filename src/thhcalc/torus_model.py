@@ -30,7 +30,9 @@ partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from math import comb
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import admissible_words as aw
 from . import graded_hopf as gh
@@ -84,23 +86,8 @@ class TorusAlgebra:
 
 
 def _subsets(n: int) -> List[Tuple[int, ...]]:
-    out = [
-        tuple(sorted(u))
-        for size in range(1, n + 1)
-        for u in _subsets_of_size(range(1, n + 1), size)
-    ]
-    return out
-
-
-def _subsets_of_size(pool: Iterable[int], size: int) -> List[Tuple[int, ...]]:
-    pool = list(pool)
-    if size == 0:
-        return [()]
-    out = []
-    for i, v in enumerate(pool):
-        for rest in _subsets_of_size(pool[i + 1 :], size - 1):
-            out.append((v,) + rest)
-    return out
+    """Nonempty subsets of {1..n}, size-first, each lexicographic within a size."""
+    return [u for size in range(1, n + 1) for u in combinations(range(1, n + 1), size)]
 
 
 def build_torus(
@@ -154,10 +141,6 @@ def build_torus(
 # ---------------------------------------------------------------------------
 
 
-def _word_labels(tag: Tuple) -> Tuple[int, ...]:
-    return tag[1] if tag[0] == WORD else ()
-
-
 def _generator_image(t: TorusAlgebra, v: int, gi: int) -> gh.Element:
     """Image of one generator under suspension along coordinate v."""
     tag = t.info[gi]
@@ -206,31 +189,7 @@ def sigma(t: TorusAlgebra, v: int, elem: gh.Element) -> gh.Element:
     """
     if not 1 <= v <= t.n:
         raise UnsupportedSigma(f"coordinate {v} is outside 1..{t.n}")
-    p = t.p
-    out: gh.Element = {}
-    for mon, coeff in elem.items():
-        pairs = list(mon)
-        prefix_degree = 0
-        for j, (gi, e) in enumerate(pairs):
-            g = t.spec.generators[gi]
-            img = _generator_image(t, v, gi)
-            if img:
-                kind = g.kind
-                if kind == gh.DIVIDED or kind == gh.EXTERIOR:
-                    factor = 1
-                else:
-                    factor = e % p
-                if factor:
-                    head = tuple(pairs[:j])
-                    if e > 1:
-                        head += ((gi, e - 1),)
-                    tail = tuple(pairs[j + 1 :])
-                    sign = -1 if prefix_degree % 2 else 1
-                    term = gh.multiply(t.spec, {head: 1}, img, p)
-                    term = gh.multiply(t.spec, term, {tail: 1}, p)
-                    out = gh.add(out, gh.scalar_mul(coeff * factor * sign, term, p), p)
-            prefix_degree += e * g.degree
-    return out
+    return gh.extend_derivation(t.spec, elem, t.p, lambda gi: _generator_image(t, v, gi), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +274,7 @@ def n_delta_degrees(
         raise ValueError("blocks must be nonempty subsets of the coordinate set")
     family = set(blocks)
     for b in blocks:
-        for sub in _subsets_of_size(sorted(b), len(b) - 1):
+        for sub in combinations(sorted(b), len(b) - 1):
             if sub and frozenset(sub) not in family:
                 raise ValueError("block family is not closed under subsets")
     degree_sets = {b: _block_degree_set(len(b), p, max_degree) for b in blocks}
@@ -403,21 +362,11 @@ def torus_poincare_report(n: int, p: int, max_degree: int) -> Dict[str, object]:
     torus = build_torus(n, p, max_degree)
     series = gh.poincare_series(torus.spec, max_degree, p)
 
-    def convolve(a: List[int], b: List[int]) -> List[int]:
-        out = [0] * (max_degree + 1)
-        for i, vi in enumerate(a):
-            if vi:
-                for j in range(max_degree + 1 - i):
-                    out[i + j] += vi * b[j]
-        return out
-
-    from math import comb
-
     product = [1] + [0] * max_degree
     for k in range(1, n + 1):
         factor = gh.poincare_series(aw.word_algebra(k, p, max_degree), max_degree, p)
         for _ in range(comb(n, k)):
-            product = convolve(product, factor)
+            product = gh.convolve(product, factor)
 
     skeleton = [1] + [0] * max_degree
     for u in _subsets(n):
@@ -426,9 +375,9 @@ def torus_poincare_report(n: int, p: int, max_degree: int) -> Dict[str, object]:
         factor = gh.poincare_series(
             aw.labeled_word_algebra(u, p, max_degree), max_degree, p
         )
-        skeleton = convolve(skeleton, factor)
+        skeleton = gh.convolve(skeleton, factor)
     top = gh.poincare_series(aw.word_algebra(n, p, max_degree), max_degree, p)
-    skeleton_product = convolve(skeleton, top)
+    skeleton_product = gh.convolve(skeleton, top)
 
     return {
         "n": n,

@@ -215,6 +215,9 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["decompose", "--p", "3", "--n", "9", "--table", "bogus"]) == 2
     assert main(["words", "--n", "0", "--p", "3", "--max-degree", "10"]) == 2
     assert main(["relations", "--n", "2", "--p", "3"]) == 2
+    assert main(["pterm", "--max-degree", "-3"]) == 2
+    assert main(["changebasis", "--r", "a"]) == 2
+    assert main(["changebasis", "--r", "1,,2"]) == 2
 
 
 def test_unknown_verb_is_a_usage_error():

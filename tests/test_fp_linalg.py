@@ -8,20 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thhcalc.fp_linalg import (
-    ContractViolation,
-    FpSparseMatrix,
-    _rank_dense,
-    _rank_sparse,
-    homology_dim,
-    kernel_basis,
-    rank,
-    solve_membership,
-)
+from thhcalc.fp_linalg import FpSparseMatrix, add_to, kernel_basis, rank, solve_membership
 
 
 def scale(vec, c, p):
     return tuple((c * x) % p for x in vec)
+
+
+def transpose(m):
+    return FpSparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +25,7 @@ def scale(vec, c, p):
 
 
 def test_rank_identity_3x3_mod_5():
-    m = FpSparseMatrix.identity(3)
+    m = FpSparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank(m, 5) == 3
     assert kernel_basis(m, 5) == []
 
@@ -60,33 +55,6 @@ def test_solve_membership_column_mod_5():
     assert solve_membership(m, (2, 3), 5) is None
     aug = FpSparseMatrix.from_dense([[1, 2], [2, 3]])
     assert rank(aug, 5) == rank(m, 5) + 1
-
-
-def test_homology_dim_basic():
-    # 0 -> F^2 --[1 1]--> F: kernel is 1-dimensional, nothing divided out
-    d_in = FpSparseMatrix(2, 1)  # zero map from a 1-dim space
-    d_out = FpSparseMatrix.from_dense([[1, 1]])
-    assert homology_dim(d_in, d_out, 3) == 1
-
-    # exact in the middle: image of (1,2) equals kernel of [2 4] mod 5
-    d_in2 = FpSparseMatrix.from_dense([[1], [2]])
-    d_out2 = FpSparseMatrix.from_dense([[2, 4]])
-    assert d_out2.compose(d_in2, 5).is_zero(5)
-    assert homology_dim(d_in2, d_out2, 5) == 0
-
-
-def test_homology_dim_rejects_nonzero_composite():
-    d_in = FpSparseMatrix.from_dense([[1], [2]])
-    d_out = FpSparseMatrix.from_dense([[1, 1]])
-    with pytest.raises(ContractViolation):
-        homology_dim(d_in, d_out, 5)
-
-
-def test_homology_dim_rejects_shape_mismatch():
-    d_in = FpSparseMatrix.from_dense([[1], [2]])
-    d_out = FpSparseMatrix.from_dense([[1, 1, 1]])
-    with pytest.raises(ValueError):
-        homology_dim(d_in, d_out, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +114,25 @@ def test_no_solution_certified_by_rank_jump(p):
         checked += 1
 
 
-def test_dense_and_sparse_rank_paths_agree():
+def test_rank_matches_nullity_and_transpose_rank():
+    # the fewest-entries pivot rule of rank against the natural-order kernel,
+    # on shapes on both sides of 64, the size where a dense path used to start
     rng = random.Random(4000)
     for _ in range(20):
         rows, cols = rng.randrange(1, 90), rng.randrange(1, 90)
         m = random_matrix(rng, rows, cols, 5, density=0.2)
-        assert _rank_dense(m, 5) == _rank_sparse(m, 5)
+        r = rank(m, 5)
+        assert r == cols - len(kernel_basis(m, 5))
+        assert r == rank(transpose(m), 5)
+
+
+def test_add_to_drops_zero_sums():
+    acc = {"a": 2}
+    add_to(acc, "a", 1, 3)
+    assert acc == {}
+    add_to(acc, "b", -1, 5)
+    add_to(acc, "c", 10, 5)
+    assert acc == {"b": 4}
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,6 +157,6 @@ def test_compose_and_transpose_shapes():
     ab = a.compose(b, 5)
     assert (ab.rows, ab.cols) == (2, 2)
     assert ab.to_dense() == [[0, 2], [2, 4]]
-    at = a.transpose()
+    at = transpose(a)
     assert (at.rows, at.cols) == (3, 2)
     assert rank(a, 5) == rank(at, 5)

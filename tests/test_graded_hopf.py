@@ -255,7 +255,7 @@ def test_monomial_products_graded_commute_hypothesis(t1, t2, p, seed):
 
 
 # ---------------------------------------------------------------------------
-# duals and serialization
+# duals
 # ---------------------------------------------------------------------------
 
 
@@ -270,11 +270,6 @@ def test_dualize_swaps_divided_for_polynomial():
 def test_dualize_rejects_polynomial_input():
     with pytest.raises(gh.DualizeError):
         gh.dualize(poly_spec())
-
-
-def test_spec_json_round_trip():
-    spec = gh.algebra([gh.exterior("a", 3), gh.truncated("u", 2, 9), gh.divided("x", 2)], 17, gh.STRICT)
-    assert gh.spec_from_json(gh.spec_to_json(spec)) == spec
 
 
 def test_generator_parity_validation():

@@ -62,6 +62,40 @@ def test_weight_classification():
     assert mf.two_power_split(12, 3) == (9, 3)
 
 
+# The recursive enumerations the library used before it switched to
+# itertools; kept as the oracle for order as well as content, since the
+# rognes column order fixes the solve_membership witness.
+
+
+def _subsets_of_size(pool, size):
+    pool = list(pool)
+    if size == 0:
+        return [()]
+    return [(v,) + rest for i, v in enumerate(pool) for rest in _subsets_of_size(pool[i + 1 :], size - 1)]
+
+
+def _compositions(total, parts):
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(first,) + rest for first in range(total + 1) for rest in _compositions(total - first, parts - 1)]
+
+
+def _full_support_weights(n, N):
+    if n == 1:
+        return [(N,)] if N >= 1 else []
+    return [(first,) + rest for first in range(1, N - n + 2) for rest in _full_support_weights(n - 1, N - first)]
+
+
+def test_stdlib_enumerations_match_recursive_oracles():
+    for size in range(0, 6):
+        for n in range(0, 6):
+            assert list(itertools.combinations(range(1, n + 1), size)) == _subsets_of_size(range(1, n + 1), size)
+    for parts in range(1, 5):
+        for total in range(0, 10):
+            assert mf.compositions(total, parts) == _compositions(total, parts)
+            assert mf.compositions(total, parts, least=1) == _full_support_weights(parts, total)
+
+
 def test_lucas_row_construction():
     for p in (3, 5):
         for n in (0, 1, 7, 30, 81, 121):
