@@ -56,10 +56,6 @@ def _mode(args: argparse.Namespace) -> str:
     return gh.STRICT if args.strict else gh.TRUNCATING
 
 
-def _check(check_id: str, params: Dict[str, object], passed: bool, details: Dict[str, object]) -> Dict[str, object]:
-    return _check_dict(checks.CheckResult(check_id, params, passed, details))
-
-
 def _check_dict(result: checks.CheckResult) -> Dict[str, object]:
     return {
         "id": result.id,
@@ -153,7 +149,7 @@ def _run_tor_check(args) -> Dict[str, object]:
     )
     params = {"p": p, "from": f"b{src}", "to": f"b{dst}", "max_degree": args.max_degree, "seed": args.seed}
     details = {key: report[key] for key in ("got", "expected", "first_mismatch")}
-    check = _check("tor.iso", params, report["passed"], details)
+    check = _check_dict(checks.CheckResult("tor.iso", params, report["passed"], details))
     return _envelope("tor-check", params, check_list=[check])
 
 
@@ -167,7 +163,7 @@ def _run_primitives(args) -> Dict[str, object]:
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     check_list = []
     if args.n >= 2:
-        check_list.append(_check("primitives.gap", params, agree, {"routes_agree": agree}))
+        check_list.append(_check_dict(checks.CheckResult("primitives.gap", params, agree, {"routes_agree": agree})))
     return _envelope(
         "primitives", params, rows=rows, columns=["degree", "kernel_dim", "word_count"], check_list=check_list
     )
@@ -185,7 +181,7 @@ def _run_relations(args) -> Dict[str, object]:
         "dimension": report["dimension"],
         "normal_form": _stringify_keys(report["normal_form"]),
     }
-    check = _check("relations.closed-forms", params, report["agrees"], details)
+    check = _check_dict(checks.CheckResult("relations.closed-forms", params, report["agrees"], details))
     return _envelope(
         "relations", params, rows=rows, columns=["N", "p", "type", "dimension", "agrees"], check_list=[check]
     )
@@ -218,7 +214,7 @@ def _run_decompose(args) -> Dict[str, object]:
         table = _parse_table(args.table, args.n)
     report = mf.decompose_coproduct(table, p)
     params = {"p": p, "n": args.n, "table": sorted(table.coeffs.items()), "seed": args.seed}
-    check = _check("decompose.normal-form", params, report["consistent"], dict(report))
+    check = _check_dict(checks.CheckResult("decompose.normal-form", params, report["consistent"], dict(report)))
     return _envelope("decompose", params, check_list=[check])
 
 
@@ -229,7 +225,7 @@ def _run_cubes(args) -> Dict[str, object]:
     report = mf.pinch_order_report(args.n, args.max_degree, p)
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     details = {key: report[key] for key in ("monomials_checked", "orders_per_monomial", "failures")}
-    check = _check("cubes.order-independence", params, report["passed"], details)
+    check = _check_dict(checks.CheckResult("cubes.order-independence", params, report["passed"], details))
     return _envelope("cubes", params, check_list=[check])
 
 
@@ -243,7 +239,7 @@ def _run_pterm(args) -> Dict[str, object]:
         "homology": _stringify_keys(report.get("homology", {})),
         "expected": _stringify_keys(report.get("expected", {})),
     }
-    check = _check("pterm.closed-form", params, report["passed"], details)
+    check = _check_dict(checks.CheckResult("pterm.closed-form", params, report["passed"], details))
     return _envelope("pterm", params, check_list=[check])
 
 
@@ -251,7 +247,7 @@ def _run_changebasis(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     depth = args.depth if args.depth is not None else (2 if p == 3 else 1)
     try:
-        coeffs = tuple(int(x) for x in args.r.split(",")) if args.r else (1,)
+        coeffs = tuple(int(x) for x in args.r.split(",")) if args.r is not None else (1,)
     except ValueError as exc:
         raise CLIError(f"--r must be comma-separated integers, got {args.r!r}") from exc
     if depth < 1:
@@ -263,7 +259,7 @@ def _run_changebasis(args) -> Dict[str, object]:
         "pth_powers": report["power_checks"],
         "exchange_invertible": report["exchange_invertible"],
     }
-    check = _check("changebasis.cycles", params, report["passed"], details)
+    check = _check_dict(checks.CheckResult("changebasis.cycles", params, report["passed"], details))
     return _envelope("changebasis", params, check_list=[check])
 
 
@@ -284,7 +280,7 @@ def _run_rognes(args) -> Dict[str, object]:
             [list(tag[1]), tag[0], coeff] for tag, coeff in report["witness"].items()
         )
         details["witness_verified"] = report["witness_verified"]
-    check = _check("rognes.obstruction", params, checks.rognes_passed(report), details)
+    check = _check_dict(checks.CheckResult("rognes.obstruction", params, checks.rognes_passed(report), details))
     return _envelope("rognes", params, check_list=[check])
 
 

@@ -21,6 +21,7 @@ psi(gamma_k) = sum_{i+j=k} gamma_i (x) gamma_j.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -387,6 +388,23 @@ def _gen_series(g: GeneratorSpec, limit: int, p: int) -> List[int]:
             series[k * g.degree] = 1
             k += 1
     return series
+
+
+def compositions(total: int, parts: int, least: int = 0) -> List[Tuple[int, ...]]:
+    """Ordered ways to write total as `parts` parts, each >= least (parts >= 1).
+
+    Stars and bars: each choice of bar positions, taken in lexicographic
+    order, cuts the spare stars into parts, so the parts also come out in
+    lexicographic order.
+    """
+    if total < parts * least:
+        return []
+    slots = total - parts * least + parts - 1
+    out: List[Tuple[int, ...]] = []
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        out.append(tuple(hi - lo - 1 + least for lo, hi in zip(edges, edges[1:])))
+    return out
 
 
 def convolve(a: List[int], b: List[int]) -> List[int]:

@@ -40,7 +40,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fp_linalg import FpSparseMatrix, add_to, kernel_basis, rank
-from .graded_hopf import convolve
+from .graded_hopf import compositions, convolve
 
 
 # ---------------------------------------------------------------------------
@@ -54,23 +54,6 @@ def digits(n: int, p: int) -> List[int]:
     while n:
         n, r = divmod(n, p)
         out.append(r)
-    return out
-
-
-def compositions(total: int, parts: int, least: int = 0) -> List[Tuple[int, ...]]:
-    """Ordered ways to write total as `parts` parts, each >= least (parts >= 1).
-
-    Stars and bars: each choice of bar positions, taken in lexicographic
-    order, cuts the spare stars into parts, so the parts also come out in
-    lexicographic order.
-    """
-    if total < parts * least:
-        return []
-    slots = total - parts * least + parts - 1
-    out: List[Tuple[int, ...]] = []
-    for bars in itertools.combinations(range(slots), parts - 1):
-        edges = (-1,) + bars + (slots,)
-        out.append(tuple(hi - lo - 1 + least for lo, hi in zip(edges, edges[1:])))
     return out
 
 

@@ -33,7 +33,6 @@ from . import fp_linalg
 from . import graded_hopf as gh
 from . import torus_model as tm
 from .fp_linalg import ContractViolation, FpSparseMatrix
-from .multifold import compositions
 
 
 @dataclass
@@ -301,7 +300,7 @@ def change_basis_cycles(
     def replacement(k: int) -> gh.Element:
         out: gh.Element = {}
         for j in range(p ** (k - 1) + 1):
-            for alpha in compositions(j, L):
+            for alpha in gh.compositions(j, L):
                 piece = gamma("z", p**k - p * j)
                 coeff = (-1) ** j
                 for i, a in enumerate(alpha):
@@ -469,7 +468,7 @@ def rognes_check(p: int, n: int, include_witness: bool = False) -> Dict[str, obj
     weight = p ** (n - 1)
 
     def monomials(w: int) -> List[Tuple[int, ...]]:
-        return compositions(w, n)
+        return gh.compositions(w, n)
 
     rows: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     for i in range(1, n + 1):

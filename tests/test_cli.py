@@ -218,6 +218,7 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["pterm", "--max-degree", "-3"]) == 2
     assert main(["changebasis", "--r", "a"]) == 2
     assert main(["changebasis", "--r", "1,,2"]) == 2
+    assert main(["changebasis", "--r", ""]) == 2
 
 
 def test_unknown_verb_is_a_usage_error():

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from thhcalc import graded_hopf as gh
 from thhcalc import multifold as mf
 
 
@@ -92,8 +93,8 @@ def test_stdlib_enumerations_match_recursive_oracles():
             assert list(itertools.combinations(range(1, n + 1), size)) == _subsets_of_size(range(1, n + 1), size)
     for parts in range(1, 5):
         for total in range(0, 10):
-            assert mf.compositions(total, parts) == _compositions(total, parts)
-            assert mf.compositions(total, parts, least=1) == _full_support_weights(parts, total)
+            assert gh.compositions(total, parts) == _compositions(total, parts)
+            assert gh.compositions(total, parts, least=1) == _full_support_weights(parts, total)
 
 
 def test_lucas_row_construction():
