@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from typing import Dict, Optional, Sequence
 
 from . import admissible_words as aw
@@ -209,7 +210,8 @@ def _run_decompose(args) -> Dict[str, object]:
     if args.n < 2:
         raise CLIError("--n (the weight) must be >= 2")
     if args.table is None:
-        table = mf.CoproductTable(args.n, {k: mf.lucas(args.n, k, p) for k in range(1, args.n)})
+        row = mf.lucas_row(args.n, p)
+        table = mf.CoproductTable(args.n, {k: row[k] for k in range(1, args.n)})
     else:
         table = _parse_table(args.table, args.n)
     report = mf.decompose_coproduct(table, p)
@@ -222,6 +224,8 @@ def _run_cubes(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     if not 1 <= args.n <= 3:
         raise CLIError("--n (pinch directions) must be 1..3")
+    if args.max_degree < 0:
+        raise CLIError("--max-degree must be >= 0")
     report = mf.pinch_order_report(args.n, args.max_degree, p)
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     details = {key: report[key] for key in ("monomials_checked", "orders_per_monomial", "failures")}
@@ -342,7 +346,13 @@ def _emit(text: str, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Building it costs far more than a parse, so every `main` call in a
+    process reuses the one parser; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="thhcalc",
         description="Exact-arithmetic verification of word-algebra, Tor, and page computations over F_p.",
@@ -409,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         envelope = _HANDLERS[args.verb](args)
     except CLIError as exc:

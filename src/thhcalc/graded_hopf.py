@@ -17,15 +17,22 @@ that overflow either raise (strict mode) or are dropped (truncating mode).
 The coproduct makes each algebra a Hopf algebra: exterior, polynomial and
 truncated generators are primitive, while divided powers split as
 psi(gamma_k) = sum_{i+j=k} gamma_i (x) gamma_j.
+
+Monomial arithmetic reads a per-generator table instead of the generator
+specs.  `AlgebraSpec.table` is built on first use and kept on the frozen
+spec: tuples of degrees, kinds and raw heights, where a height of None still
+means p.  `mul_monomials` merges its two sorted factor lists in one pass over
+this table, summing the product degree and the Koszul sign as it goes;
+`monomial_degree` and, through it, `tensor_multiply` read the same degrees.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .fp_linalg import FpSparseMatrix, add_to, kernel_basis, rank
 
@@ -105,6 +112,17 @@ def divided(label: str, degree: int) -> GeneratorSpec:
     return GeneratorSpec(label, degree, DIVIDED)
 
 
+class GeneratorTable(NamedTuple):
+    """Per-generator facts indexed by generator position.
+
+    heights keeps the raw GeneratorSpec.height, so None still means "use p".
+    """
+
+    degrees: Tuple[int, ...]
+    kinds: Tuple[str, ...]
+    heights: Tuple[Optional[int], ...]
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """A generator list, a degree bound, and an overflow mode."""
@@ -121,6 +139,14 @@ class AlgebraSpec:
         labels = [g.label for g in self.generators]
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be distinct")
+
+    @cached_property
+    def table(self) -> GeneratorTable:
+        """The generators as flat tuples, built on first use and kept."""
+        gens = self.generators
+        return GeneratorTable(
+            tuple(g.degree for g in gens), tuple(g.kind for g in gens), tuple(g.height for g in gens)
+        )
 
 
 def algebra(gens: Iterable[GeneratorSpec], degree_bound: int, mode: str = TRUNCATING) -> AlgebraSpec:
@@ -150,7 +176,8 @@ def monomial(spec: AlgebraSpec, pairs: Iterable[Tuple[int, int]]) -> Monomial:
 
 
 def monomial_degree(spec: AlgebraSpec, mon: Monomial) -> int:
-    return sum(spec.generators[i].degree * e for i, e in mon)
+    degrees = spec.table.degrees
+    return sum(degrees[i] * e for i, e in mon)
 
 
 def add(a: Element, b: Element, p: int) -> Element:
@@ -167,46 +194,70 @@ def scalar_mul(c: int, a: Element, p: int) -> Element:
     return {m: (c * v) % p for m, v in a.items() if (c * v) % p}
 
 
-def _koszul_sign(spec: AlgebraSpec, m1: Monomial, m2: Monomial) -> int:
-    """Sign for sorting the concatenation m1*m2 into canonical order."""
-    odd1 = [i for i, _ in m1 if spec.generators[i].degree % 2]
-    odd2 = [j for j, _ in m2 if spec.generators[j].degree % 2]
-    inversions = sum(1 for i in odd1 for j in odd2 if j < i)
-    return -1 if inversions % 2 else 1
-
-
 def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Optional[Tuple[int, Monomial]]:
     """Product of two basis monomials: a coefficient and a monomial, or None.
 
     None covers genuine zeros (exterior squares, truncation heights, divided
     binomials divisible by p) and degree overflow in truncating mode; strict
-    mode raises DegreeOverflow instead of dropping.
+    mode raises DegreeOverflow instead of dropping.  Zeros are found before
+    the degree is checked, so a vanishing product never raises.
+
+    One pass merges the two sorted factor lists.  It adds up the degree and
+    the Koszul sign on the way: each odd factor of m1 moves past the odd
+    factors of m2 merged before it.  Odd generators are exactly the exterior
+    ones, so the kind decides the parity.
     """
-    coeff = _koszul_sign(spec, m1, m2) % p
-    exps = dict(m1)
-    for i, e2 in m2:
-        g = spec.generators[i]
-        e1 = exps.get(i, 0)
+    degrees, kinds, heights = spec.table
+    out: List[Tuple[int, int]] = []
+    degree = 0
+    coeff = 1
+    inversions = 0
+    odd2 = 0  # odd factors of m2 merged so far
+    a, n1 = 0, len(m1)
+    for j, e2 in m2:
+        e1 = 0
+        while a < n1:
+            factor = m1[a]
+            i = factor[0]
+            if i > j:
+                break
+            a += 1
+            if i == j:
+                e1 = factor[1]
+                break
+            out.append(factor)
+            degree += degrees[i] * factor[1]
+            if odd2 and kinds[i] == EXTERIOR:
+                inversions += odd2
         e = e1 + e2
-        if g.kind == EXTERIOR:
+        kind = kinds[j]
+        if kind == EXTERIOR:
             if e > 1:
                 return None
-        elif g.kind == TRUNCATED:
-            if e >= _height(g, p):
+            odd2 += 1
+        elif kind == TRUNCATED:
+            h = heights[j]
+            if e >= (p if h is None else h):
                 return None
-        elif g.kind == DIVIDED:
+        elif kind == DIVIDED:
             coeff = coeff * comb(e, e1) % p
             if coeff == 0:
                 return None
-        exps[i] = e
-    mon = tuple(sorted(exps.items()))
-    if monomial_degree(spec, mon) > spec.degree_bound:
+        out.append((j, e))
+        degree += degrees[j] * e
+    for factor in m1[a:]:
+        i = factor[0]
+        out.append(factor)
+        degree += degrees[i] * factor[1]
+        if odd2 and kinds[i] == EXTERIOR:
+            inversions += odd2
+    if degree > spec.degree_bound:
         if spec.mode == STRICT:
-            raise DegreeOverflow(
-                f"product degree {monomial_degree(spec, mon)} exceeds bound {spec.degree_bound}"
-            )
+            raise DegreeOverflow(f"product degree {degree} exceeds bound {spec.degree_bound}")
         return None
-    return coeff, mon
+    if inversions % 2:
+        coeff = -coeff % p
+    return coeff, tuple(out)
 
 
 def multiply(spec: AlgebraSpec, a: Element, b: Element, p: int) -> Element:

@@ -132,15 +132,14 @@ def classify_weight(v: int, p: int) -> str:
 
 def relation_matrix(N: int, p: int) -> FpSparseMatrix:
     """Coassociativity constraints on (r_1, ..., r_{N-1})."""
+    binoms = [lucas_row(n, p) for n in range(N)]
     entries: Dict[Tuple[int, int], int] = {}
     row = 0
     for a in range(1, N - 1):
+        outer = binoms[N - a]  # C(b + c, b) with c = N - a - b >= 1
         for b in range(1, N - a):
-            c = N - a - b
-            if c < 1:
-                break
             # each row has two distinct columns, so nothing accumulates
-            left, right = lucas(a + b, b, p), lucas(b + c, b, p)
+            left, right = binoms[a + b][b], outer[b]
             if left:
                 entries[(row, a + b - 1)] = left
             if right:
@@ -164,7 +163,7 @@ def closed_form_vectors(N: int, p: int) -> Tuple[str, List[List[int]], Dict[str,
     ds = digits(N, p)
     top = len(ds) - 1
     inv = pow(ds[top], -1, p)
-    vec = [lucas(N, k, p) * inv % p for k in range(1, N)]
+    vec = [c * inv % p for c in lucas_row(N, p)[1:N]]
     return kind, [vec], {"pivot": p**top, "pivot_value": vec[p**top - 1]}
 
 
@@ -225,13 +224,13 @@ def decompose_coproduct(table: CoproductTable, p: int) -> Dict[str, object]:
     skew unit at the smaller power for two-power weights.
     """
     N = table.N
+    binoms = [lucas_row(n, p) for n in range(N)]
     for a in range(1, N - 1):
+        outer = binoms[N - a]  # C(b + c, b) with c = N - a - b >= 1
         for b in range(1, N - a):
             c = N - a - b
-            if c < 1:
-                break
-            lhs = lucas(a + b, b, p) * table[a + b] % p
-            rhs = lucas(b + c, b, p) * table[a] % p
+            lhs = binoms[a + b][b] * table[a + b] % p
+            rhs = outer[b] * table[a] % p
             if lhs != rhs:
                 return {
                     "N": N,
@@ -248,12 +247,13 @@ def decompose_coproduct(table: CoproductTable, p: int) -> Dict[str, object]:
                 return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
         result["p_part"] = r
         return result
+    row = lucas_row(N, p)
     if kind == TWO_POWERS:
         hi, lo = two_power_split(N, p)
         r = table[hi]
         t = (table[lo] - r) % p
         for k in range(1, N):
-            expected = (r * lucas(N, k, p) + (t if k == lo else 0)) % p
+            expected = (r * row[k] + (t if k == lo else 0)) % p
             if table[k] != expected:
                 return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
         result["round"] = r
@@ -264,7 +264,7 @@ def decompose_coproduct(table: CoproductTable, p: int) -> Dict[str, object]:
     top = len(ds) - 1
     r = table[p**top] * pow(ds[top], -1, p) % p
     for k in range(1, N):
-        if table[k] != r * lucas(N, k, p) % p:
+        if table[k] != r * row[k] % p:
             return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
     result["round"] = r
     return result
@@ -422,9 +422,16 @@ def expected_local_dimension(b: Tuple[int, ...], p: int) -> int:
 
 
 def _family_vectors(
-    b: Tuple[int, ...], var_index: Dict[Tuple[int, Tuple[int, ...], int], int], nvars: int, p: int
+    b: Tuple[int, ...],
+    var_index: Dict[Tuple[int, Tuple[int, ...], int], int],
+    nvars: int,
+    p: int,
+    binoms: List[List[int]],
 ) -> List[List[int]]:
-    """The claimed spanning vectors supported on one weight vector."""
+    """The claimed spanning vectors supported on one weight vector.
+
+    binoms[n] is lucas_row(n, p) for every n up to the largest weight in b.
+    """
     out: List[List[int]] = []
     kinds = [classify_weight(v, p) for v in b]
     active = [s for s, v in enumerate(b) if v >= 2]
@@ -437,8 +444,9 @@ def _family_vectors(
     round_vec = blank()
     nonzero = False
     for s in active:
+        row = binoms[b[s]]
         for a in range(1, b[s]):
-            c = lucas(b[s], a, p)
+            c = row[a]
             if c:
                 round_vec[var_index[(s, b, a)]] = c
                 nonzero = True
@@ -503,18 +511,17 @@ def multifold_solution_space(
             for a in range(1, b[s]):
                 var_index[(s, b, a)] = len(var_index)
     nvars = len(var_index)
+    binoms = [lucas_row(n, p) for n in range(N + 1)]
 
     entries: Dict[Tuple[int, int], int] = {}
     row = 0
     for b in weights:
         for s in range(n_directions):
             for a in range(1, b[s] - 1):
+                outer = binoms[b[s] - a]  # C(beta + c, beta) with c = b[s] - a - beta >= 1
                 for beta in range(1, b[s] - a):
-                    c = b[s] - a - beta
-                    if c < 1:
-                        break
-                    add_to(entries, (row, var_index[(s, b, a + beta)]), lucas(a + beta, beta, p), p)
-                    add_to(entries, (row, var_index[(s, b, a)]), -lucas(beta + c, beta, p), p)
+                    add_to(entries, (row, var_index[(s, b, a + beta)]), binoms[a + beta][beta], p)
+                    add_to(entries, (row, var_index[(s, b, a)]), -outer[beta], p)
                     row += 1
         for i in range(n_directions):
             if b[i] < 2:
@@ -522,10 +529,11 @@ def multifold_solution_space(
             for k in range(i + 1, n_directions):
                 if b[k] < 2:
                     continue
+                row_i, row_k = binoms[b[i]], binoms[b[k]]
                 for ai in range(1, b[i]):
                     for ak in range(1, b[k]):
-                        add_to(entries, (row, var_index[(i, b, ai)]), lucas(b[k], ak, p), p)
-                        add_to(entries, (row, var_index[(k, b, ak)]), -lucas(b[i], ai, p), p)
+                        add_to(entries, (row, var_index[(i, b, ai)]), row_k[ak], p)
+                        add_to(entries, (row, var_index[(k, b, ak)]), -row_i[ai], p)
                         row += 1
 
     mat = FpSparseMatrix(row, nvars, entries)
@@ -536,7 +544,7 @@ def multifold_solution_space(
     invisible = []
     total_expected = 0
     for b in weights:
-        local = _family_vectors(b, var_index, nvars, p)
+        local = _family_vectors(b, var_index, nvars, p, binoms)
         families.extend(local)
         expected = expected_local_dimension(b, p)
         total_expected += expected

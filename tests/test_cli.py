@@ -3,10 +3,11 @@
 import hashlib
 import json
 import shlex
+from pathlib import Path
 
 import pytest
 
-from thhcalc.cli import main
+from thhcalc.cli import build_parser, main
 
 
 def _run(tmp_path, *argv):
@@ -196,6 +197,16 @@ def test_report_digest_is_golden(tmp_path, argv, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+VERIFY_ALL_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify-all-seed0.json"
+
+
+def test_verify_all_report_matches_reference(tmp_path):
+    # the benchmark gates verify-all on these bytes; the test only reads them
+    out = tmp_path / "verify-all.json"
+    assert main(["verify-all", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == VERIFY_ALL_REFERENCE.read_bytes()
+
+
 def test_reports_are_byte_identical(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -219,6 +230,11 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["changebasis", "--r", "a"]) == 2
     assert main(["changebasis", "--r", "1,,2"]) == 2
     assert main(["changebasis", "--r", ""]) == 2
+    assert main(["cubes", "--max-degree", "-4"]) == 2
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_unknown_verb_is_a_usage_error():

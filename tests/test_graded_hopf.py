@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,89 @@ def test_strict_mode_overflow_raises():
     # truncating drops the same product silently
     spec_t = gamma_spec(bound=6)
     assert gh.multiply(spec_t, g3, {((0, 1),): 1}, 5) == {}
+    # a zero product is found before the degree check, so it never raises
+    ext = gh.algebra([gh.exterior("y", 3)], 4, gh.STRICT)
+    assert gh.mul_monomials(ext, ((0, 1),), ((0, 1),), 5) is None
+
+
+# The product as it was before AlgebraSpec.table: a separate Koszul-sign
+# pass, a dict merge and a sort.  Kept as the oracle for the one-pass merge.
+
+
+def _koszul_sign(spec, m1, m2):
+    odd1 = [i for i, _ in m1 if spec.generators[i].degree % 2]
+    odd2 = [j for j, _ in m2 if spec.generators[j].degree % 2]
+    inversions = sum(1 for i in odd1 for j in odd2 if j < i)
+    return -1 if inversions % 2 else 1
+
+
+def _mul_monomials_oracle(spec, m1, m2, p):
+    coeff = _koszul_sign(spec, m1, m2) % p
+    exps = dict(m1)
+    for i, e2 in m2:
+        g = spec.generators[i]
+        e1 = exps.get(i, 0)
+        e = e1 + e2
+        if g.kind == gh.EXTERIOR:
+            if e > 1:
+                return None
+        elif g.kind == gh.TRUNCATED:
+            if e >= (g.height if g.height is not None else p):
+                return None
+        elif g.kind == gh.DIVIDED:
+            coeff = coeff * comb(e, e1) % p
+            if coeff == 0:
+                return None
+        exps[i] = e
+    mon = tuple(sorted(exps.items()))
+    degree = gh.monomial_degree(spec, mon)
+    if degree > spec.degree_bound:
+        if spec.mode == gh.STRICT:
+            raise gh.DegreeOverflow(f"product degree {degree} exceeds bound {spec.degree_bound}")
+        return None
+    return coeff, mon
+
+
+def _outcome(mul, spec, m1, m2, p):
+    try:
+        return mul(spec, m1, m2, p)
+    except gh.DegreeOverflow as exc:
+        return ("overflow", str(exc))
+
+
+_generator = st.one_of(
+    st.builds(gh.exterior, st.just(""), st.sampled_from([1, 3, 5])),
+    st.builds(gh.polynomial, st.just(""), st.sampled_from([2, 4])),
+    st.builds(gh.divided, st.just(""), st.sampled_from([2, 4])),
+    st.builds(gh.truncated, st.just(""), st.sampled_from([2, 4]), st.sampled_from([None, None, 2, 3, 4])),
+)
+
+
+_EXPONENTS = [1, 1, 1, 1, 2, 3]
+
+
+@st.composite
+def _spec_and_monomials(draw):
+    kinds = draw(st.lists(_generator, min_size=2, max_size=6))
+    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)]
+    spec = gh.algebra(gens, draw(st.integers(0, 60)), draw(st.sampled_from([gh.STRICT, gh.TRUNCATING])))
+    # each generator goes to neither, one or both factors; an exponent may
+    # exceed its kind's range
+    m1, m2 = [], []
+    for i in range(len(gens)):
+        side = draw(st.sampled_from(["left", "right", "both", "neither"]))
+        if side in ("left", "both"):
+            m1.append((i, draw(st.sampled_from(_EXPONENTS))))
+        if side in ("right", "both"):
+            m2.append((i, draw(st.sampled_from(_EXPONENTS))))
+    return spec, tuple(m1), tuple(m2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spec_and_monomials(), st.sampled_from([3, 5, 7]))
+def test_compiled_product_matches_oracle(case, p):
+    spec, m1, m2 = case
+    assert _outcome(gh.mul_monomials, spec, m1, m2, p) == _outcome(_mul_monomials_oracle, spec, m1, m2, p)
 
 
 # ---------------------------------------------------------------------------

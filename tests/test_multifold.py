@@ -10,6 +10,8 @@ import pytest
 
 from thhcalc import graded_hopf as gh
 from thhcalc import multifold as mf
+from thhcalc.fp_linalg import FpSparseMatrix, add_to, kernel_basis
+from thhcalc.fp_linalg import rank as fp_rank
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +339,173 @@ def test_multifold_guards():
         mf.multifold_solution_space(4, 8, 3)
     with pytest.raises(ValueError):
         mf.multifold_solution_space(2, 7, 3)
+
+
+# ---------------------------------------------------------------------------
+# Lucas-row tables against per-call binomials
+# ---------------------------------------------------------------------------
+
+# The relation and decomposition code as it was before it read lucas_row
+# tables: one lucas(n, k, p) call per binomial.  Kept as the oracle for the
+# table indexing.
+
+
+def _relation_matrix_oracle(N, p):
+    entries = {}
+    row = 0
+    for a in range(1, N - 1):
+        for b in range(1, N - a):
+            c = N - a - b
+            left, right = mf.lucas(a + b, b, p), mf.lucas(b + c, b, p)
+            if left:
+                entries[(row, a + b - 1)] = left
+            if right:
+                entries[(row, a - 1)] = -right % p
+            row += 1
+    return row, N - 1, entries
+
+
+def _decompose_oracle(table, p):
+    N = table.N
+    for a in range(1, N - 1):
+        for b in range(1, N - a):
+            c = N - a - b
+            if mf.lucas(a + b, b, p) * table[a + b] % p != mf.lucas(b + c, b, p) * table[a] % p:
+                return {"N": N, "p": p, "consistent": False, "witness": (a, b, c)}
+    kind = mf.classify_weight(N, p)
+    result = {"N": N, "p": p, "consistent": True, "type": kind}
+    if kind == mf.P_POWER:
+        r = table[N // p]
+        expected = {k: r * mf.binom_div_p(N, k, p) % p for k in range(1, N)}
+        result["p_part"] = r
+    elif kind == mf.TWO_POWERS:
+        hi, lo = mf.two_power_split(N, p)
+        r, t = table[hi], (table[lo] - table[hi]) % p
+        expected = {k: (r * mf.lucas(N, k, p) + (t if k == lo else 0)) % p for k in range(1, N)}
+        result.update(round=r, skew=t, skew_position=lo)
+    else:
+        ds = mf.digits(N, p)
+        r = table[p ** (len(ds) - 1)] * pow(ds[-1], -1, p) % p
+        expected = {k: r * mf.lucas(N, k, p) % p for k in range(1, N)}
+        result["round"] = r
+    for k in range(1, N):
+        if table[k] != expected[k]:
+            return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
+    return result
+
+
+def _family_vectors_oracle(b, var_index, nvars, p):
+    out = []
+    kinds = [mf.classify_weight(v, p) for v in b]
+    active = [s for s, v in enumerate(b) if v >= 2]
+    if not active:
+        return out
+    round_vec = [0] * nvars
+    for s in active:
+        for a in range(1, b[s]):
+            round_vec[var_index[(s, b, a)]] = mf.lucas(b[s], a, p)
+    if any(round_vec):
+        out.append(round_vec)
+    if all(k in (mf.UNIT, mf.P_POWER) for k in kinds):
+        for s in active:
+            vec = [0] * nvars
+            for a in range(1, b[s]):
+                vec[var_index[(s, b, a)]] = mf.binom_div_p(b[s], a, p)
+            out.append(vec)
+    for s in active:
+        others = [k for w, k in enumerate(kinds) if w != s]
+        if kinds[s] == mf.TWO_POWERS and all(k in (mf.UNIT, mf.P_POWER) for k in others):
+            vec = [0] * nvars
+            vec[var_index[(s, b, mf.two_power_split(b[s], p)[1])]] = 1
+            out.append(vec)
+    return out
+
+
+def _solution_space_oracle(n, degree, p):
+    N = degree // 2
+    weights = gh.compositions(N, n, least=1)
+    var_index = {}
+    for b in weights:
+        for s in range(n):
+            for a in range(1, b[s]):
+                var_index[(s, b, a)] = len(var_index)
+    nvars = len(var_index)
+    entries = {}
+    row = 0
+    for b in weights:
+        for s in range(n):
+            for a in range(1, b[s] - 1):
+                for beta in range(1, b[s] - a):
+                    c = b[s] - a - beta
+                    add_to(entries, (row, var_index[(s, b, a + beta)]), mf.lucas(a + beta, beta, p), p)
+                    add_to(entries, (row, var_index[(s, b, a)]), -mf.lucas(beta + c, beta, p), p)
+                    row += 1
+        for i, k in itertools.combinations(range(n), 2):
+            if b[i] < 2 or b[k] < 2:
+                continue
+            for ai in range(1, b[i]):
+                for ak in range(1, b[k]):
+                    add_to(entries, (row, var_index[(i, b, ai)]), mf.lucas(b[k], ak, p), p)
+                    add_to(entries, (row, var_index[(k, b, ak)]), -mf.lucas(b[i], ai, p), p)
+                    row += 1
+    mat = FpSparseMatrix(row, nvars, entries)
+    kernel = kernel_basis(mat, p)
+    families = [v for b in weights for v in _family_vectors_oracle(b, var_index, nvars, p)]
+    expected = sum(mf.expected_local_dimension(b, p) for b in weights)
+    member = all(all(v % p == 0 for v in mat.mul_vec(vec, p)) for vec in families)
+    fam_rank = fp_rank(FpSparseMatrix.from_dense(families), p) if families else 0
+    joint = fp_rank(FpSparseMatrix.from_dense(families + kernel), p) if families or kernel else 0
+    agrees = member and fam_rank == len(kernel) == joint and expected == len(kernel)
+    return {
+        "directions": n,
+        "p": p,
+        "target_degree": degree,
+        "dimension": len(kernel),
+        "family_rank": fam_rank,
+        "expected_dimension": expected,
+        "per_weight": [
+            {
+                "weight": b,
+                "classes": [mf.classify_weight(v, p) for v in b],
+                "expected_dimension": mf.expected_local_dimension(b, p),
+            }
+            for b in weights
+        ],
+        "invisible_weights": [b for b in weights if all(v == 1 for v in b)],
+        "agrees": agrees,
+        "passed": agrees,
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_relation_matrix_matches_lucas_calls(p):
+    for N in range(3, 81):
+        mat = mf.relation_matrix(N, p)
+        assert (mat.rows, mat.cols, mat.entries) == _relation_matrix_oracle(N, p), N
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_decompose_matches_lucas_calls(p):
+    rng = random.Random(31 + p)
+    for N in range(3, 81):
+        _, vectors, _ = mf.closed_form_vectors(N, p)
+        tables = [{}, {k: rng.randrange(p) for k in range(1, N)}]
+        for _ in range(3):
+            weights = [rng.randrange(p) for _ in vectors]
+            coeffs = {k: sum(w * v[k - 1] for w, v in zip(weights, vectors)) % p for k in range(1, N)}
+            tables.append(coeffs)
+            # one changed position breaks a relation or the closed-form pattern
+            broken = dict(coeffs)
+            k = rng.randrange(1, N)
+            broken[k] = (broken[k] + 1) % p
+            tables.append(broken)
+        for coeffs in tables:
+            table = mf.CoproductTable(N, coeffs)
+            assert mf.decompose_coproduct(table, p) == _decompose_oracle(table, p), (N, coeffs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_multifold_solution_space_matches_lucas_calls(p):
+    cases = [(1, N) for N in range(3, 81)] + [(2, N) for N in range(2, 15)] + [(3, N) for N in range(3, 9)]
+    for n, N in cases:
+        assert mf.multifold_solution_space(n, 2 * N, p) == _solution_space_oracle(n, 2 * N, p), (n, N)
