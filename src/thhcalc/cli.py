@@ -5,7 +5,13 @@ schema string ``thhcalc/1``) or CSV — written to stdout or ``--out``.  The
 same configuration and seed always produce byte-identical bytes: reports
 carry no timestamps, dictionary keys are emitted sorted, and every random
 draw is seeded.  The exit status is 0 exactly when every check the verb ran
-passed, 1 when one failed, and 2 for invalid configuration.
+passed, 1 when one failed, 2 for invalid configuration (including an input
+above a cost guard), and 3 when the program itself failed: any exception
+other than a configuration error, such as a `ContractViolation`, is printed
+as one ``internal error:`` line on stderr, without a traceback.
+
+Each verb registers only the flags its handler reads, so a flag that would
+do nothing is a usage error (argparse, exit 2).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import io
 import json
 import sys
 from functools import lru_cache
+from math import comb
 from typing import Dict, Optional, Sequence
 
 from . import admissible_words as aw
@@ -26,6 +33,10 @@ from . import multifold as mf
 from . import spectral_engine as se
 
 SCHEMA = "thhcalc/1"
+
+# Cost guards: larger inputs are refused at once with exit 2.
+MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
+MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
 
 _VERBS = (
     "words",
@@ -172,8 +183,8 @@ def _run_primitives(args) -> Dict[str, object]:
 
 def _run_relations(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
-    if args.n < 3:
-        raise CLIError("--n (the weight) must be >= 3")
+    if not 3 <= args.n <= MAX_WEIGHT:
+        raise CLIError(f"--n (the weight) must be in 3..{MAX_WEIGHT}")
     report = mf.relation_module(args.n, p)
     params = {"p": p, "n": args.n, "seed": args.seed}
     rows = [[args.n, p, report["type"], report["dimension"], report["agrees"]]]
@@ -207,8 +218,8 @@ def _parse_table(text: str, weight: int) -> mf.CoproductTable:
 
 def _run_decompose(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
-    if args.n < 2:
-        raise CLIError("--n (the weight) must be >= 2")
+    if not 2 <= args.n <= MAX_WEIGHT:
+        raise CLIError(f"--n (the weight) must be in 2..{MAX_WEIGHT}")
     if args.table is None:
         row = mf.lucas_row(args.n, p)
         table = mf.CoproductTable(args.n, {k: row[k] for k in range(1, args.n)})
@@ -271,6 +282,14 @@ def _run_rognes(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     if args.n < 2:
         raise CLIError("--n must be >= 2")
+    # the system has n blocks of C(p^(n-1)+n-1, n-1) rows; the count grows
+    # with n, so this loop stops at a small n before any large power
+    for k in range(2, args.n + 1):
+        if comb(p ** (k - 1) + k - 1, k - 1) > MAX_ROGNES_COMPOSITIONS:
+            raise CLIError(
+                f"--n {args.n} at --p {p} needs more than {MAX_ROGNES_COMPOSITIONS} "
+                "compositions of p^(n-1) into n parts"
+            )
     report = se.rognes_check(p, args.n, include_witness=args.control)
     params = {"p": p, "n": args.n, "control": args.control, "seed": args.seed}
     details = {
@@ -335,8 +354,11 @@ def _render_csv(envelope: Dict[str, object]) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CLIError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -359,61 +381,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp, n_help="main size parameter"):
-        sp.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
-        sp.add_argument("--n", type=int, default=2, help=n_help)
-        sp.add_argument("--max-degree", type=int, default=20, help="degree cap (default 20)")
+    def verb(name, summary, *, n=None, degree=True, mode=False, p=True):
+        """A verb's parser with only the shared flags its handler reads; n is --n's help."""
+        sp = sub.add_parser(name, help=summary)
+        if p:
+            sp.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
+        if n:
+            sp.add_argument("--n", type=int, default=2, help=n)
+        if degree:
+            sp.add_argument("--max-degree", type=int, default=20, help="degree cap (default 20)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        group = sp.add_mutually_exclusive_group()
-        group.add_argument("--strict", action="store_true", help="error on degree overflow")
-        group.add_argument("--truncate", action="store_true", help="drop overflowing terms (default)")
+        if mode:
+            group = sp.add_mutually_exclusive_group()
+            group.add_argument("--strict", action="store_true", help="error on degree overflow")
+            group.add_argument("--truncate", action="store_true", help="drop overflowing terms (default)")
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
         sp.add_argument("--out", type=str, default=None, help="write the report to this path")
+        return sp
 
-    sp = sub.add_parser("words", help="enumerate admissible words")
-    common(sp, "word length")
+    sp = verb("words", "enumerate admissible words", n="word length")
     sp.add_argument("--monic", action="store_true", help="restrict to monic words")
 
-    sp = sub.add_parser("poincare", help="dimension series of a word algebra")
-    common(sp, "word length")
+    verb("poincare", "dimension series of a word algebra", n="word length", mode=True)
+    verb("tor", "Tor dimensions over a word algebra, by bidegree", n="word length", mode=True)
 
-    sp = sub.add_parser("tor", help="Tor dimensions over a word algebra, by bidegree")
-    common(sp, "word length")
-
-    sp = sub.add_parser("tor-check", help="Tor over one word algebra vs the next")
-    common(sp, "unused")
+    sp = verb("tor-check", "Tor over one word algebra vs the next")
     sp.add_argument("--from", dest="source", type=str, required=True, help="source algebra tag, e.g. b2")
     sp.add_argument("--to", dest="target", type=str, required=True, help="expected answer tag, e.g. b3")
 
-    sp = sub.add_parser("primitives", help="primitive dimensions vs monic word counts")
-    common(sp, "word length")
+    verb("primitives", "primitive dimensions vs monic word counts", n="word length", mode=True)
+    verb("relations", "coproduct relation module at one weight", n=f"weight N, 3..{MAX_WEIGHT}", degree=False)
 
-    sp = sub.add_parser("relations", help="coproduct relation module at one weight")
-    common(sp, "weight N")
-
-    sp = sub.add_parser("decompose", help="classify a coproduct coefficient table")
-    common(sp, "weight N")
+    sp = verb("decompose", "classify a coproduct coefficient table", n=f"weight N, 2..{MAX_WEIGHT}", degree=False)
     sp.add_argument("--table", type=str, default=None, help="comma-separated pos:coeff entries")
 
-    sp = sub.add_parser("cubes", help="pinch-order independence of iterated coproducts")
-    common(sp, "pinch directions")
+    sp = verb("cubes", "pinch-order independence of iterated coproducts", n="pinch directions")
     sp.set_defaults(n=3, max_degree=20, p=5)
 
-    sp = sub.add_parser("pterm", help="height-p differential homology vs closed form")
-    common(sp, "unused")
+    sp = verb("pterm", "height-p differential homology vs closed form")
     sp.add_argument("--towers", type=int, default=1, help="number of divided towers")
 
-    sp = sub.add_parser("changebasis", help="certify divided-power replacement generators")
-    common(sp, "unused")
+    sp = verb("changebasis", "certify divided-power replacement generators", degree=False)
     sp.add_argument("--k", dest="depth", type=int, default=None, help="tower depth (default 2 at p=3, else 1)")
     sp.add_argument("--r", type=str, default=None, help="comma-separated twisting coefficients")
 
-    sp = sub.add_parser("rognes", help="two-column hitting problem for the power classes")
-    common(sp, "torus coordinates")
+    sp = verb("rognes", "two-column hitting problem for the power classes", n="torus coordinates", degree=False)
     sp.add_argument("--control", action="store_true", help="include the canonical witness column")
 
-    sp = sub.add_parser("verify-all", help="run the full acceptance battery")
-    common(sp, "unused")
+    verb("verify-all", "run the full acceptance battery", degree=False, p=False)
 
     return parser
 
@@ -422,11 +437,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         envelope = _HANDLERS[args.verb](args)
+        text = _render_csv(envelope) if args.format == "csv" else _render_json(envelope)
+        _emit(text, args.out)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _render_csv(envelope) if args.format == "csv" else _render_json(envelope)
-    _emit(text, args.out)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 3
     return 0 if envelope["passed"] else 1
 
 

@@ -7,14 +7,17 @@ byte-identical report guarantee bottoms out here.
 
 All elimination runs through one step, `_pivot`: normalize the pivot row,
 clear its column from every other row, and keep the column index in step.
-Two pivot rules drive it, on matrices of every size:
+Three pivot rules drive it, on matrices of every size:
 
 * `rank` takes the column with the fewest entries and, in it, the row with
   the fewest entries, which keeps fill-in low;
 * `_rref`, behind kernels and solves, scans columns left to right and
-  pivots on the smallest available row index.
+  pivots on the smallest available row index;
+* `extending_rows` scans rows in order and pivots each nonzero one on its
+  sparsest column; whether a row is left nonzero does not depend on that
+  choice.
 
-Both rules give the same rank; the fewest-entries rule is never used for
+All rules give the same rank; the fewest-entries rule is never used for
 kernels or solutions, whose coordinate vectors are part of the public
 contract.  `add_to` is the package's one "add mod p, drop the key on zero"
 step for sparse accumulators.
@@ -32,7 +35,8 @@ class ContractViolation(Exception):
     """A chain complex broke its contract.
 
     Raised when d o d is nonzero, when a differential leaves its target
-    bidegree, or when a homology dimension comes out negative.
+    bidegree, when a homology dimension comes out negative, or when a
+    resolution generator's image is not a cycle.
     """
 
 
@@ -242,6 +246,27 @@ def kernel_basis(m: FpSparseMatrix, p: int) -> List[Vector]:
                 v[c] = (-coeff) % p
         basis.append(tuple(v))
     return basis
+
+
+def extending_rows(
+    span: Sequence[Dict[int, int]], candidates: Sequence[Dict[int, int]], p: int
+) -> List[int]:
+    """Indices of the candidate rows that extend the span of `span`.
+
+    Candidate i is chosen when it is not in the span of `span` and of the
+    candidates before it, so the chosen rows complete a basis of the span of
+    everything.  Rows are sparse {column: value} maps and are not modified.
+    """
+    rows = [{c: v % p for c, v in row.items() if v % p} for row in (*span, *candidates)]
+    col_index = _column_index(rows)
+    chosen: List[int] = []
+    for rid, row in enumerate(rows):
+        if row:
+            c = min(row, key=lambda cc: (len(col_index[cc]), cc))
+            _pivot(rows, col_index, rid, c, p)
+            if rid >= len(span):
+                chosen.append(rid - len(span))
+    return chosen
 
 
 def solve_membership(m: FpSparseMatrix, b: Sequence[int], p: int) -> Optional[Vector]:

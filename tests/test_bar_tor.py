@@ -1,16 +1,50 @@
-"""Tests for the reduced bar complex and Tor comparisons."""
+"""Tests for the minimal-resolution Tor engine, the bar complex and Tor comparisons.
+
+The bar complex is the reference: the resolution must give the same
+dimension at every bidegree it computes.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thhcalc import admissible_words as aw
+from thhcalc import bar_tor
+from thhcalc import fp_linalg
 from thhcalc import graded_hopf as gh
 from thhcalc.bar_tor import BarComplex, tor_dims, verify_tor_iso
+from thhcalc.fp_linalg import ContractViolation
 
 
 def poly_mu(bound: int) -> gh.AlgebraSpec:
     return gh.algebra([gh.polynomial("m", 2)], bound)
+
+
+def bar_dims(spec: gh.AlgebraSpec, p: int, cap: int, top) -> dict:
+    """Nonzero bar-complex homology dims for t <= cap and s <= top(t)."""
+    bar = BarComplex(spec, p, cap)
+    table = {}
+    for t in range(cap + 1):
+        for s in range(top(t) + 1):
+            dim = bar.homology_dim(s, t)
+            if dim:
+                table[(s, t)] = dim
+    return table
+
+
+def assert_engines_agree(spec: gh.AlgebraSpec, p: int, cap: int, total: bool) -> None:
+    """The resolution and the bar complex agree at every bidegree of one range.
+
+    total=True is the range of verify_tor_iso (s + t <= cap), otherwise the
+    range of tor_dims (s <= t <= cap).
+    """
+    top = (lambda t: min(t, cap - t)) if total else (lambda t: t)
+    expected = bar_dims(spec, p, cap, top)
+    assert bar_tor._resolve(spec, p, cap, top) == expected
+    if not total:
+        assert tor_dims(spec, p, cap) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +203,89 @@ def test_negative_control_mismatch_located():
 def test_degree_cap_validation():
     with pytest.raises(ValueError):
         BarComplex(poly_mu(6), 3, 10)
+    with pytest.raises(ValueError):
+        tor_dims(poly_mu(6), 3, 10)
+    with pytest.raises(ValueError):
+        verify_tor_iso(poly_mu(6), poly_mu(10), 3, 10)
+
+
+# ---------------------------------------------------------------------------
+# the minimal resolution against the bar complex
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n, cap", [(1, 30), (2, 24), (3, None)])
+def test_resolution_matches_bar_on_ladder_rungs(p, n, cap):
+    # the rungs and caps of the tor.iso check
+    cap = 2 + 4 * p if cap is None else cap
+    spec = aw.word_algebra(n, p, cap)
+    assert_engines_agree(spec, p, cap, total=True)
+    assert_engines_agree(spec, p, min(cap, 20), total=False)
+
+
+@pytest.mark.parametrize("n, p, cap", [(1, 3, 30), (3, 5, 60)])
+def test_resolution_matches_bar_on_tor_check_configs(n, p, cap):
+    # tor-check b1->b2 at p = 3 and b3->b4 at p = 5; the bar complex is
+    # tractable at these caps (b1 at cap 36 already takes seconds)
+    assert_engines_agree(aw.word_algebra(n, p, cap), p, cap, total=True)
+
+
+def _generator(draw, label: str) -> gh.GeneratorSpec:
+    kind = draw(st.sampled_from(["exterior", "polynomial", "truncated", "divided"]))
+    if kind == "exterior":
+        return gh.exterior(label, draw(st.sampled_from([1, 3, 5])))
+    degree = draw(st.sampled_from([2, 4, 6]))
+    if kind == "polynomial":
+        return gh.polynomial(label, degree)
+    if kind == "divided":
+        return gh.divided(label, degree)
+    return gh.truncated(label, degree, draw(st.sampled_from([None, 2, 3, 4])))
+
+
+@st.composite
+def small_specs(draw):
+    count = draw(st.integers(0, 3))
+    gens = [_generator(draw, f"g{i}") for i in range(count)]
+    # generators of degree 1 make the bar complex grow like 2^t
+    cap = draw(st.integers(2, 8 if any(g.degree == 1 for g in gens) else 12))
+    return gh.algebra(gens, cap), draw(st.sampled_from([3, 5])), cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_specs(), st.booleans())
+def test_resolution_matches_bar_on_random_specs(case, total):
+    spec, p, cap = case
+    assert_engines_agree(spec, p, cap, total)
+
+
+def test_resolution_checks_each_generator_image_is_a_cycle(monkeypatch):
+    # a kernel routine that returns every coordinate vector hands the engine
+    # non-cycles as generator images; the engine must refuse them
+    def tampered(m, p):
+        return [tuple(int(i == j) for i in range(m.cols)) for j in range(m.cols)]
+
+    monkeypatch.setattr(fp_linalg, "kernel_basis", tampered)
+    with pytest.raises(ContractViolation, match="not a cycle"):
+        tor_dims(poly_mu(8), 5, 8)
+
+
+# ---------------------------------------------------------------------------
+# the deeper ladder, beyond what the bar complex reaches
+# ---------------------------------------------------------------------------
+
+
+def test_ladder_length_one_to_two_p3_to_cap_200():
+    b1 = aw.word_algebra(1, 3, 200)
+    b2 = aw.word_algebra(2, 3, 200)
+    report = verify_tor_iso(b1, b2, 3, 200)
+    assert report["first_mismatch"] is None
+
+
+@pytest.mark.parametrize(
+    "p, n, cap", [(3, n, 80) for n in range(4, 8)] + [(5, n, 120) for n in range(4, 12)]
+)
+def test_deeper_ladder_rungs(p, n, cap):
+    # rungs 4->5 through (2p+1)->(2p+2)
+    report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap), p, cap)
+    assert report["first_mismatch"] is None

@@ -1,13 +1,20 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thhcalc import cli
 from thhcalc.cli import build_parser, main
+from thhcalc.fp_linalg import ContractViolation
 
 
 def _run(tmp_path, *argv):
@@ -19,6 +26,14 @@ def _run(tmp_path, *argv):
 def _run_json(tmp_path, *argv):
     code, text = _run(tmp_path, *argv)
     return code, json.loads(text)
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit that argparse raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +236,23 @@ def test_invalid_prime_exits_2(tmp_path):
     assert main(["words", "--n", "2", "--p", "9", "--max-degree", "10"]) == 2
 
 
+# one flag per verb that the verb's handler never reads
+UNREAD_FLAG_ARGVS = [
+    "words --n 2 --strict",
+    "poincare --n 2 --monic",
+    "tor --n 1 --towers 2",
+    "tor-check --from b1 --to b2 --n 3",
+    "primitives --n 2 --control",
+    "relations --n 12 --max-degree 30",
+    "decompose --n 9 --max-degree 30",
+    "cubes --n 2 --truncate",
+    "pterm --towers 1 --n 2",
+    "changebasis --p 5 --max-degree 10",
+    "rognes --n 2 --strict",
+    "verify-all --p 3",
+]
+
+
 def test_invalid_config_exits_2(tmp_path):
     assert main(["tor-check", "--p", "3", "--from", "x", "--to", "b3"]) == 2
     assert main(["decompose", "--p", "3", "--n", "9", "--table", "bogus"]) == 2
@@ -231,6 +263,109 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["changebasis", "--r", "1,,2"]) == 2
     assert main(["changebasis", "--r", ""]) == 2
     assert main(["cubes", "--max-degree", "-4"]) == 2
+    assert main(["relations", "--n", str(cli.MAX_WEIGHT + 1)]) == 2
+    assert main(["decompose", "--n", str(cli.MAX_WEIGHT + 1)]) == 2
+    assert main(["words", "--out", str(tmp_path / "missing" / "report.json")]) == 2
+    for argv in UNREAD_FLAG_ARGVS:
+        assert _exit_code(shlex.split(argv)) == 2, argv
+
+
+def test_cost_guard_limits_accept_the_largest_documented_inputs(tmp_path):
+    assert _run(tmp_path, "relations", "--n", "200")[0] == 0
+    assert _exit_code(["relations", "--n", str(cli.MAX_WEIGHT), "--out", str(tmp_path / "r")]) == 0
+    assert _exit_code(["decompose", "--n", str(cli.MAX_WEIGHT), "--out", str(tmp_path / "d")]) == 0
+
+
+def test_rognes_above_the_composition_limit_is_refused_at_once():
+    start = time.perf_counter()
+    assert main(["rognes", "--p", "3", "--n", "5"]) == 2
+    assert main(["rognes", "--p", "3", "--n", "1000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tor_at_cap_60_finishes_quickly(tmp_path):
+    start = time.perf_counter()
+    code, doc = _run_json(tmp_path, "tor", "--n", "1", "--max-degree", "60")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert doc["rows"] == [[0, 0, 1], [1, 2, 1]]
+
+
+def test_crash_exits_3_with_one_line_and_no_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise ContractViolation("resolution generator image is not a cycle at (2, 6)\nsecond line")
+
+    monkeypatch.setitem(cli._HANDLERS, "tor", broken)
+    assert main(["tor", "--n", "1", "--max-degree", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: ContractViolation: resolution generator image is not a cycle at (2, 6) second line\n"
+
+
+def test_argparse_usage_errors_keep_system_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["tor", "--n", "x"])
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzz: small argv values for every verb, good and bad
+# ---------------------------------------------------------------------------
+
+
+def _flags(required=None, **optional):
+    """argv tails: each optional flag present or not; None values are bare switches."""
+    def render(picked):
+        out = []
+        for flag, value in picked.items():
+            out.append("--" + flag.replace("_", "-"))
+            if value is not None:
+                out.append(value)
+        return out
+
+    return st.fixed_dictionaries(required or {}, optional=optional).map(render)
+
+
+def _ints(lo, hi):
+    return st.sampled_from([*map(str, range(lo, hi + 1)), "x"])
+
+
+_P = st.sampled_from(["3", "5", "7"] * 4 + ["1", "2", "4", "9", "-3", "x"])
+_DEG = _ints(-3, 20)
+_N = _ints(-1, 3)
+_SWITCH = st.just(None)
+_FORMAT = st.sampled_from(["json", "csv", "xml"])
+_RUNG = st.sampled_from(["b1", "b2", "b3", "b0", "x"])
+
+FUZZ_VERBS = {
+    "words": _flags(p=_P, n=_N, max_degree=_DEG, monic=_SWITCH, format=_FORMAT),
+    "poincare": _flags(p=_P, n=_N, max_degree=_DEG, strict=_SWITCH, format=_FORMAT),
+    "tor": _flags(p=_P, n=_N, max_degree=_DEG, truncate=_SWITCH, format=_FORMAT),
+    "tor-check": _flags({"from": _RUNG, "to": _RUNG}, p=_P, max_degree=_DEG),
+    "primitives": _flags(p=_P, n=_N, max_degree=_DEG, strict=_SWITCH),
+    "relations": _flags(p=_P, n=_ints(-1, 20), format=_FORMAT),
+    "decompose": _flags(
+        p=_P, n=_ints(-1, 20), table=st.sampled_from(["3:1,6:1", "1:1", "0:1", "25:1", "", "bogus", "1:x"])
+    ),
+    "cubes": _flags(p=_P, n=_ints(-1, 4), max_degree=_ints(-3, 12)),
+    "pterm": _flags(p=_P, towers=_N, max_degree=_DEG),
+    "changebasis": _flags(p=_P, k=_ints(-1, 1), r=st.sampled_from(["1", "1,2", "2,1,0", "0", "-1,3", "a", "", "1,,2"])),
+    "rognes": _flags(p=_P, n=_N, control=_SWITCH),
+    # a valid verify-all runs the whole battery, so only refusals are drawn
+    "verify-all": st.sampled_from([["--p", "3"], ["--n", "2"], ["--max-degree", "5"], ["--seed", "x"], ["--format", "xml"]]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_VERBS)).flatmap(lambda verb: FUZZ_VERBS[verb].map(lambda tail: [verb, *tail])))
+def test_fuzzed_small_argvs_exit_honestly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _exit_code(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "", argv
 
 
 def test_parser_is_built_once_per_process():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thhcalc.fp_linalg import FpSparseMatrix, add_to, kernel_basis, rank, solve_membership
+from thhcalc.fp_linalg import FpSparseMatrix, add_to, extending_rows, kernel_basis, rank, solve_membership
 
 
 def scale(vec, c, p):
@@ -149,6 +149,29 @@ def test_kernel_dimension_matches_rank_hypothesis(rows, cols, flat, p):
     assert rank(m, p) + len(basis) == cols
     for v in basis:
         assert all(x == 0 for x in m.mul_vec(v, p))
+
+
+def _rank_of_rows(rows, cols, p):
+    return rank(FpSparseMatrix(len(rows), cols, {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.integers(0, 4), st.integers(-6, 6), max_size=4), max_size=4),
+    st.lists(st.dictionaries(st.integers(0, 4), st.integers(-6, 6), max_size=4), max_size=5),
+    st.sampled_from([3, 5, 7]),
+)
+def test_extending_rows_picks_each_candidate_outside_the_running_span(span, candidates, p):
+    before = [dict(row) for row in span + candidates]
+    chosen = extending_rows(span, candidates, p)
+    assert [dict(row) for row in span + candidates] == before  # inputs untouched
+    # candidate i is chosen exactly when it raises the rank of everything before it
+    expected = [
+        i
+        for i in range(len(candidates))
+        if _rank_of_rows(span + candidates[: i + 1], 5, p) > _rank_of_rows(span + candidates[:i], 5, p)
+    ]
+    assert chosen == expected
 
 
 def test_compose_and_transpose_shapes():
