@@ -12,6 +12,13 @@ as one ``internal error:`` line on stderr, without a traceback.
 
 Each verb registers only the flags its handler reads, so a flag that would
 do nothing is a usage error (argparse, exit 2).
+
+Cost guards refuse, with exit 2 and before anything is built, an input whose
+cost would run to hours: `relations` and `decompose` above weight
+`MAX_WEIGHT`, `rognes` above `MAX_ROGNES_COMPOSITIONS` compositions of
+p^(n-1) into n parts, and `changebasis` when its exchange basis (every
+monomial of degree <= 2p^k in the page algebra) has more than
+`MAX_CHANGEBASIS_MONOMIALS` monomials.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ SCHEMA = "thhcalc/1"
 # Cost guards: larger inputs are refused at once with exit 2.
 MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
+MAX_CHANGEBASIS_MONOMIALS = 100_000  # changebasis exchange basis: monomials of degree <= 2p^k
 
 _VERBS = (
     "words",
@@ -258,6 +266,29 @@ def _run_pterm(args) -> Dict[str, object]:
     return _envelope("pterm", params, check_list=[check])
 
 
+def _require_small_exchange_basis(p: int, depth: int, n_coeffs: int) -> None:
+    """Refuse a changebasis run whose exchange basis is above the limit.
+
+    The basis is every monomial of degree <= 2p^k in the page algebra.  Its
+    n_coeffs + 1 divided generators of degree 2 alone give
+    C(p^k + n_coeffs + 1, n_coeffs + 1) of them; that count grows with k, so
+    checking it k by k stops a large --k or a long --r before anything is
+    built.  The exact count is the algebra's dimension series.
+    """
+    refusal = CLIError(
+        f"--p {p} --k {depth} with {n_coeffs} --r coefficient(s) needs more than "
+        f"{MAX_CHANGEBASIS_MONOMIALS} exchange-basis monomials"
+    )
+    top = 1
+    for _ in range(depth):
+        top *= p
+        if comb(top + n_coeffs + 1, n_coeffs + 1) > MAX_CHANGEBASIS_MONOMIALS:
+            raise refusal
+    spec = se.change_basis_spec(p, depth, n_coeffs)
+    if sum(gh.poincare_series(spec, 2 * top, p)) > MAX_CHANGEBASIS_MONOMIALS:
+        raise refusal
+
+
 def _run_changebasis(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     depth = args.depth if args.depth is not None else (2 if p == 3 else 1)
@@ -267,6 +298,7 @@ def _run_changebasis(args) -> Dict[str, object]:
         raise CLIError(f"--r must be comma-separated integers, got {args.r!r}") from exc
     if depth < 1:
         raise CLIError("--k must be >= 1")
+    _require_small_exchange_basis(p, depth, len(coeffs))
     report = se.change_basis_cycles(p, depth, coeffs)
     params = {"p": p, "k": depth, "r": list(coeffs), "seed": args.seed}
     details = {

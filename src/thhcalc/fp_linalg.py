@@ -9,8 +9,12 @@ All elimination runs through one step, `_pivot`: normalize the pivot row,
 clear its column from every other row, and keep the column index in step.
 Three pivot rules drive it, on matrices of every size:
 
-* `rank` takes the column with the fewest entries and, in it, the row with
-  the fewest entries, which keeps fill-in low;
+* `rank` keeps the columns in a min-heap keyed by their entry count when
+  queued and pivots on the column with the fewest entries then; a column
+  that fill-in has grown since is queued again with its new count, one whose
+  count fell keeps its old place.  In the chosen column it takes the row
+  with the fewest entries.  Both choices keep fill-in low, and the heap
+  spares a scan over every column per pivot;
 * `_rref`, behind kernels and solves, scans columns left to right and
   pivots on the smallest available row index;
 * `extending_rows` scans rows in order and pivots each nonzero one on its
@@ -25,6 +29,7 @@ step for sparse accumulators.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -210,15 +215,20 @@ def _rref(rows: List[Dict[int, int]], cols: int, p: int) -> List[Tuple[int, Dict
 
 
 def rank(m: FpSparseMatrix, p: int) -> int:
-    """Rank of m over F_p, pivoting on the sparsest column and row first."""
+    """Rank of m over F_p, pivoting on the sparsest column (when queued) and row first."""
     rows = _sparse_rows(m, p)
     col_index = _column_index(rows)
+    # fill-in only reaches columns already indexed, so this heap sees them all
+    heap = [(len(touching), c) for c, touching in col_index.items()]
+    heapq.heapify(heap)
     found = 0
-    while col_index:
-        c = min(col_index, key=lambda cc: (len(col_index[cc]), cc))
-        touching = col_index[c]
+    while heap:
+        queued, c = heapq.heappop(heap)
+        touching = col_index.get(c)
         if not touching:
-            del col_index[c]
+            continue
+        if len(touching) > queued:
+            heapq.heappush(heap, (len(touching), c))
             continue
         _pivot(rows, col_index, min(touching, key=lambda r: (len(rows[r]), r)), c, p)
         found += 1
@@ -233,19 +243,21 @@ def kernel_basis(m: FpSparseMatrix, p: int) -> List[Vector]:
     echelon form.
     """
     pivots = _rref(_sparse_rows(m, p), m.cols, p)
+    if len(pivots) == m.cols:
+        return []
     pivot_cols = {c for c, _ in pivots}
-    basis: List[Vector] = []
+    vectors: Dict[int, List[int]] = {}
     for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        v = [0] * m.cols
-        v[free] = 1
-        for c, row in pivots:
-            coeff = row.get(free)
-            if coeff:
-                v[c] = (-coeff) % p
-        basis.append(tuple(v))
-    return basis
+        if free not in pivot_cols:
+            vectors[free] = [0] * m.cols
+            vectors[free][free] = 1
+    # a reduced pivot row holds its own pivot and free columns only, so each
+    # entry other than the pivot lands in one free column's vector
+    for c, row in pivots:
+        for cc, coeff in row.items():
+            if cc != c:
+                vectors[cc][c] = (-coeff) % p
+    return [tuple(v) for v in vectors.values()]
 
 
 def extending_rows(

@@ -182,15 +182,6 @@ def page_homology(
     return out
 
 
-def collapse_dims(term: SSTerm, max_total: int) -> List[int]:
-    """Total-degree dimensions when no differential survives.
-
-    Bidegrees sum along s + t = algebra degree, so a collapsed page
-    contributes exactly its dimension series to the abutment.
-    """
-    return gh.poincare_series(term.spec, max_total, term.p)
-
-
 # ---------------------------------------------------------------------------
 # height-p differentials on divided towers
 # ---------------------------------------------------------------------------
@@ -249,6 +240,15 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
 # ---------------------------------------------------------------------------
 
 
+def change_basis_spec(p: int, k_max: int, n_coeffs: int, gen_degree: int = 2) -> gh.AlgebraSpec:
+    """The page algebra of `change_basis_cycles`: z, then x_i and y_{i+1} per coefficient."""
+    gens: List[gh.GeneratorSpec] = [gh.divided("z", gen_degree)]
+    for i in range(n_coeffs):
+        gens.append(gh.divided(f"x{i}", gen_degree))
+        gens.append(gh.exterior(f"y{i + 1}", p * gen_degree - 1))
+    return gh.AlgebraSpec(tuple(gens), p ** (k_max + 1) * gen_degree, gh.TRUNCATING)
+
+
 def change_basis_cycles(
     p: int,
     k_max: int,
@@ -274,12 +274,8 @@ def change_basis_cycles(
     L = len(r_coeffs)
     if L < 1:
         raise ValueError("need at least one twisting coefficient")
-    bound = p ** (k_max + 1) * gen_degree
-    gens: List[gh.GeneratorSpec] = [gh.divided("z", gen_degree)]
-    for i in range(L):
-        gens.append(gh.divided(f"x{i}", gen_degree))
-        gens.append(gh.exterior(f"y{i + 1}", p * gen_degree - 1))
-    spec = gh.AlgebraSpec(tuple(gens), bound, gh.TRUNCATING)
+    spec = change_basis_spec(p, k_max, L, gen_degree)
+    gens = spec.generators
     term = SSTerm(spec, p, {g.label: 1 for g in gens})
     label_index = {g.label: i for i, g in enumerate(gens)}
 
@@ -335,6 +331,9 @@ def change_basis_cycles(
             k += 1
         return out
 
+    # replaced(a) depends on a alone; the exchange basis asks for each a many times
+    replaced_by: Dict[int, gh.Element] = {}
+
     cap = exchange_cap if exchange_cap is not None else p**k_max * gen_degree
     exchange_ok = True
     exchange_checked = []
@@ -353,7 +352,9 @@ def change_basis_cycles(
                 else:
                     rest.append((gi, e))
             if z_exp and z_exp < p ** (k_max + 1):
-                image = gh.multiply(spec, replaced(z_exp), {tuple(rest): 1}, p)
+                if z_exp not in replaced_by:
+                    replaced_by[z_exp] = replaced(z_exp)
+                image = gh.multiply(spec, replaced_by[z_exp], {tuple(rest): 1}, p)
             else:
                 image = {mon: 1}
             columns.append({index[m2]: c for m2, c in image.items()})

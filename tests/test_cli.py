@@ -282,6 +282,49 @@ def test_rognes_above_the_composition_limit_is_refused_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_changebasis_above_the_exchange_basis_limit_is_refused_at_once():
+    start = time.perf_counter()
+    assert main(["changebasis", "--p", "3", "--k", "3", "--r", "1,2,3"]) == 2  # 146,595 monomials
+    assert main(["changebasis", "--k", "1000"]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+# every valid changebasis argv of the tests, the fuzz (--k at most 1) and the
+# benchmark's verb-sweep, and two of the largest the limit admits (71,529 and
+# 59,619 monomials)
+CHANGEBASIS_IN_USE = (
+    [
+        ["changebasis", "--p", p, *k, *r]
+        for p in ("3", "5", "7")
+        for k in ((), ("--k", "1"), ("--k", "2"))
+        for r in ((), ("--r", "1,2"), ("--r", "2,1"))
+    ]
+    + [
+        ["changebasis", "--p", p, *k, r]
+        for p in ("3", "5", "7")
+        for k in ((), ("--k", "1"))
+        for r in ("--r=0", "--r=2,1,0", "--r=-1,3")
+    ]
+    + [
+        ["changebasis", "--p", "5", "--k", "2", "--r", "3,4,5"],
+        ["changebasis", "--p", "7", "--k", "2", "--r", "1,2"],
+    ]
+)
+
+
+def test_changebasis_argvs_in_use_pass_the_guard(tmp_path, monkeypatch):
+    ran = []
+
+    def certified(p, k_max, r_coeffs):
+        ran.append((p, k_max, tuple(r_coeffs)))
+        return {"cycle_checks": [], "power_checks": [], "exchange_invertible": True, "passed": True}
+
+    monkeypatch.setattr(cli.se, "change_basis_cycles", certified)
+    for argv in CHANGEBASIS_IN_USE:
+        assert _run(tmp_path, *argv)[0] == 0, argv
+    assert len(ran) == len(CHANGEBASIS_IN_USE)
+
+
 def test_tor_at_cap_60_finishes_quickly(tmp_path):
     start = time.perf_counter()
     code, doc = _run_json(tmp_path, "tor", "--n", "1", "--max-degree", "60")

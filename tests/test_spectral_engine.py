@@ -147,12 +147,6 @@ def test_page_homology_rejects_off_target_images():
         se.page_homology(term, wrong, 8)
 
 
-def test_collapse_dims_is_the_dimension_series():
-    term = se.bn_ss_term(3, 5, 24)
-    assert se.collapse_dims(term, 24) == gh.poincare_series(term.spec, 24, 5)
-    assert se.collapse_dims(term, 24)[:5] == [1, 0, 0, 0, 1]
-
-
 # ---------------------------------------------------------------------------
 # height-p homology of twisted divided towers
 # ---------------------------------------------------------------------------
