@@ -204,11 +204,14 @@ def _resolve(
                 gens[s].append((t, {below[j]: v for j, v in z.items()}))
             if new:
                 dims[(s, t)] = len(new)
-            # the new images extend the span of the old ones, so ker d_s lies on the old pairs
-            kernel = fp_linalg.kernel_basis(FpSparseMatrix.from_columns(len(below), images), p)
+            # the new images extend the span of the old ones, so ker d_s lies on the old
+            # pairs; with no old pairs it is 0 and no matrix is built
+            cycles = []
+            if images:
+                kernel = fp_linalg.kernel_basis(FpSparseMatrix.from_columns(len(below), images), p)
+                cycles = [{j: v for j, v in enumerate(vec) if v} for vec in kernel]
             below = pairs + [(g, gh.ONE) for g in range(len(gens[s]) - len(new), len(gens[s]))]
             below_images = images + new
-            cycles = [{j: v for j, v in enumerate(vec) if v} for vec in kernel]
     return dims
 
 

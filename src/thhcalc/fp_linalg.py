@@ -25,13 +25,19 @@ All rules give the same rank; the fewest-entries rule is never used for
 kernels or solutions, whose coordinate vectors are part of the public
 contract.  `add_to` is the package's one "add mod p, drop the key on zero"
 step for sparse accumulators.
+
+`two_term_kernel` is not an elimination rule.  A system whose every
+relation reads u x_i = v x_j needs none: it is a graph whose edges carry
+gains in F_p^x, and a union-find with a gain on each parent link finds its
+kernel in near-linear time.  The relation modules of `multifold` are such
+systems; `kernel_basis` on the same relations is its test oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -72,19 +78,6 @@ class FpSparseMatrix:
     entries: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     @staticmethod
-    def from_dense(data: Sequence[Sequence[int]]) -> "FpSparseMatrix":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        entries: Dict[Tuple[int, int], int] = {}
-        for r, row in enumerate(data):
-            if len(row) != ncols:
-                raise ValueError("ragged dense matrix data")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return FpSparseMatrix(nrows, ncols, entries)
-
-    @staticmethod
     def from_columns(rows: int, columns: Sequence[Dict[int, int]]) -> "FpSparseMatrix":
         """Assemble a matrix from per-column {row: value} maps."""
         entries: Dict[Tuple[int, int], int] = {}
@@ -101,14 +94,6 @@ class FpSparseMatrix:
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def mul_vec(self, vec: Sequence[int], p: int) -> Vector:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [0] * self.rows
-        for (r, c), v in self.entries.items():
-            out[r] += v * vec[c]
-        return tuple(x % p for x in out)
 
     def compose(self, inner: "FpSparseMatrix", p: int) -> "FpSparseMatrix":
         """Matrix product self @ inner (apply inner first)."""
@@ -258,6 +243,66 @@ def kernel_basis(m: FpSparseMatrix, p: int) -> List[Vector]:
             if cc != c:
                 vectors[cc][c] = (-coeff) % p
     return [tuple(v) for v in vectors.values()]
+
+
+def two_term_kernel(
+    n: int, relations: Iterable[Tuple[int, int, int, int]], p: int
+) -> List[Dict[int, int]]:
+    """Sparse basis of the solutions x in F_p^n of the relations a x_i = b x_j.
+
+    Each relation (i, a, j, b) has at most two nonzero entries, so no
+    elimination is needed: a union-find keeps on every parent link a gain g
+    in F_p^x with x_child = g x_parent, halving paths as it finds roots.  A
+    relation with one nonzero coefficient forces its component to 0, and so
+    does a cycle whose gains disagree; merging with a forced component
+    forces the result.  Each free component gives one sparse vector, 1 at
+    its root and the gain product at every other node, in order of each
+    component's smallest node.
+    """
+    parent = list(range(n))
+    gain = [1] * n
+    dead = [False] * n  # read at roots only
+
+    def find(v: int) -> Tuple[int, int]:
+        """(root, g) with x_v = g x_root."""
+        g = 1
+        while parent[v] != v:
+            up = parent[v]
+            if parent[up] != up:
+                # path halving: hang v on its grandparent
+                gain[v] = gain[v] * gain[up] % p
+                parent[v] = parent[up]
+            g = g * gain[v] % p
+            v = parent[v]
+        return v, g
+
+    for i, a, j, b in relations:
+        a %= p
+        b %= p
+        if not a:
+            if b:
+                dead[find(j)[0]] = True
+            continue
+        if not b:
+            dead[find(i)[0]] = True
+            continue
+        ri, gi = find(i)
+        rj, gj = find(j)
+        # a gi x_ri = b gj x_rj
+        if ri == rj:
+            if (a * gi - b * gj) % p:
+                dead[ri] = True
+        else:
+            parent[ri] = rj
+            gain[ri] = b * gj * pow(a * gi, -1, p) % p
+            dead[rj] = dead[rj] or dead[ri]
+
+    vectors: Dict[int, Dict[int, int]] = {}
+    for v in range(n):
+        root, g = find(v)
+        if not dead[root]:
+            vectors.setdefault(root, {})[v] = g
+    return list(vectors.values())
 
 
 def extending_rows(

@@ -16,7 +16,9 @@ that overflow either raise (strict mode) or are dropped (truncating mode).
 
 The coproduct makes each algebra a Hopf algebra: exterior, polynomial and
 truncated generators are primitive, while divided powers split as
-psi(gamma_k) = sum_{i+j=k} gamma_i (x) gamma_j.
+psi(gamma_k) = sum_{i+j=k} gamma_i (x) gamma_j.  `coproduct` evaluates the
+closed form of that product on each monomial, with no monomial products,
+so checking psi(ab) = psi(a) psi(b) compares it with `tensor_multiply`.
 
 Monomial arithmetic reads a per-generator table instead of the generator
 specs.  `AlgebraSpec.table` is built on first use and kept on the frozen
@@ -24,6 +26,12 @@ spec: tuples of degrees, kinds and raw heights, where a height of None still
 means p.  `mul_monomials` merges its two sorted factor lists in one pass over
 this table, summing the product degree and the Koszul sign as it goes;
 `monomial_degree` and, through it, `tensor_multiply` read the same degrees.
+
+`multiply`, `power` and `tensor_multiply` take an optional `ProductTable`,
+a (m1, m2) -> `mul_monomials` dict that a caller creates for one spec and
+one p, passes through its loops and then drops.  Nothing keeps one at
+module level or on the frozen spec, whose bases can reach 100,000
+monomials; `tensor_multiply` without one uses a table local to the call.
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ TRUNCATING = "truncating"
 Monomial = Tuple[Tuple[int, int], ...]
 Element = Dict[Monomial, int]
 TensorSquare = Dict[Tuple[Monomial, Monomial], int]
+# (m1, m2) -> mul_monomials(spec, m1, m2, p), for one spec and one p
+ProductTable = Dict[Tuple[Monomial, Monomial], Optional[Tuple[int, Monomial]]]
 
 ONE: Monomial = ()
 
@@ -260,11 +270,21 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Opti
     return coeff, tuple(out)
 
 
-def multiply(spec: AlgebraSpec, a: Element, b: Element, p: int) -> Element:
+def multiply(
+    spec: AlgebraSpec, a: Element, b: Element, p: int, products: Optional[ProductTable] = None
+) -> Element:
+    """a * b; with `products`, each monomial product is looked up there first."""
     out: Element = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            r = mul_monomials(spec, m1, m2, p)
+            if products is None:
+                r = mul_monomials(spec, m1, m2, p)
+            else:
+                key = (m1, m2)
+                if key in products:
+                    r = products[key]
+                else:
+                    r = products[key] = mul_monomials(spec, m1, m2, p)
             if r is None:
                 continue
             coeff, mon = r
@@ -272,10 +292,12 @@ def multiply(spec: AlgebraSpec, a: Element, b: Element, p: int) -> Element:
     return out
 
 
-def power(spec: AlgebraSpec, a: Element, n: int, p: int) -> Element:
+def power(
+    spec: AlgebraSpec, a: Element, n: int, p: int, products: Optional[ProductTable] = None
+) -> Element:
     out: Element = {ONE: 1}
     for _ in range(n):
-        out = multiply(spec, out, a, p)
+        out = multiply(spec, out, a, p, products)
     return out
 
 
@@ -320,35 +342,32 @@ def extend_derivation(
 # ---------------------------------------------------------------------------
 
 
-def _single(i: int, e: int) -> Monomial:
-    return ((i, e),) if e else ONE
+def tensor_multiply(
+    spec: AlgebraSpec, t1: TensorSquare, t2: TensorSquare, p: int, products: Optional[ProductTable] = None
+) -> TensorSquare:
+    """Multiply in A (x) A with the Koszul sign (-1)^{|b||c|} on (a(x)b)(c(x)d).
 
-
-def _gen_coproduct(spec: AlgebraSpec, i: int, e: int, p: int) -> TensorSquare:
-    g = spec.generators[i]
-    out: TensorSquare = {}
-    if g.kind == DIVIDED:
-        for a in range(e + 1):
-            out[(_single(i, a), _single(i, e - a))] = 1
-    else:
-        for a in range(e + 1):
-            c = comb(e, a) % p
-            if c:
-                out[(_single(i, a), _single(i, e - a))] = c
-    return out
-
-
-def tensor_multiply(spec: AlgebraSpec, t1: TensorSquare, t2: TensorSquare, p: int) -> TensorSquare:
-    """Multiply in A (x) A with the Koszul sign (-1)^{|b||c|} on (a(x)b)(c(x)d)."""
+    With `products`, each monomial product is looked up there first.
+    """
+    if products is None:
+        products = {}  # the same pair recurs across terms even within one call
     out: TensorSquare = {}
     terms2 = [(x, y, c2, monomial_degree(spec, x) % 2) for (x, y), c2 in t2.items()]
     for (a, b), c1 in t1.items():
         b_odd = monomial_degree(spec, b) % 2
         for x, y, c2, x_odd in terms2:
-            left = mul_monomials(spec, a, x, p)
+            key = (a, x)
+            if key in products:
+                left = products[key]
+            else:
+                left = products[key] = mul_monomials(spec, a, x, p)
             if left is None:
                 continue
-            right = mul_monomials(spec, b, y, p)
+            key = (b, y)
+            if key in products:
+                right = products[key]
+            else:
+                right = products[key] = mul_monomials(spec, b, y, p)
             if right is None:
                 continue
             cl, ml = left
@@ -358,13 +377,58 @@ def tensor_multiply(spec: AlgebraSpec, t1: TensorSquare, t2: TensorSquare, p: in
     return out
 
 
+def _single(i: int, e: int) -> Monomial:
+    return ((i, e),) if e else ONE
+
+
+def _monomial_coproduct(spec: AlgebraSpec, mon: Monomial, p: int) -> TensorSquare:
+    """psi of one monomial in closed form.
+
+    The generators of a monomial are distinct, so psi(prod g_i^{e_i}) is the
+    sum over a <= e of prod c_i * g_i^{a_i} (x) g_i^{e_i - a_i}, with
+    c_i = 1 for a divided power and C(e_i, a_i) mod p otherwise; no
+    product is formed.  The Koszul sign counts the pairs i < k with an odd
+    part of g_i kept on the right and an odd part of g_k moved to the left,
+    which is what multiplying the factors' coproducts in order gives.  In
+    truncating mode a term with a side above the degree bound is dropped;
+    strict mode raises on a monomial above it.
+    """
+    kinds = spec.table.kinds
+    over = monomial_degree(spec, mon) > spec.degree_bound
+    if over and spec.mode == STRICT:
+        raise DegreeOverflow(f"coproduct of a monomial above the degree bound {spec.degree_bound}")
+    # per factor: (left part, right part, coefficient, odd part moved left, odd part kept right)
+    splits = []
+    for i, e in mon:
+        odd = kinds[i] == EXTERIOR
+        options = []
+        for a in range(e + 1):
+            c = 1 if kinds[i] == DIVIDED else comb(e, a) % p
+            if c:
+                options.append((_single(i, a), _single(i, e - a), c, odd and a % 2, odd and (e - a) % 2))
+        splits.append(options)
+    out: TensorSquare = {}
+    for terms in itertools.product(*splits):
+        left, right = ONE, ONE
+        coeff = 1
+        odd_right = 0  # odd parts kept right so far
+        for lf, rf, c, moved, kept in terms:
+            left += lf
+            right += rf
+            coeff *= c
+            if moved and odd_right % 2:
+                coeff = -coeff
+            odd_right += kept
+        if over and max(monomial_degree(spec, left), monomial_degree(spec, right)) > spec.degree_bound:
+            continue
+        out[(left, right)] = coeff % p
+    return out
+
+
 def coproduct(spec: AlgebraSpec, a: Element, p: int) -> TensorSquare:
     out: TensorSquare = {}
     for mon, c in a.items():
-        part: TensorSquare = {(ONE, ONE): 1}
-        for i, e in mon:
-            part = tensor_multiply(spec, part, _gen_coproduct(spec, i, e, p), p)
-        for key, v in part.items():
+        for key, v in _monomial_coproduct(spec, mon, p).items():
             add_to(out, key, c * v, p)
     return out
 

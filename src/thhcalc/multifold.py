@@ -9,8 +9,11 @@ is coassociative exactly when the coefficient vector r satisfies
 
     C(a+b, b) r_{a+b} = C(b+c, b) r_a   for all a, b, c >= 1, a+b+c = N,
 
-with binomials mod p given by Lucas' theorem.  The solution space is
-classified by the p-adic shape of N:
+with binomials mod p given by Lucas' theorem.  Each relation has two terms,
+so `relation_rows` streams them into `fp_linalg.two_term_kernel`, a
+union-find that solves them without a matrix; the claimed closed-form
+vectors are evaluated on every relation as it passes.  The solution space
+is classified by the p-adic shape of N:
 
 * N a p-power p^{m+1}: one dimension, spanned by the divided binomial row
   k -> (C(N, k) / p) mod p;
@@ -25,9 +28,10 @@ part at the smaller power).
 
 The same apparatus drives the several-directions version: a class in a
 polynomial algebra on direction-indexed degree-2 classes, with one
-coproduct per direction.  `multifold_solution_space` assembles the combined
+coproduct per direction.  `multifold_solution_space` streams the combined
 constraint system (coassociativity per direction plus cross-direction
-compatibility), solves it, and checks the solution space against the
+compatibility, again two terms per relation) into the same solver, weight
+vector by weight vector, and checks the solution space against the
 predicted spanning families.  `cube_psi` implements the underlying
 coordinate pinch maps so their order-independence can be tested directly.
 """
@@ -37,10 +41,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .fp_linalg import FpSparseMatrix, add_to, kernel_basis, rank
+from .fp_linalg import FpSparseMatrix, add_to, rank, two_term_kernel
 from .graded_hopf import compositions, convolve
+
+# a two-term relation (i, u, j, v): u x_i = v x_j, either coefficient may be 0
+Relation = Tuple[int, int, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +137,36 @@ def classify_weight(v: int, p: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def relation_matrix(N: int, p: int) -> FpSparseMatrix:
-    """Coassociativity constraints on (r_1, ..., r_{N-1})."""
+def relation_rows(N: int, p: int) -> Iterator[Relation]:
+    """Coassociativity constraints on (r_1, ..., r_{N-1}), one per (a, b).
+
+    Each is a relation (i, u, j, v), meaning u x_i = v x_j on the unknowns
+    x_{k-1} = r_k: C(a+b, b) r_{a+b} = C(b+c, b) r_a with c = N - a - b.
+    Either coefficient may vanish mod p.
+    """
     binoms = [lucas_row(n, p) for n in range(N)]
-    entries: Dict[Tuple[int, int], int] = {}
-    row = 0
     for a in range(1, N - 1):
         outer = binoms[N - a]  # C(b + c, b) with c = N - a - b >= 1
         for b in range(1, N - a):
-            # each row has two distinct columns, so nothing accumulates
-            left, right = binoms[a + b][b], outer[b]
-            if left:
-                entries[(row, a + b - 1)] = left
-            if right:
-                entries[(row, a - 1)] = -right % p
-            row += 1
-    return FpSparseMatrix(row, N - 1, entries)
+            yield a + b - 1, binoms[a + b][b], a - 1, outer[b]
+
+
+def _checked(
+    relations: Iterable[Relation], vectors: Sequence[Dict[int, int]], p: int, broken: List[Relation]
+) -> Iterator[Relation]:
+    """Pass the relations through, recording each one that some vector breaks.
+
+    Vectors are sparse {unknown: value} maps; the relations are evaluated on
+    them directly, so the claimed vectors are tested independently of
+    whatever solves the system.
+    """
+    for rel in relations:
+        i, u, j, v = rel
+        for vec in vectors:
+            if (u * vec.get(i, 0) - v * vec.get(j, 0)) % p:
+                broken.append(rel)
+                break
+        yield rel
 
 
 def closed_form_vectors(N: int, p: int) -> Tuple[str, List[List[int]], Dict[str, object]]:
@@ -171,19 +192,18 @@ def relation_module(N: int, p: int) -> Dict[str, object]:
     """Solve the weight-N constraint system and verify the closed form.
 
     Returns the computed kernel dimension, the classified type, and whether
-    the closed-form spanning set matches the kernel exactly (membership,
-    independence and span all checked through ranks).
+    the closed-form spanning set matches the kernel exactly: membership is
+    evaluated on every relation, independence and span through ranks.
     """
     if N < 3:
         raise ValueError("weights below 3 carry no constraints worth solving")
-    mat = relation_matrix(N, p)
-    kernel = kernel_basis(mat, p)
     kind, claimed, normal = closed_form_vectors(N, p)
-    member = all(
-        all(v % p == 0 for v in mat.mul_vec(vec, p)) for vec in claimed
-    )
-    claimed_rank = rank(FpSparseMatrix.from_dense(claimed), p)
-    joint = rank(FpSparseMatrix.from_dense(claimed + kernel), p)
+    vectors = [{k: v for k, v in enumerate(vec) if v} for vec in claimed]
+    broken: List[Relation] = []
+    kernel = two_term_kernel(N - 1, _checked(relation_rows(N, p), vectors, p, broken), p)
+    member = not broken
+    claimed_rank = rank(FpSparseMatrix.from_columns(N - 1, vectors), p)
+    joint = rank(FpSparseMatrix.from_columns(N - 1, vectors + kernel), p)
     agrees = (
         member
         and len(kernel) == len(claimed) == claimed_rank == joint
@@ -424,39 +444,32 @@ def expected_local_dimension(b: Tuple[int, ...], p: int) -> int:
 def _family_vectors(
     b: Tuple[int, ...],
     var_index: Dict[Tuple[int, Tuple[int, ...], int], int],
-    nvars: int,
     p: int,
     binoms: List[List[int]],
-) -> List[List[int]]:
-    """The claimed spanning vectors supported on one weight vector.
+) -> List[Dict[int, int]]:
+    """The claimed spanning vectors supported on one weight vector, sparse.
 
     binoms[n] is lucas_row(n, p) for every n up to the largest weight in b.
     """
-    out: List[List[int]] = []
+    out: List[Dict[int, int]] = []
     kinds = [classify_weight(v, p) for v in b]
     active = [s for s, v in enumerate(b) if v >= 2]
     if not active:
         return out
 
-    def blank() -> List[int]:
-        return [0] * nvars
-
-    round_vec = blank()
-    nonzero = False
+    round_vec: Dict[int, int] = {}
     for s in active:
         row = binoms[b[s]]
         for a in range(1, b[s]):
-            c = row[a]
-            if c:
-                round_vec[var_index[(s, b, a)]] = c
-                nonzero = True
-    if nonzero:
+            if row[a]:
+                round_vec[var_index[(s, b, a)]] = row[a]
+    if round_vec:
         out.append(round_vec)
 
     powers_only = all(k in (UNIT, P_POWER) for k in kinds)
     if powers_only:
         for s in active:
-            vec = blank()
+            vec: Dict[int, int] = {}
             for a in range(1, b[s]):
                 c = binom_div_p(b[s], a, p)
                 if c:
@@ -468,11 +481,33 @@ def _family_vectors(
             continue
         others = [classify_weight(v, p) for w, v in enumerate(b) if w != s]
         if all(k in (UNIT, P_POWER) for k in others):
-            vec = blank()
             _, lo = two_power_split(b[s], p)
-            vec[var_index[(s, b, lo)]] = 1
-            out.append(vec)
+            out.append({var_index[(s, b, lo)]: 1})
     return out
+
+
+def _weight_relations(
+    b: Tuple[int, ...],
+    var_index: Dict[Tuple[int, Tuple[int, ...], int], int],
+    binoms: List[List[int]],
+) -> Iterator[Relation]:
+    """The relations (i, u, j, v), u x_i = v x_j, on the unknowns of weight b.
+
+    Coassociativity in each direction s, then Lucas-weighted compatibility
+    between each pair of directions.
+    """
+    for s, w in enumerate(b):
+        for a in range(1, w - 1):
+            outer = binoms[w - a]  # C(beta + c, beta) with c = w - a - beta >= 1
+            for beta in range(1, w - a):
+                yield var_index[(s, b, a + beta)], binoms[a + beta][beta], var_index[(s, b, a)], outer[beta]
+    for i, k in itertools.combinations(range(len(b)), 2):
+        if b[i] < 2 or b[k] < 2:
+            continue
+        row_i, row_k = binoms[b[i]], binoms[b[k]]
+        for ai in range(1, b[i]):
+            for ak in range(1, b[k]):
+                yield var_index[(i, b, ai)], row_k[ak], var_index[(k, b, ak)], row_i[ai]
 
 
 def multifold_solution_space(
@@ -483,9 +518,11 @@ def multifold_solution_space(
     Unknowns are the direction-s coproduct coefficients of a candidate class
     spread over all full-support multiweights b of total weight
     target_degree / 2.  Constraints are coassociativity within each
-    direction and Lucas-weighted compatibility between directions.  The
-    computed kernel is compared against the claimed spanning families and
-    against the per-weight dimension predictions.
+    direction and Lucas-weighted compatibility between directions; each has
+    at most two terms, so `two_term_kernel` solves the system as it streams
+    past, while the claimed spanning families of each weight are evaluated
+    on that weight's relations.  The computed kernel is compared against
+    those families and against the per-weight dimension predictions.
     """
     if not 1 <= n_directions <= 3:
         raise ValueError("between one and three directions are supported")
@@ -513,39 +550,19 @@ def multifold_solution_space(
     nvars = len(var_index)
     binoms = [lucas_row(n, p) for n in range(N + 1)]
 
-    entries: Dict[Tuple[int, int], int] = {}
-    row = 0
-    for b in weights:
-        for s in range(n_directions):
-            for a in range(1, b[s] - 1):
-                outer = binoms[b[s] - a]  # C(beta + c, beta) with c = b[s] - a - beta >= 1
-                for beta in range(1, b[s] - a):
-                    add_to(entries, (row, var_index[(s, b, a + beta)]), binoms[a + beta][beta], p)
-                    add_to(entries, (row, var_index[(s, b, a)]), -outer[beta], p)
-                    row += 1
-        for i in range(n_directions):
-            if b[i] < 2:
-                continue
-            for k in range(i + 1, n_directions):
-                if b[k] < 2:
-                    continue
-                row_i, row_k = binoms[b[i]], binoms[b[k]]
-                for ai in range(1, b[i]):
-                    for ak in range(1, b[k]):
-                        add_to(entries, (row, var_index[(i, b, ai)]), row_k[ak], p)
-                        add_to(entries, (row, var_index[(k, b, ak)]), -row_i[ai], p)
-                        row += 1
+    local_families = [_family_vectors(b, var_index, p, binoms) for b in weights]
+    broken: List[Relation] = []
+    relations = itertools.chain.from_iterable(
+        _checked(_weight_relations(b, var_index, binoms), local, p, broken)
+        for b, local in zip(weights, local_families)
+    )
+    kernel = two_term_kernel(nvars, relations, p)
 
-    mat = FpSparseMatrix(row, nvars, entries)
-    kernel = kernel_basis(mat, p)
-
-    families: List[List[int]] = []
+    families = [vec for local in local_families for vec in local]
     per_weight = []
     invisible = []
     total_expected = 0
     for b in weights:
-        local = _family_vectors(b, var_index, nvars, p, binoms)
-        families.extend(local)
         expected = expected_local_dimension(b, p)
         total_expected += expected
         per_weight.append(
@@ -558,15 +575,9 @@ def multifold_solution_space(
         if all(v == 1 for v in b):
             invisible.append(b)
 
-    member = all(
-        all(v % p == 0 for v in mat.mul_vec(vec, p)) for vec in families
-    )
-    fam_rank = rank(FpSparseMatrix.from_dense(families), p) if families else 0
-    joint = (
-        rank(FpSparseMatrix.from_dense(families + kernel), p)
-        if families or kernel
-        else 0
-    )
+    member = not broken
+    fam_rank = rank(FpSparseMatrix.from_columns(nvars, families), p)
+    joint = rank(FpSparseMatrix.from_columns(nvars, families + kernel), p)
     agrees = (
         member
         and fam_rank == len(kernel) == joint

@@ -21,7 +21,20 @@ from thhcalc.fp_linalg import (
     kernel_basis,
     rank,
     solve_membership,
+    two_term_kernel,
 )
+
+
+def from_dense(data):
+    entries = {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row) if v}
+    return FpSparseMatrix(len(data), len(data[0]) if data else 0, entries)
+
+
+def mul_vec(m, vec, p):
+    out = [0] * m.rows
+    for (r, c), v in m.entries.items():
+        out[r] += v * vec[c]
+    return tuple(x % p for x in out)
 
 
 def scale(vec, c, p):
@@ -38,23 +51,23 @@ def transpose(m):
 
 
 def test_rank_identity_3x3_mod_5():
-    m = FpSparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank(m, 5) == 3
     assert kernel_basis(m, 5) == []
 
 
 def test_rank_one_matrix_mod_5():
-    m = FpSparseMatrix.from_dense([[1, 2], [2, 4]])
+    m = from_dense([[1, 2], [2, 4]])
     assert rank(m, 5) == 1
     basis = kernel_basis(m, 5)
     assert len(basis) == 1
     # the kernel is the line spanned by (3, 1)
     assert basis[0] in {scale((3, 1), c, 5) for c in range(1, 5)}
-    assert m.mul_vec(basis[0], 5) == (0, 0)
+    assert mul_vec(m, basis[0], 5) == (0, 0)
 
 
 def test_kernel_of_row_vector_mod_3():
-    m = FpSparseMatrix.from_dense([[1, 1]])
+    m = from_dense([[1, 1]])
     basis = kernel_basis(m, 3)
     assert len(basis) == 1
     # the kernel is the line spanned by (1, 2)
@@ -62,11 +75,11 @@ def test_kernel_of_row_vector_mod_3():
 
 
 def test_solve_membership_column_mod_5():
-    m = FpSparseMatrix.from_dense([[1], [2]])
+    m = from_dense([[1], [2]])
     assert solve_membership(m, (2, 4), 5) == (2,)
     # inconsistent right-hand side: rank jumps by one on augmenting
     assert solve_membership(m, (2, 3), 5) is None
-    aug = FpSparseMatrix.from_dense([[1, 2], [2, 3]])
+    aug = from_dense([[1, 2], [2, 3]])
     assert rank(aug, 5) == rank(m, 5) + 1
 
 
@@ -94,7 +107,7 @@ def test_rank_nullity_and_kernel_vectors(p):
         assert rank(m, p) + len(basis) == m.cols
         zero = tuple([0] * m.rows)
         for v in basis:
-            assert m.mul_vec(v, p) == zero
+            assert mul_vec(m, v, p) == zero
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -103,10 +116,10 @@ def test_solve_round_trip(p):
     for _ in range(100):
         m = random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8), p)
         x = tuple(rng.randrange(p) for _ in range(m.cols))
-        b = m.mul_vec(x, p)
+        b = mul_vec(m, x, p)
         x2 = solve_membership(m, b, p)
         assert x2 is not None
-        assert m.mul_vec(x2, p) == b
+        assert mul_vec(m, x2, p) == b
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -157,11 +170,11 @@ def test_add_to_drops_zero_sums():
 )
 def test_kernel_dimension_matches_rank_hypothesis(rows, cols, flat, p):
     data = [[flat[r * 6 + c] for c in range(cols)] for r in range(rows)]
-    m = FpSparseMatrix.from_dense(data)
+    m = from_dense(data)
     basis = kernel_basis(m, p)
     assert rank(m, p) + len(basis) == cols
     for v in basis:
-        assert all(x == 0 for x in m.mul_vec(v, p))
+        assert all(x == 0 for x in mul_vec(m, v, p))
 
 
 def _rank_of_rows(rows, cols, p):
@@ -188,8 +201,8 @@ def test_extending_rows_picks_each_candidate_outside_the_running_span(span, cand
 
 
 def test_compose_and_transpose_shapes():
-    a = FpSparseMatrix.from_dense([[1, 2, 0], [0, 1, 1]])
-    b = FpSparseMatrix.from_dense([[1, 0], [2, 1], [0, 3]])
+    a = from_dense([[1, 2, 0], [0, 1, 1]])
+    b = from_dense([[1, 0], [2, 1], [0, 3]])
     ab = a.compose(b, 5)
     assert (ab.rows, ab.cols) == (2, 2)
     assert ab.to_dense() == [[0, 2], [2, 4]]
@@ -307,3 +320,86 @@ def test_rank_matches_full_scan_oracle_on_caller_matrices(caller_matrices, calle
     assert matrices
     for m, p in matrices:
         assert rank(m, p) == rank_full_scan(m, p)
+
+
+# ---------------------------------------------------------------------------
+# the two-term solver against elimination
+# ---------------------------------------------------------------------------
+
+
+def relation_matrix(n, relations, p):
+    """Row r of the matrix is u x_i - v x_j for relation r = (i, u, j, v)."""
+    entries = {}
+    for r, (i, u, j, v) in enumerate(relations):
+        add_to(entries, (r, i), u, p)
+        add_to(entries, (r, j), -v, p)
+    return FpSparseMatrix(len(relations), n, entries)
+
+
+def assert_same_kernel(n, relations, p):
+    """two_term_kernel spans the same space as kernel_basis, with independent vectors."""
+    got = two_term_kernel(n, relations, p)
+    want = kernel_basis(relation_matrix(n, relations, p), p)
+    assert len(got) == len(want)
+    assert rank(FpSparseMatrix.from_columns(n, got), p) == len(got)
+    dense = [dict(enumerate(vec)) for vec in want]
+    assert rank(FpSparseMatrix.from_columns(n, dense + got), p) == len(want)
+    return got
+
+
+def test_two_term_kernel_examples():
+    # x0 = 2 x1 and x1 = x2 over F_5: one component, 1 at its root x2
+    assert two_term_kernel(3, [(0, 1, 1, 2), (1, 1, 2, 1)], 5) == [{0: 2, 1: 1, 2: 1}]
+    # a one-entry row forces its component to 0; the untouched x3 stays free
+    assert two_term_kernel(4, [(0, 1, 1, 1), (1, 1, 2, 1), (2, 3, 0, 0)], 5) == [{3: 1}]
+    # a zero row changes nothing
+    assert two_term_kernel(2, [(0, 5, 1, 0)], 5) == [{0: 1}, {1: 1}]
+    # x0 = x1, x1 = x2, x2 = 2 x0: the gains around the cycle multiply to 2
+    assert two_term_kernel(3, [(0, 1, 1, 1), (1, 1, 2, 1), (2, 1, 0, 2)], 5) == []
+    # the same cycle with gains multiplying to 1 is consistent
+    assert two_term_kernel(3, [(0, 1, 1, 1), (1, 1, 2, 2), (2, 1, 0, 3)], 5) == [{0: 2, 1: 2, 2: 1}]
+    # a forced component stays forced after merging: the x1 = 0 row comes first
+    assert two_term_kernel(3, [(1, 1, 1, 2), (0, 1, 1, 1), (0, 1, 2, 1)], 5) == []
+    assert two_term_kernel(0, [], 3) == []
+
+
+@st.composite
+def two_term_systems(draw):
+    """Relations u x_i = v x_j over a small prime, with one-entry and zero
+    rows, i = j, repeated relations and cycles whose gains may disagree."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 15))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    relations = []
+    if n:
+        for _ in range(draw(st.integers(0, 25))):
+            shape = rnd.choice(["two", "two", "one", "zero", "cycle", "repeat"])
+            i, j = rnd.randrange(n), rnd.randrange(n)
+            u, v = rnd.randrange(1, 3 * p), rnd.randrange(1, 3 * p)  # multiples of p are zeros
+            if shape == "one":
+                relations.append((i, u, j, 0) if rnd.random() < 0.5 else (i, 0, j, v))
+            elif shape == "zero":
+                relations.append((i, 0, j, p * rnd.randrange(3)))
+            elif shape == "repeat" and relations:
+                relations.append(rnd.choice(relations))
+            elif shape == "cycle":
+                nodes = [rnd.randrange(n) for _ in range(rnd.randrange(2, 5))]
+                for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+                    relations.append((a, rnd.randrange(1, p), b, rnd.randrange(1, p)))
+            else:
+                relations.append((i, u, j, v))
+    return n, relations, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(two_term_systems())
+def test_two_term_kernel_matches_kernel_basis(case):
+    n, relations, p = case
+    got = assert_same_kernel(n, relations, p)
+    # one vector per free component: 1 at its root, nonzero on the component,
+    # and no two components share a node
+    seen = set()
+    for vec in got:
+        assert 1 in vec.values() and all(vec.values())
+        assert not seen & vec.keys()
+        seen |= vec.keys()

@@ -159,6 +159,77 @@ def test_compiled_product_matches_oracle(case, p):
 # ---------------------------------------------------------------------------
 
 
+# The coproduct as it was built before its closed form: one factor's
+# coproduct per generator, multiplied together in A (x) A.  Kept as the
+# oracle for the closed form.
+
+
+def _gen_coproduct(spec, i, e, p):
+    single = lambda k: ((i, k),) if k else gh.ONE
+    out = {}
+    for a in range(e + 1):
+        c = 1 if spec.generators[i].kind == gh.DIVIDED else comb(e, a) % p
+        if c:
+            out[(single(a), single(e - a))] = c
+    return out
+
+
+def _coproduct_oracle(spec, mon, p):
+    part = {(gh.ONE, gh.ONE): 1}
+    for i, e in mon:
+        part = gh.tensor_multiply(spec, part, _gen_coproduct(spec, i, e, p), p)
+    return part
+
+
+def _closed_form(spec, mon, p):
+    return gh.coproduct(spec, {mon: 1}, p)
+
+
+def _coproduct_outcome(coproduct, spec, mon, p):
+    try:
+        return coproduct(spec, mon, p)
+    except gh.DegreeOverflow:
+        return "overflow"
+
+
+@st.composite
+def _spec_and_basis_monomial(draw):
+    """A spec mixing all four kinds, default and explicit heights, either
+    mode, and a basis monomial of it that may lie above the degree bound."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    kinds = draw(st.lists(_generator, min_size=1, max_size=6))
+    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)]
+    spec = gh.algebra(gens, draw(st.integers(0, 40)), draw(st.sampled_from([gh.STRICT, gh.TRUNCATING])))
+    mon = []
+    for i, g in enumerate(gens):
+        top = {gh.EXTERIOR: 1, gh.TRUNCATED: (g.height or p) - 1}.get(g.kind, 4)
+        e = draw(st.integers(0, top))
+        if e:
+            mon.append((i, e))
+    return spec, tuple(mon), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spec_and_basis_monomial())
+def test_closed_form_coproduct_matches_generator_products(case):
+    spec, mon, p = case
+    assert _coproduct_outcome(_closed_form, spec, mon, p) == _coproduct_outcome(_coproduct_oracle, spec, mon, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_product_table_gives_the_same_products(p):
+    rng = random.Random(1000 + p)
+    products = {}
+    for _ in range(100):
+        a, b, _, _ = random_pair(rng, p)
+        assert gh.multiply(MIXED, a, b, p, products) == gh.multiply(MIXED, a, b, p)
+        ta, tb = gh.coproduct(MIXED, a, p), gh.coproduct(MIXED, b, p)
+        assert gh.tensor_multiply(MIXED, ta, tb, p, products) == gh.tensor_multiply(MIXED, ta, tb, p)
+    assert products
+    for (m1, m2), r in products.items():
+        assert r == gh.mul_monomials(MIXED, m1, m2, p)
+
+
 def test_reduced_coproduct_of_gamma_2():
     spec = gamma_spec()
     red = gh.reduced_coproduct(spec, {((0, 2),): 1}, 5)

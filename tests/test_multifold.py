@@ -10,7 +10,7 @@ import pytest
 
 from thhcalc import graded_hopf as gh
 from thhcalc import multifold as mf
-from thhcalc.fp_linalg import FpSparseMatrix, add_to, kernel_basis
+from thhcalc.fp_linalg import FpSparseMatrix, add_to, kernel_basis, two_term_kernel
 from thhcalc.fp_linalg import rank as fp_rank
 
 
@@ -452,9 +452,18 @@ def _solution_space_oracle(n, degree, p):
     kernel = kernel_basis(mat, p)
     families = [v for b in weights for v in _family_vectors_oracle(b, var_index, nvars, p)]
     expected = sum(mf.expected_local_dimension(b, p) for b in weights)
-    member = all(all(v % p == 0 for v in mat.mul_vec(vec, p)) for vec in families)
-    fam_rank = fp_rank(FpSparseMatrix.from_dense(families), p) if families else 0
-    joint = fp_rank(FpSparseMatrix.from_dense(families + kernel), p) if families or kernel else 0
+
+    def image(vec):
+        out = [0] * row
+        for (r, c), v in entries.items():
+            out[r] += v * vec[c]
+        return out
+
+    member = all(all(x % p == 0 for x in image(vec)) for vec in families)
+    # ranks of the vectors taken as matrix columns
+    columns = [{i: v for i, v in enumerate(vec) if v} for vec in families + kernel]
+    fam_rank = fp_rank(FpSparseMatrix.from_columns(nvars, columns[: len(families)]), p)
+    joint = fp_rank(FpSparseMatrix.from_columns(nvars, columns), p)
     agrees = member and fam_rank == len(kernel) == joint and expected == len(kernel)
     return {
         "directions": n,
@@ -479,9 +488,29 @@ def _solution_space_oracle(n, degree, p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_relation_matrix_matches_lucas_calls(p):
+    # the relation rows, laid out as matrix rows u x_i - v x_j, give the oracle matrix
     for N in range(3, 81):
-        mat = mf.relation_matrix(N, p)
-        assert (mat.rows, mat.cols, mat.entries) == _relation_matrix_oracle(N, p), N
+        entries = {}
+        rows = list(mf.relation_rows(N, p))
+        for row, (i, u, j, v) in enumerate(rows):
+            if u:
+                entries[(row, i)] = u
+            if v:
+                entries[(row, j)] = -v % p
+        assert (len(rows), N - 1, entries) == _relation_matrix_oracle(N, p), N
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_two_term_kernel_matches_elimination_on_relation_systems(p):
+    # the solver on the relation rows against kernel_basis on the oracle matrix
+    for N in range(3, 201):
+        rows, cols, entries = _relation_matrix_oracle(N, p)
+        want = kernel_basis(FpSparseMatrix(rows, cols, entries), p)
+        got = two_term_kernel(N - 1, mf.relation_rows(N, p), p)
+        assert len(got) == len(want), N
+        assert fp_rank(FpSparseMatrix.from_columns(cols, got), p) == len(got), N
+        dense = [dict(enumerate(vec)) for vec in want]
+        assert fp_rank(FpSparseMatrix.from_columns(cols, dense + got), p) == len(want), N
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -506,6 +535,6 @@ def test_decompose_matches_lucas_calls(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_multifold_solution_space_matches_lucas_calls(p):
-    cases = [(1, N) for N in range(3, 81)] + [(2, N) for N in range(2, 15)] + [(3, N) for N in range(3, 9)]
+    cases = [(1, N) for N in range(3, 81)] + [(2, N) for N in range(2, 31)] + [(3, N) for N in range(3, 17)]
     for n, N in cases:
         assert mf.multifold_solution_space(n, 2 * N, p) == _solution_space_oracle(n, 2 * N, p), (n, N)
