@@ -12,9 +12,12 @@ the pairs (generator g, basis monomial m) with |g| + |m| = t, and the
 differential is A-linear, d(m g) = m d(g).  The generators new in (s, t) are
 cycles of d_{s-1} in degree t that extend the span of d_s applied to the
 older generators of F_s; their images lie in the augmentation ideal times
-F_{s-1}, which makes the resolution minimal.  Internal degree t only uses A
-in degrees up to t, so a degree cap on the algebra never corrupts a capped
-Tor table, and the cost is polynomial in t.
+F_{s-1}, which makes the resolution minimal.  Each step takes one echelon
+form, of the images of d_s followed by a basis of the cycles: the cycle
+columns that are pivots are the new generators, and the kernel vectors on
+the image columns alone are a basis of ker d_s, the next step's cycles.
+Internal degree t only uses A in degrees up to t, so a degree cap on the
+algebra never corrupts a capped Tor table, and the cost is polynomial in t.
 
 `BarComplex` is the reduced bar complex: in homological degree s and
 internal degree t its basis is the s-tuples of positive-degree basis
@@ -34,6 +37,7 @@ Poincare series of a proposed answer algebra and reports the first mismatch.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import graded_hopf as gh
@@ -160,19 +164,18 @@ FreeElement = Dict[Tuple[int, gh.Monomial], int]
 
 def _resolve(
     spec: gh.AlgebraSpec, p: int, max_degree: int, top: Callable[[int], int]
-) -> Dict[Tuple[int, int], int]:
-    """Generator counts of a minimal resolution of F_p, for s <= top(t), t <= max_degree.
+) -> List[List[Tuple[int, FreeElement]]]:
+    """Generators of a minimal resolution of F_p, for s <= top(t), t <= max_degree.
 
-    Generators in (s, t) need F_{s-1} and F_{s-2} in degree t and F_s below
-    degree t, so any range that is closed under those steps gives exact
-    counts.  Each new generator's image is checked to be a cycle.
+    Entry s lists the (degree, image in F_{s-1}) of each generator of F_s,
+    in order.  Generators in (s, t) need F_{s-1} and F_{s-2} in degree t and
+    F_s below degree t, so any range that is closed under those steps gives
+    exact counts.  Each new generator's image is checked to be a cycle.
     """
     if spec.degree_bound < max_degree:
         raise ValueError("algebra degree bound is below the requested internal degree cap")
     bases = [gh.basis(spec, t, p) for t in range(max_degree + 1)]
-    # gens[s]: (degree, image in F_{s-1}) for each generator of F_s, in order
     gens: List[List[Tuple[int, FreeElement]]] = [[(0, {})]]
-    dims: Dict[Tuple[int, int], int] = {(0, 0): 1}
     for t in range(1, max_degree + 1):
         # below: the basis pairs of F_{s-1} in degree t; below_images: d_{s-1}
         # of each; cycles: a basis of ker d_{s-1}.  F_0 = A, and the
@@ -193,7 +196,16 @@ def _resolve(
                     if product is not None:
                         add_to(image, index[(h, product[1])], c * product[0], p)
                 images.append(image)
-            new = [cycles[i] for i in fp_linalg.extending_rows(images, cycles, p)]
+            # one echelon form of [images | cycles] gives both results.  A kernel
+            # vector's last key is its free column, which lies in the span of the
+            # columns before it: the cycles that are no vector's last key extend the
+            # span of the images, and the vectors ending on an image column span
+            # ker d_s, which lies on the old pairs as the new images are independent
+            kernel: List[Dict[int, int]] = []
+            if images or cycles:
+                kernel = fp_linalg.kernel_basis(FpSparseMatrix.from_columns(len(below), images + cycles), p)
+            free = {next(reversed(vec)) for vec in kernel}
+            new = [z for i, z in enumerate(cycles, len(images)) if i not in free]
             for z in new:
                 boundary: Dict[int, int] = {}
                 for j, v in z.items():
@@ -202,17 +214,15 @@ def _resolve(
                 if boundary:
                     raise ContractViolation(f"resolution generator image is not a cycle at {(s, t)}")
                 gens[s].append((t, {below[j]: v for j, v in z.items()}))
-            if new:
-                dims[(s, t)] = len(new)
-            # the new images extend the span of the old ones, so ker d_s lies on the old
-            # pairs; with no old pairs it is 0 and no matrix is built
-            cycles = []
-            if images:
-                kernel = fp_linalg.kernel_basis(FpSparseMatrix.from_columns(len(below), images), p)
-                cycles = [{j: v for j, v in enumerate(vec) if v} for vec in kernel]
+            cycles = [vec for vec in kernel if next(reversed(vec)) < len(images)]
             below = pairs + [(g, gh.ONE) for g in range(len(gens[s]) - len(new), len(gens[s]))]
             below_images = images + new
-    return dims
+    return gens
+
+
+def _dims(gens: List[List[Tuple[int, FreeElement]]]) -> Dict[Tuple[int, int], int]:
+    """Generator counts by bidegree (s, t): the nonzero dims of Tor_{s,t}."""
+    return dict(Counter((s, t) for s, level in enumerate(gens) for t, _ in level))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +236,7 @@ def tor_dims(spec: gh.AlgebraSpec, p: int, max_degree: int) -> Dict[Tuple[int, i
     Homological degree runs to t, since a minimal resolution's generators
     in homological degree s have internal degree at least s.
     """
-    return _resolve(spec, p, max_degree, lambda t: t)
+    return _dims(_resolve(spec, p, max_degree, lambda t: t))
 
 
 def verify_tor_iso(
@@ -242,7 +252,7 @@ def verify_tor_iso(
     where s + t stays within the cap.
     """
     cap = max_total_degree
-    dims = _resolve(source, p, cap, lambda t: min(t, cap - t))
+    dims = _dims(_resolve(source, p, cap, lambda t: min(t, cap - t)))
     expected = gh.poincare_series(answer, cap, p)
     got = [0] * (cap + 1)
     for (s, t), dim in dims.items():

@@ -7,7 +7,7 @@ byte-identical report guarantee bottoms out here.
 
 All elimination runs through one step, `_pivot`: normalize the pivot row,
 clear its column from every other row, and keep the column index in step.
-Three pivot rules drive it, on matrices of every size:
+Two pivot rules drive it, on matrices of every size:
 
 * `rank` keeps the columns in a min-heap keyed by their entry count when
   queued and pivots on the column with the fewest entries then; a column
@@ -16,15 +16,17 @@ Three pivot rules drive it, on matrices of every size:
   with the fewest entries.  Both choices keep fill-in low, and the heap
   spares a scan over every column per pivot;
 * `_rref`, behind kernels and solves, scans columns left to right and
-  pivots on the smallest available row index;
-* `extending_rows` scans rows in order and pivots each nonzero one on its
-  sparsest column; whether a row is left nonzero does not depend on that
-  choice.
+  pivots on the smallest available row index.
 
-All rules give the same rank; the fewest-entries rule is never used for
+Both rules give the same rank; the fewest-entries rule is never used for
 kernels or solutions, whose coordinate vectors are part of the public
-contract.  `add_to` is the package's one "add mod p, drop the key on zero"
-step for sparse accumulators.
+contract.  `kernel_basis` returns one sparse {column: value} dict per free
+column, keys increasing, ending at that free column with value 1; every
+other key is a pivot column to its left.  So column j is free exactly when
+it lies in the span of the columns before it, and the vectors whose free
+column is below k span the kernel of the first k columns alone.  `add_to`
+is the package's one "add mod p, drop the key on zero" step for sparse
+accumulators.
 
 `two_term_kernel` is not an elimination rule.  A system whose every
 relation reads u x_i = v x_j needs none: it is a graph whose edges carry
@@ -88,12 +90,6 @@ class FpSparseMatrix:
                 if v:
                     entries[(r, c)] = v
         return FpSparseMatrix(rows, len(columns), entries)
-
-    def to_dense(self) -> List[List[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def compose(self, inner: "FpSparseMatrix", p: int) -> "FpSparseMatrix":
         """Matrix product self @ inner (apply inner first)."""
@@ -220,29 +216,26 @@ def rank(m: FpSparseMatrix, p: int) -> int:
     return found
 
 
-def kernel_basis(m: FpSparseMatrix, p: int) -> List[Vector]:
-    """Deterministic basis of ker(m) over F_p.
+def kernel_basis(m: FpSparseMatrix, p: int) -> List[Dict[int, int]]:
+    """Deterministic sparse basis of ker(m) over F_p.
 
-    One vector per free column, in increasing free-column order; the free
-    coordinate is set to 1 and pivot coordinates are read off the reduced
-    echelon form.
+    One {column: value} vector per free column, in increasing free-column
+    order.  Its keys increase: the pivot coordinates, read off the reduced
+    echelon form, then the free column itself with value 1.
     """
     pivots = _rref(_sparse_rows(m, p), m.cols, p)
-    if len(pivots) == m.cols:
-        return []
     pivot_cols = {c for c, _ in pivots}
-    vectors: Dict[int, List[int]] = {}
-    for free in range(m.cols):
-        if free not in pivot_cols:
-            vectors[free] = [0] * m.cols
-            vectors[free][free] = 1
-    # a reduced pivot row holds its own pivot and free columns only, so each
-    # entry other than the pivot lands in one free column's vector
+    vectors: Dict[int, Dict[int, int]] = {free: {} for free in range(m.cols) if free not in pivot_cols}
+    # a reduced pivot row holds its own pivot and later free columns only, so
+    # each entry other than the pivot lands in one free column's vector, and
+    # scattering the rows in pivot order keeps every vector's keys increasing
     for c, row in pivots:
         for cc, coeff in row.items():
             if cc != c:
                 vectors[cc][c] = (-coeff) % p
-    return [tuple(v) for v in vectors.values()]
+    for free, vec in vectors.items():
+        vec[free] = 1
+    return list(vectors.values())
 
 
 def two_term_kernel(
@@ -303,27 +296,6 @@ def two_term_kernel(
         if not dead[root]:
             vectors.setdefault(root, {})[v] = g
     return list(vectors.values())
-
-
-def extending_rows(
-    span: Sequence[Dict[int, int]], candidates: Sequence[Dict[int, int]], p: int
-) -> List[int]:
-    """Indices of the candidate rows that extend the span of `span`.
-
-    Candidate i is chosen when it is not in the span of `span` and of the
-    candidates before it, so the chosen rows complete a basis of the span of
-    everything.  Rows are sparse {column: value} maps and are not modified.
-    """
-    rows = [{c: v % p for c, v in row.items() if v % p} for row in (*span, *candidates)]
-    col_index = _column_index(rows)
-    chosen: List[int] = []
-    for rid, row in enumerate(rows):
-        if row:
-            c = min(row, key=lambda cc: (len(col_index[cc]), cc))
-            _pivot(rows, col_index, rid, c, p)
-            if rid >= len(span):
-                chosen.append(rid - len(span))
-    return chosen
 
 
 def solve_membership(m: FpSparseMatrix, b: Sequence[int], p: int) -> Optional[Vector]:

@@ -564,10 +564,7 @@ def primitive_basis(spec: AlgebraSpec, t: int, p: int) -> List[Element]:
         red = reduced_coproduct(spec, {mon: 1}, p)
         columns.append({row_index[key]: v for key, v in red.items()})
     matrix = FpSparseMatrix.from_columns(len(row_index), columns)
-    out: List[Element] = []
-    for vec in kernel_basis(matrix, p):
-        out.append({cols[i]: v for i, v in enumerate(vec) if v})
-    return out
+    return [{cols[i]: v for i, v in vec.items()} for vec in kernel_basis(matrix, p)]
 
 
 def indecomposable_dims(spec: AlgebraSpec, limit: int, p: int) -> List[int]:

@@ -44,7 +44,7 @@ from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fp_linalg import FpSparseMatrix, add_to, rank, two_term_kernel
-from .graded_hopf import compositions, convolve
+from .graded_hopf import compositions
 
 # a two-term relation (i, u, j, v): u x_i = v x_j, either coefficient may be 0
 Relation = Tuple[int, int, int, int]
@@ -372,46 +372,6 @@ def pinch_order_report(n_directions: int, max_degree: int, p: int) -> Dict[str, 
         "orders_per_monomial": len(list(itertools.permutations(dirs))),
         "failures": failures,
         "passed": not failures,
-    }
-
-
-def pushout_series_report(
-    unpinched: int, pinched: int, max_degree: int
-) -> Dict[str, object]:
-    """Dimension count for pinching one more direction via a flat pushout.
-
-    With a = unpinched + 2 * pinched polynomial classes of degree 2, pinching
-    one direction glues two copies of the algebra over the algebra missing
-    that direction, so the series must satisfy P_a^2 / P_{a-1} = P_{a+1}.
-    Verified coefficientwise up to the cap.
-    """
-    if unpinched < 1:
-        raise ValueError("need an unpinched direction to pinch")
-    a = unpinched + 2 * pinched
-
-    def poly_series(nvars: int) -> List[int]:
-        out = [0] * (max_degree + 1)
-        half = max_degree // 2
-        for j in range(half + 1):
-            out[2 * j] = comb(nvars + j - 1, j) if nvars else (1 if j == 0 else 0)
-        return out
-
-    top = poly_series(a)
-    square = convolve(top, top)
-    below = poly_series(a - 1)
-    quotient = [0] * (max_degree + 1)
-    for t in range(max_degree + 1):
-        acc = square[t] - sum(below[t - i] * quotient[i] for i in range(t))
-        if acc % below[0]:
-            raise ArithmeticError("series division left a remainder")
-        quotient[t] = acc // below[0]
-    target = poly_series(a + 1)
-    return {
-        "vars": a,
-        "max_degree": max_degree,
-        "quotient": quotient,
-        "target": target,
-        "passed": quotient == target,
     }
 
 

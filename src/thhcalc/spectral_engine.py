@@ -16,19 +16,16 @@ index-shifted counterparts.  d o d = 0 is a genuine check, not a formality.
 The module computes page homology bidegree by bidegree, verifies the
 standard truncated-polynomial answer for height-p differentials on divided
 towers, certifies the divided-power change of basis that turns a twisted
-cycle into honest divided powers, locates where a shortest nonzero
-differential could live (indecomposable sources, primitive targets), and
-runs the two-column fixed-point page whose degree-2 differential is the sum
-of coordinate suspensions — including the power-class hitting problem it
-poses in weight p^{n-1}.
+cycle into honest divided powers, and runs the two-column fixed-point page
+whose degree-2 differential is the sum of coordinate suspensions —
+including the power-class hitting problem it poses in weight p^{n-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import admissible_words as aw
 from . import fp_linalg
 from . import graded_hopf as gh
 from . import torus_model as tm
@@ -62,12 +59,6 @@ class DifferentialSpec:
 
     r: int
     values: Dict[str, gh.Element] = field(default_factory=dict)
-
-
-def bn_ss_term(n: int, p: int, max_degree: int) -> SSTerm:
-    """The length-n word algebra, every generator in filtration n."""
-    spec = aw.word_algebra(n, p, max_degree)
-    return SSTerm(spec, p, {g.label: n for g in spec.generators})
 
 
 # ---------------------------------------------------------------------------
@@ -379,53 +370,6 @@ def change_basis_cycles(
         "exchange_degrees": exchange_checked,
         "exchange_invertible": exchange_ok,
         "passed": passed,
-    }
-
-
-# ---------------------------------------------------------------------------
-# shortest-differential candidates
-# ---------------------------------------------------------------------------
-
-
-def shortest_candidates(term: SSTerm, max_total: int) -> Dict[str, object]:
-    """Bidegrees where a first nonzero differential could start and end.
-
-    On a multiplicative page the first nonzero differential kills a
-    primitive and is detected on an indecomposable, so every candidate pairs
-    an indecomposable-supporting source with a primitive-supporting target
-    at stride (s, t) -> (s - r, t + r - 1), r >= 2.
-    """
-    spec, p = term.spec, term.p
-    decomposable: Set[gh.Monomial] = set()
-    for m in range(2, max_total + 1):
-        for m1 in range(1, m):
-            for mon1 in gh.basis(spec, m1, p):
-                for mon2 in gh.basis(spec, m - m1, p):
-                    r = gh.mul_monomials(spec, mon1, mon2, p)
-                    if r is not None:
-                        decomposable.add(r[1])
-    indec_support: Set[Tuple[int, int]] = set()
-    for m in range(1, max_total + 1):
-        for mon in gh.basis(spec, m, p):
-            if mon not in decomposable:
-                indec_support.add(term.bidegree(mon))
-    prim_support: Set[Tuple[int, int]] = set()
-    for m in range(1, max_total + 1):
-        for elem in gh.primitive_basis(spec, m, p):
-            for mon in elem:
-                prim_support.add(term.bidegree(mon))
-    candidates = []
-    for (s1, t1) in sorted(indec_support):
-        for (s2, t2) in sorted(prim_support):
-            r = s1 - s2
-            if r >= 2 and t2 == t1 + r - 1:
-                candidates.append({"source": (s1, t1), "target": (s2, t2), "r": r})
-    return {
-        "max_total": max_total,
-        "indecomposable_support": sorted(indec_support),
-        "primitive_support": sorted(prim_support),
-        "candidates": candidates,
-        "collapsed": not candidates,
     }
 
 

@@ -15,8 +15,7 @@ coordinate class.  Divided powers suspend by index shift:
 sigma(gamma_k(z)) = gamma_{k-1}(z) sigma(z).  It is only defined when the
 new coordinate exceeds every label already present.
 
-Projections restrict to a sub-torus (keep words whose labels stay inside a
-subset) or to the top cell (keep only words carrying every label).  The
+The top-cell projection keeps only words carrying every label.  The
 augmentation-like ideal test `in_p_ideal` asks whether an element dies under
 the projection onto the polynomial subalgebra of single-coordinate classes.
 
@@ -201,20 +200,6 @@ def _monomial_survives(
     t: TorusAlgebra, mon: gh.Monomial, keep: "callable"
 ) -> bool:
     return all(keep(t.info[gi]) for gi, _ in mon)
-
-
-def project_subtorus(
-    t: TorusAlgebra, elem: gh.Element, coords: Iterable[int], kill_steenrod: bool = False
-) -> gh.Element:
-    """Keep the monomials whose word labels all lie inside `coords`."""
-    allowed: Set[int] = set(coords)
-
-    def keep(tag: Tuple) -> bool:
-        if tag[0] != WORD:
-            return not kill_steenrod
-        return set(tag[1]) <= allowed
-
-    return {m: c for m, c in elem.items() if _monomial_survives(t, m, keep)}
 
 
 def project_top_cell(t: TorusAlgebra, elem: gh.Element) -> gh.Element:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 from thhcalc import admissible_words as aw

@@ -15,11 +15,18 @@ from thhcalc import bar_tor
 from thhcalc import fp_linalg
 from thhcalc import graded_hopf as gh
 from thhcalc.bar_tor import BarComplex, tor_dims, verify_tor_iso
-from thhcalc.fp_linalg import ContractViolation
+from thhcalc.fp_linalg import ContractViolation, FpSparseMatrix, _column_index, _pivot, add_to
 
 
 def poly_mu(bound: int) -> gh.AlgebraSpec:
     return gh.algebra([gh.polynomial("m", 2)], bound)
+
+
+def to_dense(m: FpSparseMatrix) -> list:
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        out[r][c] = v
+    return out
 
 
 def bar_dims(spec: gh.AlgebraSpec, p: int, cap: int, top) -> dict:
@@ -42,7 +49,7 @@ def assert_engines_agree(spec: gh.AlgebraSpec, p: int, cap: int, total: bool) ->
     """
     top = (lambda t: min(t, cap - t)) if total else (lambda t: t)
     expected = bar_dims(spec, p, cap, top)
-    assert bar_tor._resolve(spec, p, cap, top) == expected
+    assert bar_tor._dims(bar_tor._resolve(spec, p, cap, top)) == expected
     if not total:
         assert tor_dims(spec, p, cap) == expected
 
@@ -77,11 +84,11 @@ def test_bar_differential_example_by_hand():
     # d[m|m] = -[m^2]; d[m|m|m] = -[m^2|m] + [m|m^2]
     bar = BarComplex(poly_mu(8), 5, 8)
     d2 = bar.differential(2, 4)
-    assert d2.to_dense() == [[4]]
+    assert to_dense(d2) == [[4]]
     d3 = bar.differential(3, 6)
     cols = {tuple(w) for w in bar.basis(3, 6)}
     assert len(cols) == 1
-    dense = d3.to_dense()
+    dense = to_dense(d3)
     # target order: basis(2, 6) = [(m, m^2), (m^2, m)]
     m = ((0, 1),)
     m2 = ((0, 2),)
@@ -260,14 +267,79 @@ def test_resolution_matches_bar_on_random_specs(case, total):
 
 
 def test_resolution_checks_each_generator_image_is_a_cycle(monkeypatch):
-    # a kernel routine that returns every coordinate vector hands the engine
-    # non-cycles as generator images; the engine must refuse them
+    # a kernel routine that keeps each vector's free column but drops its other
+    # entries picks the same generators, but hands the next step coordinate
+    # vectors as cycles; the engine must refuse the non-cycles it picks from them
+    kernel_basis = fp_linalg.kernel_basis
+
     def tampered(m, p):
-        return [tuple(int(i == j) for i in range(m.cols)) for j in range(m.cols)]
+        return [{next(reversed(vec)): 1} for vec in kernel_basis(m, p)]
 
     monkeypatch.setattr(fp_linalg, "kernel_basis", tampered)
-    with pytest.raises(ContractViolation, match="not a cycle"):
-        tor_dims(poly_mu(8), 5, 8)
+    with pytest.raises(ContractViolation, match=r"not a cycle at \(2, 16\)"):
+        tor_dims(aw.word_algebra(3, 3, 30), 3, 30)
+
+
+# ---------------------------------------------------------------------------
+# the one-elimination resolution against the two-elimination route it replaced
+# ---------------------------------------------------------------------------
+
+
+def outside_span(span, candidates, p):
+    """Indices of the candidates not in the span of `span` and the candidates before them.
+
+    Each nonzero row is pivoted, in order, on its sparsest column.
+    """
+    rows = [{c: v % p for c, v in row.items() if v % p} for row in (*span, *candidates)]
+    col_index = _column_index(rows)
+    chosen = []
+    for rid, row in enumerate(rows):
+        if row:
+            c = min(row, key=lambda cc: (len(col_index[cc]), cc))
+            _pivot(rows, col_index, rid, c, p)
+            if rid >= len(span):
+                chosen.append(rid - len(span))
+    return chosen
+
+
+def resolve_two_eliminations(spec, p, max_degree, top):
+    """Oracle: the resolution that picked new generators with one elimination
+    (`outside_span`) and found ker d_s with a second (`kernel_basis`)."""
+    bases = [gh.basis(spec, t, p) for t in range(max_degree + 1)]
+    gens = [[(0, {})]]
+    for t in range(1, max_degree + 1):
+        below = [(0, m) for m in bases[t]]
+        cycles = [{i: 1} for i in range(len(below))]
+        for s in range(1, top(t) + 1):
+            if len(gens) == s:
+                gens.append([])
+            index = {pair: i for i, pair in enumerate(below)}
+            pairs = [(g, m) for g, (deg, _) in enumerate(gens[s]) if deg < t for m in bases[t - deg]]
+            images = []
+            for g, m in pairs:
+                image = {}
+                for (h, m2), c in gens[s][g][1].items():
+                    product = gh.mul_monomials(spec, m, m2, p)
+                    if product is not None:
+                        add_to(image, index[(h, product[1])], c * product[0], p)
+                images.append(image)
+            new = [cycles[i] for i in outside_span(images, cycles, p)]
+            for z in new:
+                gens[s].append((t, {below[j]: v for j, v in z.items()}))
+            cycles = []
+            if images:
+                cycles = fp_linalg.kernel_basis(FpSparseMatrix.from_columns(len(below), images), p)
+            below = pairs + [(g, gh.ONE) for g in range(len(gens[s]) - len(new), len(gens[s]))]
+    return gens
+
+
+@pytest.mark.parametrize(
+    "p, n, cap", [(3, n, 120) for n in range(1, 5)] + [(3, 5, 100)] + [(5, n, 150) for n in (2, 3)] + [(5, 4, 120)]
+)
+def test_resolution_generators_match_two_elimination_route(p, n, cap):
+    # every generator, its degree and its image alike, on the ladder rungs
+    spec = aw.word_algebra(n, p, cap)
+    assert bar_tor._resolve(spec, p, cap, lambda t: t) == resolve_two_eliminations(spec, p, cap, lambda t: t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -412,3 +414,21 @@ def test_unknown_verb_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package declares no runtime dependency: every absolute import in
+    # src/thhcalc resolves to the package itself or to the standard library
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "thhcalc").rglob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "thhcalc" or top in sys.stdlib_module_names, (path.name, name)

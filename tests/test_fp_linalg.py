@@ -17,7 +17,6 @@ from thhcalc.fp_linalg import (
     _rref,
     _sparse_rows,
     add_to,
-    extending_rows,
     kernel_basis,
     rank,
     solve_membership,
@@ -30,15 +29,19 @@ def from_dense(data):
     return FpSparseMatrix(len(data), len(data[0]) if data else 0, entries)
 
 
+def to_dense(m):
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        out[r][c] = v
+    return out
+
+
 def mul_vec(m, vec, p):
+    """m applied to a sparse {column: value} vector, as a dense tuple."""
     out = [0] * m.rows
     for (r, c), v in m.entries.items():
-        out[r] += v * vec[c]
+        out[r] += v * vec.get(c, 0)
     return tuple(x % p for x in out)
-
-
-def scale(vec, c, p):
-    return tuple((c * x) % p for x in vec)
 
 
 def transpose(m):
@@ -60,18 +63,16 @@ def test_rank_one_matrix_mod_5():
     m = from_dense([[1, 2], [2, 4]])
     assert rank(m, 5) == 1
     basis = kernel_basis(m, 5)
-    assert len(basis) == 1
-    # the kernel is the line spanned by (3, 1)
-    assert basis[0] in {scale((3, 1), c, 5) for c in range(1, 5)}
+    # the kernel is the line spanned by (3, 1), 1 at the free column
+    assert basis == [{0: 3, 1: 1}]
     assert mul_vec(m, basis[0], 5) == (0, 0)
 
 
 def test_kernel_of_row_vector_mod_3():
     m = from_dense([[1, 1]])
     basis = kernel_basis(m, 3)
-    assert len(basis) == 1
-    # the kernel is the line spanned by (1, 2)
-    assert basis[0] in {scale((1, 2), c, 3) for c in range(1, 3)}
+    # the kernel is the line spanned by (2, 1), 1 at the free column
+    assert basis == [{0: 2, 1: 1}]
 
 
 def test_solve_membership_column_mod_5():
@@ -115,11 +116,11 @@ def test_solve_round_trip(p):
     rng = random.Random(2000 + p)
     for _ in range(100):
         m = random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8), p)
-        x = tuple(rng.randrange(p) for _ in range(m.cols))
+        x = dict(enumerate(rng.randrange(p) for _ in range(m.cols)))
         b = mul_vec(m, x, p)
         x2 = solve_membership(m, b, p)
         assert x2 is not None
-        assert mul_vec(m, x2, p) == b
+        assert mul_vec(m, dict(enumerate(x2)), p) == b
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -177,8 +178,8 @@ def test_kernel_dimension_matches_rank_hypothesis(rows, cols, flat, p):
         assert all(x == 0 for x in mul_vec(m, v, p))
 
 
-def _rank_of_rows(rows, cols, p):
-    return rank(FpSparseMatrix(len(rows), cols, {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}), p)
+def _rank_of_vectors(vectors, p):
+    return rank(FpSparseMatrix.from_columns(5, vectors), p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,17 +188,32 @@ def _rank_of_rows(rows, cols, p):
     st.lists(st.dictionaries(st.integers(0, 4), st.integers(-6, 6), max_size=4), max_size=5),
     st.sampled_from([3, 5, 7]),
 )
-def test_extending_rows_picks_each_candidate_outside_the_running_span(span, candidates, p):
-    before = [dict(row) for row in span + candidates]
-    chosen = extending_rows(span, candidates, p)
-    assert [dict(row) for row in span + candidates] == before  # inputs untouched
-    # candidate i is chosen exactly when it raises the rank of everything before it
+def test_kernel_basis_frees_each_column_inside_the_running_span(span, candidates, p):
+    # the resolution's contract: one kernel of [span | candidates] names the
+    # candidates outside the running span and a kernel basis of span alone
+    columns = span + candidates
+    m = FpSparseMatrix.from_columns(5, columns)
+    before = dict(m.entries)
+    basis = kernel_basis(m, p)
+    assert m.entries == before  # input untouched
+    free = [next(reversed(vec)) for vec in basis]
+    # column j is free exactly when it does not raise the rank of columns 0..j
     expected = [
-        i
-        for i in range(len(candidates))
-        if _rank_of_rows(span + candidates[: i + 1], 5, p) > _rank_of_rows(span + candidates[:i], 5, p)
+        j for j in range(len(columns)) if _rank_of_vectors(columns[: j + 1], p) == _rank_of_vectors(columns[:j], p)
     ]
-    assert chosen == expected
+    assert free == expected
+    pivots = set(range(len(columns))) - set(free)
+    for vec, j in zip(basis, free):
+        *rest, last = vec.items()
+        assert last == (j, 1)
+        keys = [c for c, _ in rest]
+        assert keys == sorted(keys) and all(c in pivots and c < j for c in keys)
+        assert all(0 < v < p for _, v in rest)
+        assert mul_vec(m, vec, p) == (0,) * 5
+    # the vectors whose free column lies in span are kernel_basis of span alone
+    assert [vec for vec in basis if next(reversed(vec)) < len(span)] == kernel_basis(
+        FpSparseMatrix.from_columns(5, span), p
+    )
 
 
 def test_compose_and_transpose_shapes():
@@ -205,7 +221,7 @@ def test_compose_and_transpose_shapes():
     b = from_dense([[1, 0], [2, 1], [0, 3]])
     ab = a.compose(b, 5)
     assert (ab.rows, ab.cols) == (2, 2)
-    assert ab.to_dense() == [[0, 2], [2, 4]]
+    assert to_dense(ab) == [[0, 2], [2, 4]]
     at = transpose(a)
     assert (at.rows, at.cols) == (3, 2)
     assert rank(a, 5) == rank(at, 5)
@@ -240,13 +256,13 @@ def kernel_basis_lookup(m, p):
     for free in range(m.cols):
         if free in pivot_cols:
             continue
-        v = [0] * m.cols
-        v[free] = 1
+        v = {}
         for c, row in pivots:
             coeff = row.get(free)
             if coeff:
                 v[c] = (-coeff) % p
-        basis.append(tuple(v))
+        v[free] = 1
+        basis.append(v)
     return basis
 
 
@@ -286,7 +302,8 @@ def test_rank_matches_full_scan_oracle(case):
 @given(prime_matrices())
 def test_kernel_basis_matches_lookup_oracle(case):
     m, p = case
-    assert kernel_basis(m, p) == kernel_basis_lookup(m, p)
+    # the same vectors with their keys in the same order
+    assert [list(v.items()) for v in kernel_basis(m, p)] == [list(v.items()) for v in kernel_basis_lookup(m, p)]
 
 
 @pytest.fixture(scope="module")
@@ -342,8 +359,7 @@ def assert_same_kernel(n, relations, p):
     want = kernel_basis(relation_matrix(n, relations, p), p)
     assert len(got) == len(want)
     assert rank(FpSparseMatrix.from_columns(n, got), p) == len(got)
-    dense = [dict(enumerate(vec)) for vec in want]
-    assert rank(FpSparseMatrix.from_columns(n, dense + got), p) == len(want)
+    assert rank(FpSparseMatrix.from_columns(n, want + got), p) == len(want)
     return got
 
 

@@ -33,13 +33,6 @@ def test_missing_filtration_rejected():
         se.SSTerm(spec, 3, {})
 
 
-def test_bn_term_filtration_is_word_length():
-    term = se.bn_ss_term(2, 3, 18)
-    [gen] = term.spec.generators
-    assert gen.label == "rho mu"
-    assert term.bidegree(((0, 1),)) == (2, 1)
-
-
 def _pterm_setup(p, d=2, bound=40):
     gens = [gh.divided("x", d), gh.exterior("y", p * d - 1)]
     term = _term(p, gens, {"x": 1, "y": 1}, bound)
@@ -223,35 +216,6 @@ def test_change_basis_rejects_bad_input():
         se.change_basis_cycles(3, 1, ())
     with pytest.raises(ValueError):
         se.change_basis_cycles(3, 1, (1,), gen_degree=3)
-
-
-# ---------------------------------------------------------------------------
-# shortest-differential candidates
-# ---------------------------------------------------------------------------
-
-
-def test_b3_p5_page_has_no_legal_differential():
-    term = se.bn_ss_term(3, 5, 24)
-    report = se.shortest_candidates(term, 24)
-    assert report["indecomposable_support"] == [(3, 1), (15, 5)]
-    assert report["primitive_support"] == [(3, 1)]
-    assert report["candidates"] == []
-    assert report["collapsed"]
-
-
-def test_b2_p3_page_collapses():
-    term = se.bn_ss_term(2, 3, 18)
-    report = se.shortest_candidates(term, 18)
-    assert report["indecomposable_support"] == [(2, 1)]
-    assert report["collapsed"]
-
-
-def test_candidate_detected_when_bidegrees_align():
-    gens = [gh.exterior("u", 7), gh.divided("w", 6)]
-    term = _term(3, gens, {"u": 5, "w": 3}, 13)
-    report = se.shortest_candidates(term, 13)
-    assert {"source": (5, 2), "target": (3, 3), "r": 2} in report["candidates"]
-    assert not report["collapsed"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from thhcalc import admissible_words as aw
 from thhcalc import graded_hopf as gh
 from thhcalc import torus_model as tm
 
@@ -190,18 +189,6 @@ def test_sigma_image_lies_in_augmentation_ideal():
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
-
-
-def test_project_subtorus():
-    t = tm.build_torus(2, 3, 12)
-    elem = gh.add(
-        mono(t, ("mu_1", 2)),
-        gh.scalar_mul(2, mono(t, ("rho_2 mu_1", 1), ("mu_2", 1)), 3),
-        3,
-    )
-    kept = tm.project_subtorus(t, elem, {1})
-    assert kept == mono(t, ("mu_1", 2))
-    assert tm.project_subtorus(t, elem, {1, 2}) == elem
 
 
 def test_project_top_cell():
