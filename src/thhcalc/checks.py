@@ -181,8 +181,10 @@ def lucas_pascal(n_max: int = 2000, primes: Sequence[int] = (3, 5, 7)) -> CheckR
 def relation_forms(p: int, n_max: int = 200) -> CheckResult:
     failures = []
     by_type: Dict[str, int] = {}
+    # every weight reads the same Lucas rows; build them once for this call
+    binoms = [mf.lucas_row(n, p) for n in range(n_max)]
     for big_n in range(3, n_max + 1):
-        report = mf.relation_module(big_n, p)
+        report = mf.relation_module(big_n, p, binoms)
         by_type[report["type"]] = by_type.get(report["type"], 0) + 1
         two_power = report["type"] == mf.TWO_POWERS
         if not report["agrees"] or (report["dimension"] == 2) != two_power:
@@ -329,17 +331,13 @@ def _word_labels_below(torus: tm.TorusAlgebra, mon: gh.Monomial, v: int) -> bool
     return True
 
 
-def _random_bounded(torus: tm.TorusAlgebra, t: int, v: int, rng: random.Random) -> gh.Element:
-    mons = [
-        m
-        for m in gh.basis(torus.spec, t, torus.p)
-        if m and _word_labels_below(torus, m, v)
-    ]
+def _random_bounded(mons: Sequence[gh.Monomial], p: int, rng: random.Random) -> gh.Element:
+    """Up to three distinct monomials of the pool with random nonzero coefficients."""
     if not mons:
         return {}
     out: gh.Element = {}
     for mon in rng.sample(mons, min(3, len(mons))):
-        out[mon] = rng.randrange(1, torus.p)
+        out[mon] = rng.randrange(1, p)
     return out
 
 
@@ -349,6 +347,18 @@ def sigma_contract(p: int, seed: int, pairs: int = 1000) -> CheckResult:
     rng = random.Random(seed)
     tori = {n: tm.build_torus(n, p, bound) for n in (2, 3, 4)}
 
+    # the draw pool of each (n, t): nonconstant degree-t monomials of torus n
+    # whose word labels stay below n, filtered once for this call
+    pools: Dict[Tuple[int, int], List[gh.Monomial]] = {}
+
+    def pool(n: int, t: int) -> List[gh.Monomial]:
+        if (n, t) not in pools:
+            torus = tori[n]
+            pools[n, t] = [
+                m for m in gh.basis(torus.spec, t, p) if m and _word_labels_below(torus, m, n)
+            ]
+        return pools[n, t]
+
     derivation_failures = 0
     checked = 0
     while checked < pairs:
@@ -356,8 +366,8 @@ def sigma_contract(p: int, seed: int, pairs: int = 1000) -> CheckResult:
         torus = tori[n]
         da = rng.randrange(1, bound // 2)
         db = rng.randrange(1, bound // 2)
-        a = _random_bounded(torus, da, n, rng)
-        b = _random_bounded(torus, db, n, rng)
+        a = _random_bounded(pool(n, da), p, rng)
+        b = _random_bounded(pool(n, db), p, rng)
         if not a or not b:
             continue
         lhs = tm.sigma(torus, n, gh.multiply(torus.spec, a, b, p))
@@ -430,11 +440,24 @@ def sigma_contract(p: int, seed: int, pairs: int = 1000) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _coproduct_on_side(spec: gh.AlgebraSpec, ts: gh.TensorSquare, p: int, side: int):
-    """(psi (x) 1) ts for side 0, (1 (x) psi) ts for side 1, in A (x) A (x) A."""
+def _coproduct_on_side(
+    spec: gh.AlgebraSpec,
+    ts: gh.TensorSquare,
+    p: int,
+    side: int,
+    table: Dict[gh.Monomial, gh.TensorSquare],
+):
+    """(psi (x) 1) ts for side 0, (1 (x) psi) ts for side 1, in A (x) A (x) A.
+
+    table maps each side monomial already expanded to its coproduct and
+    gains the new ones.
+    """
     out: Dict[Tuple[gh.Monomial, gh.Monomial, gh.Monomial], int] = {}
     for pair, c in ts.items():
-        for split, d in gh.coproduct(spec, {pair[side]: 1}, p).items():
+        mon = pair[side]
+        if mon not in table:
+            table[mon] = gh.coproduct(spec, {mon: 1}, p)
+        for split, d in table[mon].items():
             add_to(out, pair[:side] + split + pair[side + 1 :], c * d, p)
     return out
 
@@ -492,12 +515,15 @@ def core_properties(p: int, seed: int, cases: int = 1000) -> CheckResult:
         sign = -1 if (ta * tb) % 2 else 1
         tally("graded-commutativity", mul(a, b) == gh.scalar_mul(sign, mul(b, a), p))
 
+    # the side monomials of the coassociativity law recur across draws;
+    # their coproducts are kept for this call only
+    sides: Dict[gh.Monomial, gh.TensorSquare] = {}
     for _ in range(cases):
         _, a = draw(bound // 2)
         ts = gh.coproduct(spec, a, p)
         tally(
             "coassociativity",
-            _coproduct_on_side(spec, ts, p, 0) == _coproduct_on_side(spec, ts, p, 1),
+            _coproduct_on_side(spec, ts, p, 0, sides) == _coproduct_on_side(spec, ts, p, 1, sides),
         )
 
     # the closed-form coproduct against products in A and in A (x) A

@@ -9,11 +9,15 @@ is coassociative exactly when the coefficient vector r satisfies
 
     C(a+b, b) r_{a+b} = C(b+c, b) r_a   for all a, b, c >= 1, a+b+c = N,
 
-with binomials mod p given by Lucas' theorem.  Each relation has two terms,
-so `relation_rows` streams them into `fp_linalg.two_term_kernel`, a
-union-find that solves them without a matrix; the claimed closed-form
-vectors are evaluated on every relation as it passes.  The solution space
-is classified by the p-adic shape of N:
+with binomials mod p given by Lucas' theorem.  Each relation has at most two
+terms, and most of them say less than that: over half read 0 = 0 mod p,
+and most of the rest force one unknown to zero that other relations force
+again.  So `relation_rows` streams only the distinct constraints: every
+relation with two nonzero coefficients, then one x_i = 0 per forced
+unknown.  They feed `fp_linalg.two_term_kernel`, a union-find that solves
+them without a matrix, and the claimed closed-form vectors are evaluated
+on every one of them as it passes.  The solution space is classified by
+the p-adic shape of N:
 
 * N a p-power p^{m+1}: one dimension, spanned by the divided binomial row
   k -> (C(N, k) / p) mod p;
@@ -137,18 +141,36 @@ def classify_weight(v: int, p: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def relation_rows(N: int, p: int) -> Iterator[Relation]:
-    """Coassociativity constraints on (r_1, ..., r_{N-1}), one per (a, b).
+def relation_rows(N: int, p: int, binoms: Optional[Sequence[List[int]]] = None) -> Iterator[Relation]:
+    """The distinct coassociativity constraints on (r_1, ..., r_{N-1}).
 
-    Each is a relation (i, u, j, v), meaning u x_i = v x_j on the unknowns
-    x_{k-1} = r_k: C(a+b, b) r_{a+b} = C(b+c, b) r_a with c = N - a - b.
-    Either coefficient may vanish mod p.
+    Each (a, b) gives C(a+b, b) r_{a+b} = C(b+c, b) r_a with c = N - a - b,
+    a relation (i, u, j, v), u x_i = v x_j, on the unknowns x_{k-1} = r_k.
+    Those with both coefficients nonzero mod p are yielded in (a, b) order.
+    Those with none say 0 = 0 and are dropped.  Those with one force its
+    unknown to 0; after the loop each forced unknown is yielded once, in
+    increasing order, as (i, 1, i, 0).  A vector satisfies every yielded
+    relation exactly when it satisfies every (a, b) relation.
+
+    binoms[n] must be lucas_row(n, p) for every n < N; callers solving many
+    weights build the rows once and pass them.
     """
-    binoms = [lucas_row(n, p) for n in range(N)]
+    if binoms is None:
+        binoms = [lucas_row(n, p) for n in range(N)]
+    forced = set()
     for a in range(1, N - 1):
         outer = binoms[N - a]  # C(b + c, b) with c = N - a - b >= 1
         for b in range(1, N - a):
-            yield a + b - 1, binoms[a + b][b], a - 1, outer[b]
+            u = binoms[a + b][b]
+            v = outer[b]
+            if u and v:
+                yield a + b - 1, u, a - 1, v
+            elif u:
+                forced.add(a + b - 1)
+            elif v:
+                forced.add(a - 1)
+    for i in sorted(forced):
+        yield i, 1, i, 0
 
 
 def _checked(
@@ -188,19 +210,22 @@ def closed_form_vectors(N: int, p: int) -> Tuple[str, List[List[int]], Dict[str,
     return kind, [vec], {"pivot": p**top, "pivot_value": vec[p**top - 1]}
 
 
-def relation_module(N: int, p: int) -> Dict[str, object]:
+def relation_module(
+    N: int, p: int, binoms: Optional[Sequence[List[int]]] = None
+) -> Dict[str, object]:
     """Solve the weight-N constraint system and verify the closed form.
 
     Returns the computed kernel dimension, the classified type, and whether
     the closed-form spanning set matches the kernel exactly: membership is
-    evaluated on every relation, independence and span through ranks.
+    evaluated on every constraint, independence and span through ranks.
+    binoms is passed to `relation_rows`.
     """
     if N < 3:
         raise ValueError("weights below 3 carry no constraints worth solving")
     kind, claimed, normal = closed_form_vectors(N, p)
     vectors = [{k: v for k, v in enumerate(vec) if v} for vec in claimed]
     broken: List[Relation] = []
-    kernel = two_term_kernel(N - 1, _checked(relation_rows(N, p), vectors, p, broken), p)
+    kernel = two_term_kernel(N - 1, _checked(relation_rows(N, p, binoms), vectors, p, broken), p)
     member = not broken
     claimed_rank = rank(FpSparseMatrix.from_columns(N - 1, vectors), p)
     joint = rank(FpSparseMatrix.from_columns(N - 1, vectors + kernel), p)
@@ -586,10 +611,9 @@ def lucas_vs_pascal(p: int, n_max: int) -> Dict[str, object]:
     first_mismatch: Optional[Tuple[int, int]] = None
     for n in range(n_max + 1):
         if n:
-            prev = pascal
-            pascal = [1] + [(prev[k - 1] + prev[k]) % p for k in range(1, n)] + [1]
-        if lucas_row(n, p) != pascal and first_mismatch is None:
-            row = lucas_row(n, p)
+            pascal = [1] + [(x + y) % p for x, y in zip(pascal, pascal[1:])] + [1]
+        row = lucas_row(n, p)
+        if row != pascal and first_mismatch is None:
             k = next(i for i in range(n + 1) if row[i] != pascal[i])
             first_mismatch = (n, k)
     return {

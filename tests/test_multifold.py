@@ -480,18 +480,67 @@ def _solution_space_oracle(n, degree, p):
     }
 
 
+def _distinct_constraints(N, p):
+    """The oracle matrix's rows as relations: zero rows dropped, two-entry
+    rows kept in order as (i, u, j, v), one-entry rows turned into their
+    unknown, then one (i, 1, i, 0) per distinct forced unknown, sorted."""
+    rows, _, entries = _relation_matrix_oracle(N, p)
+    by_row = [[] for _ in range(rows)]
+    for (row, col), val in sorted(entries.items()):
+        by_row[row].append((col, val))
+    out, forced = [], set()
+    for terms in by_row:
+        if len(terms) == 2:
+            (j, minus_v), (i, u) = terms  # the r_a column lies left of r_{a+b}
+            out.append((i, u, j, -minus_v % p))
+        elif terms:
+            forced.add(terms[0][0])
+    return out + [(i, 1, i, 0) for i in sorted(forced)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_relation_matrix_matches_lucas_calls(p):
-    # the relation rows, laid out as matrix rows u x_i - v x_j, give the oracle matrix
+    # the streamed constraints are exactly the oracle matrix's distinct ones, in order
     for N in range(3, 81):
-        entries = {}
-        rows = list(mf.relation_rows(N, p))
-        for row, (i, u, j, v) in enumerate(rows):
-            if u:
-                entries[(row, i)] = u
-            if v:
-                entries[(row, j)] = -v % p
-        assert (len(rows), N - 1, entries) == _relation_matrix_oracle(N, p), N
+        assert list(mf.relation_rows(N, p)) == _distinct_constraints(N, p), N
+
+
+def test_relation_module_reads_shared_lucas_rows():
+    for p in (3, 5, 7):
+        binoms = [mf.lucas_row(n, p) for n in range(200)]
+        for N in range(3, 201):
+            assert mf.relation_module(N, p, binoms) == mf.relation_module(N, p), (N, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_relation_module_membership_sees_forced_zeros(p, monkeypatch):
+    # a claimed vector nonzero at a forced unknown breaks only that unknown's
+    # x_i = 0 constraint; with the solver echoing the claim, so that the ranks
+    # cannot see the difference, membership alone must refuse it
+    true_forms = mf.closed_form_vectors
+    real_kernel = mf.two_term_kernel
+
+    def echo_kernel(n, relations, q):
+        real_kernel(n, relations, q)  # drains the stream through _checked
+        return [{k: v for k, v in enumerate(vec) if v} for vec in mf.closed_form_vectors(N, q)[1]]
+
+    tried = 0
+    for N in range(3, 41):
+        forced = [i for i, _, _, v in mf.relation_rows(N, p) if not v]
+        if not forced:
+            continue
+        tried += 1
+        kind, vectors, normal = true_forms(N, p)
+        assert vectors[0][forced[-1]] == 0
+        tampered = [list(vectors[0])] + vectors[1:]
+        tampered[0][forced[-1]] = 1
+        for kernel in (real_kernel, echo_kernel):
+            monkeypatch.setattr(mf, "two_term_kernel", kernel)
+            monkeypatch.setattr(mf, "closed_form_vectors", lambda n, q: (kind, vectors, normal))
+            assert mf.relation_module(N, p)["agrees"], (N, kernel)
+            monkeypatch.setattr(mf, "closed_form_vectors", lambda n, q: (kind, tampered, normal))
+            assert not mf.relation_module(N, p)["agrees"], (N, kernel)
+    assert tried >= 20
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
