@@ -16,6 +16,8 @@ F_{s-1}, which makes the resolution minimal.  Each step takes one echelon
 form, of the images of d_s followed by a basis of the cycles: the cycle
 columns that are pivots are the new generators, and the kernel vectors on
 the image columns alone are a basis of ker d_s, the next step's cycles.
+A step where F_s and F_{s-1} are both zero in degree t has nothing to
+eliminate, and is skipped before any index or matrix is built.
 Internal degree t only uses A in degrees up to t, so a degree cap on the
 algebra never corrupts a capped Tor table, and the cost is polynomial in t.
 
@@ -186,8 +188,12 @@ def _resolve(
         for s in range(1, top(t) + 1):
             if len(gens) == s:
                 gens.append([])
-            index = {pair: i for i, pair in enumerate(below)}
             pairs = [(g, m) for g, (deg, _) in enumerate(gens[s]) if deg < t for m in bases[t - deg]]
+            if not pairs and not below:
+                # F_s and F_{s-1} are zero in degree t: nothing here to eliminate
+                cycles, below_images = [], []
+                continue
+            index = {pair: i for i, pair in enumerate(below)}
             images: List[Dict[int, int]] = []
             for g, m in pairs:
                 image: Dict[int, int] = {}

@@ -149,8 +149,8 @@ def _run_tor(args) -> Dict[str, object]:
 
 
 def _parse_rung(text: str) -> int:
-    tag = text.lower().lstrip("b")
-    if not tag.isdigit() or int(tag) < 1:
+    tag = text.lower().removeprefix("b")
+    if not tag.isdecimal() or int(tag) < 1:
         raise CLIError(f"expected a word-algebra tag like b2, got {text!r}")
     return int(tag)
 
@@ -220,6 +220,8 @@ def _parse_table(text: str, weight: int) -> mf.CoproductTable:
             raise CLIError(f"--table entries must look like pos:coeff, got {item!r}") from exc
         if not 1 <= pos <= weight - 1:
             raise CLIError(f"--table position {pos} outside 1..{weight - 1}")
+        if pos in coeffs:
+            raise CLIError(f"--table position {pos} given twice")
         coeffs[pos] = val
     return mf.CoproductTable(weight, coeffs)
 

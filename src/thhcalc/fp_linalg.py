@@ -16,7 +16,11 @@ Two pivot rules drive it, on matrices of every size:
   with the fewest entries.  Both choices keep fill-in low, and the heap
   spares a scan over every column per pivot;
 * `_rref`, behind kernels and solves, scans columns left to right and
-  pivots on the smallest available row index.
+  pivots on the smallest available row index.  It reduces in one
+  Gauss-Jordan pass: each normalized pivot row stays in the column index,
+  so every later pivot clears its column from the earlier pivot rows as it
+  is taken, touching only the rows that hold that column, and no
+  back-substitution follows.
 
 Both rules give the same rank; the fewest-entries rule is never used for
 kernels or solutions, whose coordinate vectors are part of the public
@@ -165,28 +169,29 @@ def _pivot(
 
 
 def _rref(rows: List[Dict[int, int]], cols: int, p: int) -> List[Tuple[int, Dict[int, int]]]:
-    """Reduced row echelon form in natural pivot order.
+    """Reduced row echelon form in natural pivot order, in one Gauss-Jordan pass.
 
     Columns are scanned in increasing order; the pivot for a column is the
-    smallest-index active row touching it.  Returns (pivot column, row map)
-    pairs in increasing pivot-column order, with each pivot normalized to 1
-    and eliminated from every other returned row.  Consumes the input rows.
+    smallest-index active row touching it.  Each normalized pivot row goes
+    back into the column index under a fresh id past the input rows, so
+    later pivots clear it too and `min` still finds an active row first.
+    Returns (pivot column, row map) pairs in increasing pivot-column order,
+    with each pivot normalized to 1 and eliminated from every other returned
+    row.  Consumes the input rows.
     """
     col_index = _column_index(rows)
+    n = len(rows)
     pivots: List[Tuple[int, Dict[int, int]]] = []
     for c in range(cols):
-        touching = col_index.get(c)
-        if touching:
-            pivots.append((c, _pivot(rows, col_index, min(touching), c, p)))
-
-    # clear pivot columns from the pivot rows above them
-    for i in range(len(pivots) - 1, -1, -1):
-        c, piv = pivots[i]
-        for _, rowj in pivots[:i]:
-            f = rowj.get(c)
-            if f:
-                for cc, vv in piv.items():
-                    add_to(rowj, cc, -f * vv, p)
+        # a column that only pivot rows hold is free
+        rid = min(col_index.get(c, ()), default=n)
+        if rid < n:
+            piv = _pivot(rows, col_index, rid, c, p)
+            for cc in piv:
+                if cc != c:
+                    col_index[cc].add(len(rows))
+            rows.append(piv)
+            pivots.append((c, piv))
     return pivots
 
 

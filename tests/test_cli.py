@@ -204,6 +204,13 @@ GOLDEN_DIGESTS = [
     ("changebasis --p 5 --r 2,1", "d7138e5f83703809905ef867aad822be971c26f691fdb8fd988784d150ead76f"),
     ("rognes --p 5 --n 3 --control", "33f3d060b5cd4645cb58b84bfc3b87c8d39cd9c9f6c1a4401a351c1ef79a0eb6"),
     ("rognes --n 2", "93382a0eed611ab1bfee6d0b7dc61af627be2598520a306fb83f045d0b55e9f6"),
+    # recorded before the one-pass Gauss-Jordan reduction: the largest rognes
+    # system of the tests and a deep rung of the ladder
+    ("rognes --p 3 --n 4", "b907b786d48846f256621d9e5594960eab44b8b581eadb9fe78e54fd5559bd1c"),
+    (
+        "tor-check --p 3 --from b5 --to b6 --max-degree 120",
+        "381b66f44d594c779bf617661ea53da94c59eea827835129cce8fdf38472eba3",
+    ),
 ]
 
 
@@ -270,6 +277,22 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["words", "--out", str(tmp_path / "missing" / "report.json")]) == 2
     for argv in UNREAD_FLAG_ARGVS:
         assert _exit_code(shlex.split(argv)) == 2, argv
+
+
+def test_rung_tag_takes_at_most_one_b(tmp_path, capsys):
+    assert main(["tor-check", "--from", "bb2", "--to", "b3"]) == 2
+    assert "expected a word-algebra tag like b2, got 'bb2'" in capsys.readouterr().err
+    # a superscript passes str.isdigit but not int()
+    assert main(["tor-check", "--from", "b\u00b2", "--to", "b3"]) == 2
+    for tag in ("b2", "B2", "2"):
+        code, doc = _run_json(tmp_path, "tor-check", "--from", tag, "--to", "b3", "--max-degree", "10")
+        assert code == 0
+        assert doc["params"]["from"] == "b2"
+
+
+def test_decompose_refuses_a_repeated_table_position(capsys):
+    assert main(["decompose", "--p", "3", "--n", "9", "--table", "3:1,3:2"]) == 2
+    assert "--table position 3 given twice" in capsys.readouterr().err
 
 
 def test_cost_guards_accept_their_largest_inputs(tmp_path):
@@ -373,7 +396,7 @@ _DEG = _ints(-3, 20)
 _N = _ints(-1, 3)
 _SWITCH = st.just(None)
 _FORMAT = st.sampled_from(["json", "csv", "xml"])
-_RUNG = st.sampled_from(["b1", "b2", "b3", "b0", "x"])
+_RUNG = st.sampled_from(["b1", "b2", "b3", "b0", "bb2", "x"])
 
 FUZZ_VERBS = {
     "words": _flags(p=_P, n=_N, max_degree=_DEG, monic=_SWITCH, format=_FORMAT),
@@ -383,7 +406,7 @@ FUZZ_VERBS = {
     "primitives": _flags(p=_P, n=_N, max_degree=_DEG, strict=_SWITCH),
     "relations": _flags(p=_P, n=_ints(-1, 20), format=_FORMAT),
     "decompose": _flags(
-        p=_P, n=_ints(-1, 20), table=st.sampled_from(["3:1,6:1", "1:1", "0:1", "25:1", "", "bogus", "1:x"])
+        p=_P, n=_ints(-1, 20), table=st.sampled_from(["3:1,6:1", "3:1,3:2", "1:1", "0:1", "25:1", "", "bogus", "1:x"])
     ),
     "cubes": _flags(p=_P, n=_ints(-1, 4), max_degree=_ints(-3, 12)),
     "pterm": _flags(p=_P, towers=_N, max_degree=_DEG),

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thhcalc import admissible_words as aw
+from thhcalc import bar_tor
 from thhcalc import fp_linalg
 from thhcalc import spectral_engine as se
 from thhcalc.fp_linalg import (
@@ -337,6 +339,55 @@ def test_rank_matches_full_scan_oracle_on_caller_matrices(caller_matrices, calle
     assert matrices
     for m, p in matrices:
         assert rank(m, p) == rank_full_scan(m, p)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass Gauss-Jordan _rref against back-substitution
+# ---------------------------------------------------------------------------
+
+
+def rref_back_substitution(rows, cols, p):
+    """Oracle: forward elimination, then each pivot column cleared from every earlier pivot row."""
+    col_index = _column_index(rows)
+    pivots = []
+    for c in range(cols):
+        touching = col_index.get(c)
+        if touching:
+            pivots.append((c, _pivot(rows, col_index, min(touching), c, p)))
+    for i in range(len(pivots) - 1, -1, -1):
+        c, piv = pivots[i]
+        for _, rowj in pivots[:i]:
+            f = rowj.get(c)
+            if f:
+                for cc, vv in piv.items():
+                    add_to(rowj, cc, -f * vv, p)
+    return pivots
+
+
+def assert_same_rref(m, p):
+    # both consume their rows; pivot columns and reduced rows, values included
+    assert _rref(_sparse_rows(m, p), m.cols, p) == rref_back_substitution(_sparse_rows(m, p), m.cols, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_matrices())
+def test_rref_matches_back_substitution_oracle(case):
+    assert_same_rref(*case)
+
+
+def test_rref_matches_back_substitution_oracle_on_resolution_matrices(monkeypatch):
+    seen = []
+    real_kernel_basis = fp_linalg.kernel_basis
+
+    def recording_kernel_basis(m, p):
+        seen.append((FpSparseMatrix(m.rows, m.cols, dict(m.entries)), p))
+        return real_kernel_basis(m, p)
+
+    monkeypatch.setattr(fp_linalg, "kernel_basis", recording_kernel_basis)
+    bar_tor.tor_dims(aw.word_algebra(5, 3, 120), 3, 120)
+    assert len(seen) > 100
+    for m, p in seen:
+        assert_same_rref(m, p)
 
 
 # ---------------------------------------------------------------------------
