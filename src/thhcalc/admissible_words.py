@@ -113,22 +113,6 @@ def parse(text: str) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _may_precede(left: Letter, right: Letter) -> bool:
-    if right.kind == MU:
-        return left.kind == RHO
-    if right.kind == RHO:
-        return left.kind == RHO_SUP
-    return left.kind in (RHO, PHI_SUP)
-
-
-def is_admissible(word: Word) -> bool:
-    if not word or word[-1].kind != MU:
-        return False
-    if any(l.kind == MU for l in word[:-1]):
-        return False
-    return all(_may_precede(word[i], word[i + 1]) for i in range(len(word) - 1))
-
-
 def is_monic(word: Word) -> bool:
     first = word[0]
     return first in (L_RHO, L_MU) or (first.kind in (RHO_SUP, PHI_SUP) and first.sup == 0)
@@ -442,9 +426,7 @@ def labeled_render(word: Word, labels: Sequence[int]) -> str:
     )
 
 
-def labeled_word_algebra(
-    labels: Sequence[int], p: int, bound: int, mode: str = gh.TRUNCATING
-) -> gh.AlgebraSpec:
+def labeled_word_algebra(labels: Sequence[int], p: int, bound: int) -> gh.AlgebraSpec:
     """The word algebra on a label set: empty set gives the trivial algebra.
 
     Singletons are polynomial on the labeled mu; larger sets take the monic
@@ -454,12 +436,10 @@ def labeled_word_algebra(
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     if not labels:
-        return gh.AlgebraSpec((), bound, mode)
+        return gh.AlgebraSpec((), bound)
     if len(labels) == 1:
-        return gh.AlgebraSpec((gh.polynomial(f"mu_{labels[0]}", 2),), bound, mode)
-    gens = []
-    for w in enumerate_monic(len(labels), p, bound):
-        d = degree(w, p)
-        lab = labeled_render(w, labels)
-        gens.append(gh.exterior(lab, d) if d % 2 else gh.divided(lab, d))
-    return gh.AlgebraSpec(tuple(gens), bound, mode)
+        return gh.AlgebraSpec((gh.polynomial(f"mu_{labels[0]}", 2),), bound)
+    gens = tuple(
+        word_generator(w, p, labeled_render(w, labels)) for w in enumerate_monic(len(labels), p, bound)
+    )
+    return gh.AlgebraSpec(gens, bound)

@@ -14,11 +14,12 @@ Each verb registers only the flags its handler reads, so a flag that would
 do nothing is a usage error (argparse, exit 2).
 
 Cost guards refuse, with exit 2 and before anything is built, an input whose
-cost would run to hours: `relations` and `decompose` above weight
-`MAX_WEIGHT`, `rognes` above `MAX_ROGNES_COMPOSITIONS` compositions of
-p^(n-1) into n parts, and `changebasis` when its exchange basis (every
-monomial of degree <= 2p^k in the page algebra) has more than
-`MAX_CHANGEBASIS_MONOMIALS` monomials.
+cost would run to hours: `--p` above `MAX_PRIME`, `relations` and
+`decompose` above weight `MAX_WEIGHT`, `rognes` above
+`MAX_ROGNES_COMPOSITIONS` compositions of p^(n-1) into n parts, and
+`changebasis` and `pterm` when the basis they walk (every monomial of
+degree <= 2p^k in the changebasis page, of degree <= max_degree + 1 in the
+pterm page) has more than `MAX_BASIS_MONOMIALS` monomials.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import sys
 from functools import lru_cache
 from math import comb
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from . import admissible_words as aw
 from . import bar_tor
@@ -42,9 +43,10 @@ from . import spectral_engine as se
 SCHEMA = "thhcalc/1"
 
 # Cost guards: larger inputs are refused at once with exit 2.
+MAX_PRIME = 2**31 - 1  # --p; trial division is exponential in its digit count
 MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
-MAX_CHANGEBASIS_MONOMIALS = 100_000  # changebasis exchange basis: monomials of degree <= 2p^k
+MAX_BASIS_MONOMIALS = 100_000  # changebasis exchange basis and pterm page
 
 _VERBS = (
     "words",
@@ -67,6 +69,8 @@ class CLIError(Exception):
 
 
 def _require_odd_prime(p: int) -> int:
+    if p > MAX_PRIME:
+        raise CLIError(f"--p must be at most {MAX_PRIME}, got {p}")
     if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
         raise CLIError(f"--p must be an odd prime, got {p}")
     return p
@@ -256,9 +260,18 @@ def _run_cubes(args) -> Dict[str, object]:
 
 def _run_pterm(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
-    if args.towers < 1 or args.max_degree < 0:
-        raise CLIError("--towers must be >= 1 and --max-degree >= 0")
-    report = se.verify_p_term(p, [2] * args.towers, args.max_degree)
+    towers, cap = args.towers, args.max_degree
+    if towers < 1 or cap < 2:
+        raise CLIError("--towers must be >= 1 and --max-degree >= 2")
+    # the page walks every monomial of degree <= cap + 1; its towers of
+    # degree 2 alone give C(h + k, k) of them for k towers, h = (cap + 1) // 2
+    _require_small_basis(
+        f"--p {p} --towers {towers} --max-degree {cap}",
+        "page",
+        (comb((cap + 1) // 2 + k, k) for k in range(1, towers + 1)),
+        lambda: sum(gh.poincare_series(se.p_term_spec(p, [2] * towers, cap), cap + 1, p)),
+    )
+    report = se.verify_p_term(p, [2] * towers, cap)
     params = {"p": p, "towers": args.towers, "max_degree": args.max_degree, "seed": args.seed}
     details = {
         "homology": _stringify_keys(report.get("homology", {})),
@@ -268,27 +281,16 @@ def _run_pterm(args) -> Dict[str, object]:
     return _envelope("pterm", params, check_list=[check])
 
 
-def _require_small_exchange_basis(p: int, depth: int, n_coeffs: int) -> None:
-    """Refuse a changebasis run whose exchange basis is above the limit.
+def _require_small_basis(what: str, basis: str, lower_bounds: Iterable[int], count: Callable[[], int]) -> None:
+    """Refuse a run that walks more than `MAX_BASIS_MONOMIALS` basis monomials.
 
-    The basis is every monomial of degree <= 2p^k in the page algebra.  Its
-    n_coeffs + 1 divided generators of degree 2 alone give
-    C(p^k + n_coeffs + 1, n_coeffs + 1) of them; that count grows with k, so
-    checking it k by k stops a large --k or a long --r before anything is
-    built.  The exact count is the algebra's dimension series.
+    lower_bounds are cheap closed forms, each at most the count, that grow
+    with the input: checking them in order stops a huge input at the first
+    one above the limit, before any algebra is built.  count() is then the
+    exact figure, the sum of the algebra's dimension series.
     """
-    refusal = CLIError(
-        f"--p {p} --k {depth} with {n_coeffs} --r coefficient(s) needs more than "
-        f"{MAX_CHANGEBASIS_MONOMIALS} exchange-basis monomials"
-    )
-    top = 1
-    for _ in range(depth):
-        top *= p
-        if comb(top + n_coeffs + 1, n_coeffs + 1) > MAX_CHANGEBASIS_MONOMIALS:
-            raise refusal
-    spec = se.change_basis_spec(p, depth, n_coeffs)
-    if sum(gh.poincare_series(spec, 2 * top, p)) > MAX_CHANGEBASIS_MONOMIALS:
-        raise refusal
+    if any(b > MAX_BASIS_MONOMIALS for b in lower_bounds) or count() > MAX_BASIS_MONOMIALS:
+        raise CLIError(f"{what} needs more than {MAX_BASIS_MONOMIALS} {basis} monomials")
 
 
 def _run_changebasis(args) -> Dict[str, object]:
@@ -300,7 +302,15 @@ def _run_changebasis(args) -> Dict[str, object]:
         raise CLIError(f"--r must be comma-separated integers, got {args.r!r}") from exc
     if depth < 1:
         raise CLIError("--k must be >= 1")
-    _require_small_exchange_basis(p, depth, len(coeffs))
+    # the exchange basis is every monomial of degree <= 2p^k in the page;
+    # z, x_0 .. x_{L-1} of degree 2 alone give C(p^k + L + 1, L + 1) of them
+    n = len(coeffs)
+    _require_small_basis(
+        f"--p {p} --k {depth} with {n} --r coefficient(s)",
+        "exchange-basis",
+        (comb(p**k + n + 1, n + 1) for k in range(1, depth + 1)),
+        lambda: sum(gh.poincare_series(se.change_basis_spec(p, depth, n), 2 * p**depth, p)),
+    )
     report = se.change_basis_cycles(p, depth, coeffs)
     params = {"p": p, "k": depth, "r": list(coeffs), "seed": args.seed}
     details = {

@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .fp_linalg import FpSparseMatrix, add_to, kernel_basis, rank
+from .fp_linalg import FpSparseMatrix, add_to, kernel_basis
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
@@ -170,19 +170,6 @@ def _height(g: GeneratorSpec, p: int) -> int:
 # ---------------------------------------------------------------------------
 # monomials and elements
 # ---------------------------------------------------------------------------
-
-
-def monomial(spec: AlgebraSpec, pairs: Iterable[Tuple[int, int]]) -> Monomial:
-    """Canonical monomial from (generator index, exponent) pairs."""
-    acc: Dict[int, int] = {}
-    for i, e in pairs:
-        if not 0 <= i < len(spec.generators):
-            raise ValueError("generator index out of range")
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e:
-            acc[i] = acc.get(i, 0) + e
-    return tuple(sorted(acc.items()))
 
 
 def monomial_degree(spec: AlgebraSpec, mon: Monomial) -> int:
@@ -505,20 +492,18 @@ def _gen_series(g: GeneratorSpec, limit: int, p: int) -> List[int]:
     return series
 
 
-def compositions(total: int, parts: int, least: int = 0) -> List[Tuple[int, ...]]:
-    """Ordered ways to write total as `parts` parts, each >= least (parts >= 1).
+def compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
+    """Ordered ways to write total >= 0 as `parts` nonnegative parts (parts >= 1).
 
     Stars and bars: each choice of bar positions, taken in lexicographic
-    order, cuts the spare stars into parts, so the parts also come out in
+    order, cuts the stars into parts, so the parts also come out in
     lexicographic order.
     """
-    if total < parts * least:
-        return []
-    slots = total - parts * least + parts - 1
+    slots = total + parts - 1
     out: List[Tuple[int, ...]] = []
     for bars in itertools.combinations(range(slots), parts - 1):
         edges = (-1,) + bars + (slots,)
-        out.append(tuple(hi - lo - 1 + least for lo, hi in zip(edges, edges[1:])))
+        out.append(tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:])))
     return out
 
 
@@ -543,7 +528,7 @@ def poincare_series(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# primitives, indecomposables, duals
+# primitives and duals
 # ---------------------------------------------------------------------------
 
 
@@ -565,27 +550,6 @@ def primitive_basis(spec: AlgebraSpec, t: int, p: int) -> List[Element]:
         columns.append({row_index[key]: v for key, v in red.items()})
     matrix = FpSparseMatrix.from_columns(len(row_index), columns)
     return [{cols[i]: v for i, v in vec.items()} for vec in kernel_basis(matrix, p)]
-
-
-def indecomposable_dims(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
-    """dim of (positive-degree part / products) in degrees 0..limit."""
-    dims = poincare_series(spec, limit, p)
-    out = [0] * (limit + 1)
-    for t in range(1, limit + 1):
-        target = {m: i for i, m in enumerate(basis(spec, t, p))}
-        if not target:
-            continue
-        columns: List[Dict[int, int]] = []
-        for u in range(1, t):
-            for m1 in basis(spec, u, p):
-                for m2 in basis(spec, t - u, p):
-                    r = mul_monomials(spec, m1, m2, p)
-                    if r is not None:
-                        coeff, mon = r
-                        columns.append({target[mon]: coeff})
-        decomposable = rank(FpSparseMatrix.from_columns(len(target), columns), p)
-        out[t] = dims[t] - decomposable
-    return out
 
 
 def dualize(spec: AlgebraSpec) -> AlgebraSpec:

@@ -30,14 +30,9 @@ rejects with a failed relation or expresses the table in the canonical
 basis (a round part on the Lucas row plus, in the two-power case, a skew
 part at the smaller power).
 
-The same apparatus drives the several-directions version: a class in a
-polynomial algebra on direction-indexed degree-2 classes, with one
-coproduct per direction.  `multifold_solution_space` streams the combined
-constraint system (coassociativity per direction plus cross-direction
-compatibility, again two terms per relation) into the same solver, weight
-vector by weight vector, and checks the solution space against the
-predicted spanning families.  `cube_psi` implements the underlying
-coordinate pinch maps so their order-independence can be tested directly.
+`cube_psi` implements the coordinate pinch maps of a polynomial algebra on
+direction-indexed degree-2 classes, so that their order-independence can be
+tested directly.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fp_linalg import FpSparseMatrix, add_to, rank, two_term_kernel
-from .graded_hopf import compositions
 
 # a two-term relation (i, u, j, v): u x_i = v x_j, either coefficient may be 0
 Relation = Tuple[int, int, int, int]
@@ -397,188 +391,6 @@ def pinch_order_report(n_directions: int, max_degree: int, p: int) -> Dict[str, 
         "orders_per_monomial": len(list(itertools.permutations(dirs))),
         "failures": failures,
         "passed": not failures,
-    }
-
-
-# ---------------------------------------------------------------------------
-# several directions at once
-# ---------------------------------------------------------------------------
-
-
-def expected_local_dimension(b: Tuple[int, ...], p: int) -> int:
-    """Predicted solution dimension for one weight vector.
-
-    Units contribute nothing; all p-powers give one dimension each; a single
-    two-power weight among powers adds a skew direction; two or more
-    two-power weights, or any generic weight, lock everything to the single
-    round family.
-    """
-    kinds = [classify_weight(v, p) for v in b]
-    if all(k == UNIT for k in kinds):
-        return 0
-    if any(k == GENERIC for k in kinds):
-        return 1
-    two = kinds.count(TWO_POWERS)
-    if two == 0:
-        return kinds.count(P_POWER)
-    if two == 1:
-        return 2
-    return 1
-
-
-def _family_vectors(
-    b: Tuple[int, ...],
-    var_index: Dict[Tuple[int, Tuple[int, ...], int], int],
-    p: int,
-    binoms: List[List[int]],
-) -> List[Dict[int, int]]:
-    """The claimed spanning vectors supported on one weight vector, sparse.
-
-    binoms[n] is lucas_row(n, p) for every n up to the largest weight in b.
-    """
-    out: List[Dict[int, int]] = []
-    kinds = [classify_weight(v, p) for v in b]
-    active = [s for s, v in enumerate(b) if v >= 2]
-    if not active:
-        return out
-
-    round_vec: Dict[int, int] = {}
-    for s in active:
-        row = binoms[b[s]]
-        for a in range(1, b[s]):
-            if row[a]:
-                round_vec[var_index[(s, b, a)]] = row[a]
-    if round_vec:
-        out.append(round_vec)
-
-    powers_only = all(k in (UNIT, P_POWER) for k in kinds)
-    if powers_only:
-        for s in active:
-            vec: Dict[int, int] = {}
-            for a in range(1, b[s]):
-                c = binom_div_p(b[s], a, p)
-                if c:
-                    vec[var_index[(s, b, a)]] = c
-            out.append(vec)
-
-    for s in active:
-        if kinds[s] != TWO_POWERS:
-            continue
-        others = [classify_weight(v, p) for w, v in enumerate(b) if w != s]
-        if all(k in (UNIT, P_POWER) for k in others):
-            _, lo = two_power_split(b[s], p)
-            out.append({var_index[(s, b, lo)]: 1})
-    return out
-
-
-def _weight_relations(
-    b: Tuple[int, ...],
-    var_index: Dict[Tuple[int, Tuple[int, ...], int], int],
-    binoms: List[List[int]],
-) -> Iterator[Relation]:
-    """The relations (i, u, j, v), u x_i = v x_j, on the unknowns of weight b.
-
-    Coassociativity in each direction s, then Lucas-weighted compatibility
-    between each pair of directions.
-    """
-    for s, w in enumerate(b):
-        for a in range(1, w - 1):
-            outer = binoms[w - a]  # C(beta + c, beta) with c = w - a - beta >= 1
-            for beta in range(1, w - a):
-                yield var_index[(s, b, a + beta)], binoms[a + beta][beta], var_index[(s, b, a)], outer[beta]
-    for i, k in itertools.combinations(range(len(b)), 2):
-        if b[i] < 2 or b[k] < 2:
-            continue
-        row_i, row_k = binoms[b[i]], binoms[b[k]]
-        for ai in range(1, b[i]):
-            for ak in range(1, b[k]):
-                yield var_index[(i, b, ai)], row_k[ak], var_index[(k, b, ak)], row_i[ai]
-
-
-def multifold_solution_space(
-    n_directions: int, target_degree: int, p: int
-) -> Dict[str, object]:
-    """Solve the several-direction coproduct constraints at one degree.
-
-    Unknowns are the direction-s coproduct coefficients of a candidate class
-    spread over all full-support multiweights b of total weight
-    target_degree / 2.  Constraints are coassociativity within each
-    direction and Lucas-weighted compatibility between directions; each has
-    at most two terms, so `two_term_kernel` solves the system as it streams
-    past, while the claimed spanning families of each weight are evaluated
-    on that weight's relations.  The computed kernel is compared against
-    those families and against the per-weight dimension predictions.
-    """
-    if not 1 <= n_directions <= 3:
-        raise ValueError("between one and three directions are supported")
-    if target_degree % 2:
-        raise ValueError("target degree must be even")
-    N = target_degree // 2
-    if N < n_directions:
-        return {
-            "directions": n_directions,
-            "p": p,
-            "target_degree": target_degree,
-            "dimension": 0,
-            "agrees": True,
-            "per_weight": [],
-            "invisible_weights": [],
-            "passed": True,
-        }
-
-    weights = compositions(N, n_directions, least=1)
-    var_index: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
-    for b in weights:
-        for s in range(n_directions):
-            for a in range(1, b[s]):
-                var_index[(s, b, a)] = len(var_index)
-    nvars = len(var_index)
-    binoms = [lucas_row(n, p) for n in range(N + 1)]
-
-    local_families = [_family_vectors(b, var_index, p, binoms) for b in weights]
-    broken: List[Relation] = []
-    relations = itertools.chain.from_iterable(
-        _checked(_weight_relations(b, var_index, binoms), local, p, broken)
-        for b, local in zip(weights, local_families)
-    )
-    kernel = two_term_kernel(nvars, relations, p)
-
-    families = [vec for local in local_families for vec in local]
-    per_weight = []
-    invisible = []
-    total_expected = 0
-    for b in weights:
-        expected = expected_local_dimension(b, p)
-        total_expected += expected
-        per_weight.append(
-            {
-                "weight": b,
-                "classes": [classify_weight(v, p) for v in b],
-                "expected_dimension": expected,
-            }
-        )
-        if all(v == 1 for v in b):
-            invisible.append(b)
-
-    member = not broken
-    fam_rank = rank(FpSparseMatrix.from_columns(nvars, families), p)
-    joint = rank(FpSparseMatrix.from_columns(nvars, families + kernel), p)
-    agrees = (
-        member
-        and fam_rank == len(kernel) == joint
-        and total_expected == len(kernel)
-    )
-    return {
-        "directions": n_directions,
-        "p": p,
-        "target_degree": target_degree,
-        "dimension": len(kernel),
-        "family_rank": fam_rank,
-        "expected_dimension": total_expected,
-        "per_weight": per_weight,
-        "invisible_weights": invisible,
-        "agrees": agrees,
-        "passed": agrees,
     }
 
 

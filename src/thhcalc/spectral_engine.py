@@ -24,7 +24,7 @@ including the power-class hitting problem it poses in weight p^{n-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import fp_linalg
 from . import graded_hopf as gh
@@ -178,6 +178,15 @@ def page_homology(
 # ---------------------------------------------------------------------------
 
 
+def p_term_spec(p: int, x_degrees: Sequence[int], max_total: int) -> gh.AlgebraSpec:
+    """The page algebra of `verify_p_term`: x_i and y_{i+1} per tower, bound max_total + 1."""
+    gens: List[gh.GeneratorSpec] = []
+    for i, d in enumerate(x_degrees):
+        gens.append(gh.divided(f"x{i}", d))
+        gens.append(gh.exterior(f"y{i + 1}", p * d - 1))
+    return gh.AlgebraSpec(tuple(gens), max_total + 1, gh.TRUNCATING)
+
+
 def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str, object]:
     """Homology of (divided tower) x (exterior partner) per tower is height-p.
 
@@ -188,15 +197,10 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
     """
     if any(d % 2 for d in x_degrees):
         raise ValueError("tower generators must have even degree")
-    gens: List[gh.GeneratorSpec] = []
+    spec = p_term_spec(p, x_degrees, max_total)
     values: Dict[str, gh.Element] = {}
-    trunc_gens: List[gh.GeneratorSpec] = []
-    for i, d in enumerate(x_degrees):
-        gens.append(gh.divided(f"x{i}", d))
-        gens.append(gh.exterior(f"y{i + 1}", p * d - 1))
-        trunc_gens.append(gh.truncated(f"x{i}", d))
-    spec = gh.AlgebraSpec(tuple(gens), max_total + 1, gh.TRUNCATING)
-    term = SSTerm(spec, p, {g.label: 1 for g in gens})
+    trunc_gens = [gh.truncated(f"x{i}", d) for i, d in enumerate(x_degrees)]
+    term = SSTerm(spec, p, {g.label: 1 for g in spec.generators})
     for i in range(len(x_degrees)):
         yi = next(k for k, g in enumerate(spec.generators) if g.label == f"y{i + 1}")
         values[f"x{i}"] = {((yi, 1),): 1}
@@ -231,26 +235,20 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
 # ---------------------------------------------------------------------------
 
 
-def change_basis_spec(p: int, k_max: int, n_coeffs: int, gen_degree: int = 2) -> gh.AlgebraSpec:
+def change_basis_spec(p: int, k_max: int, n_coeffs: int) -> gh.AlgebraSpec:
     """The page algebra of `change_basis_cycles`: z, then x_i and y_{i+1} per coefficient."""
-    gens: List[gh.GeneratorSpec] = [gh.divided("z", gen_degree)]
+    gens: List[gh.GeneratorSpec] = [gh.divided("z", 2)]
     for i in range(n_coeffs):
-        gens.append(gh.divided(f"x{i}", gen_degree))
-        gens.append(gh.exterior(f"y{i + 1}", p * gen_degree - 1))
-    return gh.AlgebraSpec(tuple(gens), p ** (k_max + 1) * gen_degree, gh.TRUNCATING)
+        gens.append(gh.divided(f"x{i}", 2))
+        gens.append(gh.exterior(f"y{i + 1}", 2 * p - 1))
+    return gh.AlgebraSpec(tuple(gens), 2 * p ** (k_max + 1), gh.TRUNCATING)
 
 
-def change_basis_cycles(
-    p: int,
-    k_max: int,
-    r_coeffs: Sequence[int],
-    gen_degree: int = 2,
-    exchange_cap: Optional[int] = None,
-) -> Dict[str, object]:
+def change_basis_cycles(p: int, k_max: int, r_coeffs: Sequence[int]) -> Dict[str, object]:
     """Certify the twisted divided tower's replacement generators.
 
-    The page is divided towers on x_0..x_{L-1} and z (all of one even
-    degree) with exterior partners y_1..y_L; each x_i hits y_{i+1} and z
+    The page is divided towers on x_0..x_{L-1} and z (all of degree 2)
+    with exterior partners y_1..y_L; each x_i hits y_{i+1} and z
     hits the combination sum_l r_l y_{l+1}.  The replacement
 
         gamma_{p^k}(z') = sum_j (-1)^j gamma_{p^k - p j}(z) *
@@ -260,12 +258,10 @@ def change_basis_cycles(
     induced map gamma_a(z) -> gamma_a(z') (digitwise products of the p-power
     replacements) must stay invertible degree by degree.
     """
-    if gen_degree % 2:
-        raise ValueError("tower generators must have even degree")
     L = len(r_coeffs)
     if L < 1:
         raise ValueError("need at least one twisting coefficient")
-    spec = change_basis_spec(p, k_max, L, gen_degree)
+    spec = change_basis_spec(p, k_max, L)
     gens = spec.generators
     term = SSTerm(spec, p, {g.label: 1 for g in gens})
     label_index = {g.label: i for i, g in enumerate(gens)}
@@ -325,10 +321,9 @@ def change_basis_cycles(
     # replaced(a) depends on a alone; the exchange basis asks for each a many times
     replaced_by: Dict[int, gh.Element] = {}
 
-    cap = exchange_cap if exchange_cap is not None else p**k_max * gen_degree
     exchange_ok = True
     exchange_checked = []
-    for t in range(0, cap + 1):
+    for t in range(0, 2 * p**k_max + 1):
         basis = gh.basis(spec, t, p)
         if not basis:
             continue
@@ -470,7 +465,7 @@ def rognes_check(p: int, n: int, include_witness: bool = False) -> Dict[str, obj
             r: v for r, v in enumerate(rhs) if v
         }
         bound = 2 * weight
-        torus = tm.build_torus(n, p, bound, tm.SteenrodSpec())
+        torus = tm.build_torus(n, p, bound, coaction=True)
         page = TwoColumnTerm(torus)
         tau = torus.index[f"tau{n - 1}"]
         image = page.d2({((tau, 1),): 1})

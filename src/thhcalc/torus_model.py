@@ -4,8 +4,7 @@ The model algebra for an n-torus is the tensor product, over all nonempty
 subsets U of the coordinate set {1..n}, of the word algebra on monic words
 of length |U| with letters subscripted by U (largest label leftmost).  An
 optional coaction block adjoins polynomial classes xi_i of degree 2 p^i - 2
-and exterior classes tau_j of degree 2 p^j - 1, with one tau optionally
-omitted for the variant that forgets a single odd class.
+and exterior classes tau_j of degree 2 p^j - 1.
 
 `sigma` is the suspension-by-one-coordinate operator: a graded derivation
 sending an even word z to the bare-rho-prefixed word, an odd word to the
@@ -31,39 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from . import admissible_words as aw
 from . import graded_hopf as gh
 
-FULL = "full"
-OMIT_TAU = "omit_tau"
-
 
 class UnsupportedSigma(Exception):
     """Suspension asked for a coordinate that is not strictly new."""
-
-
-@dataclass(frozen=True)
-class SteenrodSpec:
-    """Configuration of the coaction block: which xi and tau classes exist."""
-
-    variant: str = FULL
-    omitted: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.variant not in (FULL, OMIT_TAU):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if (self.variant == OMIT_TAU) != (self.omitted is not None):
-            raise ValueError("exactly the omit_tau variant names an omitted index")
-        if self.omitted is not None and self.omitted < 0:
-            raise ValueError("omitted index must be nonnegative")
-
-    def omitted_class_degree(self, p: int) -> Optional[int]:
-        """Degree 2 p^m - 2 of the even class that replaces the omitted tau."""
-        if self.omitted is None:
-            return None
-        return 2 * p**self.omitted - 2
 
 
 WORD = "word"
@@ -80,7 +54,6 @@ class TorusAlgebra:
     degree_bound: int
     spec: gh.AlgebraSpec
     info: Tuple[Tuple, ...]
-    steenrod: Optional[SteenrodSpec]
     index: Dict[str, int]
 
 
@@ -89,18 +62,12 @@ def _subsets(n: int) -> List[Tuple[int, ...]]:
     return [u for size in range(1, n + 1) for u in combinations(range(1, n + 1), size)]
 
 
-def build_torus(
-    n: int,
-    p: int,
-    degree_bound: int,
-    steenrod: Optional[SteenrodSpec] = None,
-    mode: str = gh.TRUNCATING,
-) -> TorusAlgebra:
+def build_torus(n: int, p: int, degree_bound: int, coaction: bool = False) -> TorusAlgebra:
     """Assemble the torus algebra with generators in canonical order.
 
-    Subsets come size-first, words within a subset degree-first, and the
-    coaction classes trail: xi_1, xi_2, ... then tau_0, tau_1, ...  Every
-    generator's label doubles as its lookup key.
+    Subsets come size-first, words within a subset degree-first, and with
+    `coaction` the coaction classes trail: xi_1, xi_2, ... then tau_0,
+    tau_1, ...  Every generator's label doubles as its lookup key.
     """
     if n < 1:
         raise ValueError("need at least one coordinate")
@@ -118,7 +85,7 @@ def build_torus(
                 gh.exterior(label, d) if d % 2 else gh.divided(label, d)
             )
             info.append((WORD, u, word))
-    if steenrod is not None:
+    if coaction:
         i = 1
         while 2 * p**i - 2 <= degree_bound:
             gens.append(gh.polynomial(f"xi{i}", 2 * p**i - 2))
@@ -126,13 +93,12 @@ def build_torus(
             i += 1
         j = 0
         while 2 * p**j - 1 <= degree_bound:
-            if steenrod.omitted != j:
-                gens.append(gh.exterior(f"tau{j}", 2 * p**j - 1))
-                info.append((TAU, j))
+            gens.append(gh.exterior(f"tau{j}", 2 * p**j - 1))
+            info.append((TAU, j))
             j += 1
-    spec = gh.AlgebraSpec(tuple(gens), degree_bound, mode)
+    spec = gh.AlgebraSpec(tuple(gens), degree_bound)
     index = {g.label: i for i, g in enumerate(gens)}
-    return TorusAlgebra(n, p, degree_bound, spec, tuple(info), steenrod, index)
+    return TorusAlgebra(n, p, degree_bound, spec, tuple(info), index)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +115,6 @@ def _generator_image(t: TorusAlgebra, v: int, gi: int) -> gh.Element:
     if tag[0] == TAU:
         power = p ** tag[1]
         if 2 * power > t.degree_bound:
-            if t.spec.mode == gh.STRICT:
-                raise gh.DegreeOverflow(
-                    f"suspended tau{tag[1]} lands beyond the degree bound"
-                )
             return {}
         mu = t.index[f"mu_{v}"]
         return {((mu, power),): 1}
@@ -169,10 +131,6 @@ def _generator_image(t: TorusAlgebra, v: int, gi: int) -> gh.Element:
     label = aw.labeled_render(new_word, new_labels)
     if label not in t.index:
         if aw.degree(new_word, p) > t.degree_bound:
-            if t.spec.mode == gh.STRICT:
-                raise gh.DegreeOverflow(
-                    f"suspended word {label} lands beyond the degree bound"
-                )
             return {}
         raise UnsupportedSigma(f"suspended word {label} is not a known generator")
     return {((t.index[label], 1),): 1}

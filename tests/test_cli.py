@@ -268,6 +268,7 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["words", "--n", "0", "--p", "3", "--max-degree", "10"]) == 2
     assert main(["relations", "--n", "2", "--p", "3"]) == 2
     assert main(["pterm", "--max-degree", "-3"]) == 2
+    assert main(["pterm", "--max-degree", "1"]) == 2
     assert main(["changebasis", "--r", "a"]) == 2
     assert main(["changebasis", "--r", "1,,2"]) == 2
     assert main(["changebasis", "--r", ""]) == 2
@@ -305,6 +306,49 @@ def test_rognes_above_the_composition_limit_is_refused_at_once():
     assert main(["rognes", "--p", "3", "--n", "5"]) == 2
     assert main(["rognes", "--p", "3", "--n", "1000000"]) == 2
     assert time.perf_counter() - start < 1.0
+
+
+def test_pterm_above_the_page_limit_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["pterm", "--towers", "12", "--max-degree", "24"]) == 2  # 15.2M monomials
+    assert main(["pterm", "--towers", "6", "--max-degree", "24"]) == 2  # 102,018 monomials
+    assert main(["pterm", "--towers", "1000000000000", "--max-degree", "2"]) == 2
+    assert main(["pterm", "--max-degree", "1000000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--p 3 --towers 12 --max-degree 24 needs more than 100000 page monomials" in err
+
+
+def test_pterm_argvs_in_use_pass_the_guard(tmp_path, monkeypatch):
+    # the benchmark's verb-sweep grid, whose largest page has 481 monomials,
+    # and 5 towers at cap 24 (31,749)
+    ran = []
+
+    def certified(p, x_degrees, max_total):
+        ran.append((p, len(x_degrees), max_total))
+        return {"homology": {}, "expected": {}, "passed": True}
+
+    monkeypatch.setattr(cli.se, "verify_p_term", certified)
+    argvs = [
+        ["pterm", "--p", p, "--towers", towers, "--max-degree", cap]
+        for p in ("3", "5")
+        for towers in ("1", "2", "3")
+        for cap in ("8", "12", "16")
+    ] + [["pterm", "--towers", "5", "--max-degree", "24"]]
+    for argv in argvs:
+        assert _run(tmp_path, *argv)[0] == 0, argv
+    assert len(ran) == len(argvs)
+
+
+def test_prime_above_the_trial_division_limit_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["words", "--p", "2305843009213693951"]) == 2  # the Mersenne prime 2^61 - 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--p must be at most {cli.MAX_PRIME}" in err
+    assert cli._require_odd_prime(cli.MAX_PRIME) == cli.MAX_PRIME  # 2^31 - 1 is prime
 
 
 def test_changebasis_above_the_exchange_basis_limit_is_refused_at_once():
@@ -437,6 +481,47 @@ def test_unknown_verb_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# public names of src/thhcalc that nothing in the package refers to, kept on purpose
+UNCALLED_PUBLIC_NAMES = {
+    "admissible_words.parse",  # the tests write words as text
+    "bar_tor.BarComplex",  # the benchmark's tracer binds its methods
+    "multifold.lucas",  # the per-binomial oracle of the tests
+}
+
+
+def test_every_public_library_name_has_a_library_caller():
+    # each public top-level function or class is named somewhere in the
+    # package outside its own definition; a helper that only the tests call
+    # belongs in the tests
+    package = Path(__file__).resolve().parents[1] / "src" / "thhcalc"
+    statements = [
+        (path.stem, node)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+
+    def named(node):
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                out.add(sub.name)
+        return out
+
+    names = [named(node) for _, node in statements]
+    uncalled = {
+        f"{module}.{node.name}"
+        for i, (module, node) in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in other for j, other in enumerate(names) if j != i)
+    }
+    assert uncalled == UNCALLED_PUBLIC_NAMES
 
 
 def test_runtime_imports_only_the_standard_library():

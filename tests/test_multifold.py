@@ -10,7 +10,7 @@ import pytest
 
 from thhcalc import graded_hopf as gh
 from thhcalc import multifold as mf
-from thhcalc.fp_linalg import FpSparseMatrix, add_to, kernel_basis, two_term_kernel
+from thhcalc.fp_linalg import FpSparseMatrix, kernel_basis, two_term_kernel
 from thhcalc.fp_linalg import rank as fp_rank
 
 
@@ -83,12 +83,6 @@ def _compositions(total, parts):
     return [(first,) + rest for first in range(total + 1) for rest in _compositions(total - first, parts - 1)]
 
 
-def _full_support_weights(n, N):
-    if n == 1:
-        return [(N,)] if N >= 1 else []
-    return [(first,) + rest for first in range(1, N - n + 2) for rest in _full_support_weights(n - 1, N - first)]
-
-
 def test_stdlib_enumerations_match_recursive_oracles():
     for size in range(0, 6):
         for n in range(0, 6):
@@ -96,7 +90,6 @@ def test_stdlib_enumerations_match_recursive_oracles():
     for parts in range(1, 5):
         for total in range(0, 10):
             assert gh.compositions(total, parts) == _compositions(total, parts)
-            assert gh.compositions(total, parts, least=1) == _full_support_weights(parts, total)
 
 
 def test_lucas_row_construction():
@@ -270,72 +263,6 @@ def test_pinch_order_independence_three_directions():
 
 
 # ---------------------------------------------------------------------------
-# several directions
-# ---------------------------------------------------------------------------
-
-
-def test_multifold_two_directions_degree_eight():
-    # weight vectors (1,3), (3,1), (2,2): one dimension each
-    report = mf.multifold_solution_space(2, 8, 3)
-    assert report["passed"], report
-    assert report["dimension"] == 3
-    by_weight = {tuple(e["weight"]): e["expected_dimension"] for e in report["per_weight"]}
-    assert by_weight == {(1, 3): 1, (3, 1): 1, (2, 2): 1}
-
-
-def test_multifold_single_direction_matches_relation_module():
-    for p in (3, 5):
-        for N in range(3, 30):
-            report = mf.multifold_solution_space(1, 2 * N, p)
-            assert report["passed"], (N, p)
-            assert report["dimension"] == mf.relation_module(N, p)["dimension"]
-
-
-def test_multifold_invisible_weight_reported():
-    report = mf.multifold_solution_space(2, 4, 3)
-    assert report["passed"]
-    assert report["dimension"] == 0
-    assert report["invisible_weights"] == [(1, 1)]
-
-
-def test_multifold_two_power_weight_gets_skew_dimension():
-    # degree 10 at p = 3: weights (1,4),(4,1) are two-power (dim 2 each),
-    # (2,3),(3,2) mix generic with a p-power (dim 1 each), (5,... wait
-    # (1,4),(2,3),(3,2),(4,1): total 2+1+1+2
-    report = mf.multifold_solution_space(2, 10, 3)
-    assert report["passed"], report
-    by_weight = {tuple(e["weight"]): e["expected_dimension"] for e in report["per_weight"]}
-    assert by_weight == {(1, 4): 2, (2, 3): 1, (3, 2): 1, (4, 1): 2}
-    assert report["dimension"] == 6
-
-
-def test_multifold_sweep_degrees():
-    for p in (3, 5):
-        for n in (1, 2, 3):
-            for degree in range(2 * n, 25, 2):
-                report = mf.multifold_solution_space(n, degree, p)
-                assert report["passed"], (n, degree, p, report)
-
-
-def test_multifold_three_directions_spot():
-    report = mf.multifold_solution_space(3, 12, 3)
-    assert report["passed"], report
-    by_weight = {tuple(e["weight"]): e["expected_dimension"] for e in report["per_weight"]}
-    # (1,1,4) type two-power: 2; (1,2,3)-style: generic 2 present, dim 1;
-    # (2,2,2): all generic, dim 1; (1,1,1,...) absent (support is exact)
-    assert by_weight[(1, 1, 4)] == 2
-    assert by_weight[(1, 2, 3)] == 1
-    assert by_weight[(2, 2, 2)] == 1
-
-
-def test_multifold_guards():
-    with pytest.raises(ValueError):
-        mf.multifold_solution_space(4, 8, 3)
-    with pytest.raises(ValueError):
-        mf.multifold_solution_space(2, 7, 3)
-
-
-# ---------------------------------------------------------------------------
 # Lucas-row tables against per-call binomials
 # ---------------------------------------------------------------------------
 
@@ -386,98 +313,6 @@ def _decompose_oracle(table, p):
         if table[k] != expected[k]:
             return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
     return result
-
-
-def _family_vectors_oracle(b, var_index, nvars, p):
-    out = []
-    kinds = [mf.classify_weight(v, p) for v in b]
-    active = [s for s, v in enumerate(b) if v >= 2]
-    if not active:
-        return out
-    round_vec = [0] * nvars
-    for s in active:
-        for a in range(1, b[s]):
-            round_vec[var_index[(s, b, a)]] = mf.lucas(b[s], a, p)
-    if any(round_vec):
-        out.append(round_vec)
-    if all(k in (mf.UNIT, mf.P_POWER) for k in kinds):
-        for s in active:
-            vec = [0] * nvars
-            for a in range(1, b[s]):
-                vec[var_index[(s, b, a)]] = mf.binom_div_p(b[s], a, p)
-            out.append(vec)
-    for s in active:
-        others = [k for w, k in enumerate(kinds) if w != s]
-        if kinds[s] == mf.TWO_POWERS and all(k in (mf.UNIT, mf.P_POWER) for k in others):
-            vec = [0] * nvars
-            vec[var_index[(s, b, mf.two_power_split(b[s], p)[1])]] = 1
-            out.append(vec)
-    return out
-
-
-def _solution_space_oracle(n, degree, p):
-    N = degree // 2
-    weights = gh.compositions(N, n, least=1)
-    var_index = {}
-    for b in weights:
-        for s in range(n):
-            for a in range(1, b[s]):
-                var_index[(s, b, a)] = len(var_index)
-    nvars = len(var_index)
-    entries = {}
-    row = 0
-    for b in weights:
-        for s in range(n):
-            for a in range(1, b[s] - 1):
-                for beta in range(1, b[s] - a):
-                    c = b[s] - a - beta
-                    add_to(entries, (row, var_index[(s, b, a + beta)]), mf.lucas(a + beta, beta, p), p)
-                    add_to(entries, (row, var_index[(s, b, a)]), -mf.lucas(beta + c, beta, p), p)
-                    row += 1
-        for i, k in itertools.combinations(range(n), 2):
-            if b[i] < 2 or b[k] < 2:
-                continue
-            for ai in range(1, b[i]):
-                for ak in range(1, b[k]):
-                    add_to(entries, (row, var_index[(i, b, ai)]), mf.lucas(b[k], ak, p), p)
-                    add_to(entries, (row, var_index[(k, b, ak)]), -mf.lucas(b[i], ai, p), p)
-                    row += 1
-    mat = FpSparseMatrix(row, nvars, entries)
-    kernel = kernel_basis(mat, p)
-    families = [v for b in weights for v in _family_vectors_oracle(b, var_index, nvars, p)]
-    expected = sum(mf.expected_local_dimension(b, p) for b in weights)
-
-    def image(vec):
-        out = [0] * row
-        for (r, c), v in entries.items():
-            out[r] += v * vec[c]
-        return out
-
-    member = all(all(x % p == 0 for x in image(vec)) for vec in families)
-    # ranks of the vectors taken as matrix columns
-    columns = [{i: v for i, v in enumerate(vec) if v} for vec in families] + kernel
-    fam_rank = fp_rank(FpSparseMatrix.from_columns(nvars, columns[: len(families)]), p)
-    joint = fp_rank(FpSparseMatrix.from_columns(nvars, columns), p)
-    agrees = member and fam_rank == len(kernel) == joint and expected == len(kernel)
-    return {
-        "directions": n,
-        "p": p,
-        "target_degree": degree,
-        "dimension": len(kernel),
-        "family_rank": fam_rank,
-        "expected_dimension": expected,
-        "per_weight": [
-            {
-                "weight": b,
-                "classes": [mf.classify_weight(v, p) for v in b],
-                "expected_dimension": mf.expected_local_dimension(b, p),
-            }
-            for b in weights
-        ],
-        "invisible_weights": [b for b in weights if all(v == 1 for v in b)],
-        "agrees": agrees,
-        "passed": agrees,
-    }
 
 
 def _distinct_constraints(N, p):
@@ -573,10 +408,3 @@ def test_decompose_matches_lucas_calls(p):
         for coeffs in tables:
             table = mf.CoproductTable(N, coeffs)
             assert mf.decompose_coproduct(table, p) == _decompose_oracle(table, p), (N, coeffs)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_multifold_solution_space_matches_lucas_calls(p):
-    cases = [(1, N) for N in range(3, 81)] + [(2, N) for N in range(2, 31)] + [(3, N) for N in range(3, 17)]
-    for n, N in cases:
-        assert mf.multifold_solution_space(n, 2 * N, p) == _solution_space_oracle(n, 2 * N, p), (n, N)

@@ -43,23 +43,12 @@ def test_build_torus_three_coordinates():
 
 
 def test_build_torus_with_coaction_block():
-    t = tm.build_torus(1, 5, 30, tm.SteenrodSpec())
+    t = tm.build_torus(1, 5, 30, coaction=True)
     labels = set(t.index)
     assert {"mu_1", "xi1", "tau0", "tau1"} <= labels
     assert "xi2" not in labels  # degree 48 > 30
     assert t.spec.generators[t.index["xi1"]].degree == 8
     assert t.spec.generators[t.index["tau1"]].degree == 9
-
-
-def test_omit_tau_variant():
-    spec = tm.SteenrodSpec(tm.OMIT_TAU, omitted=1)
-    t = tm.build_torus(1, 3, 20, spec)
-    assert "tau0" in t.index and "tau1" not in t.index and "tau2" in t.index
-    assert spec.omitted_class_degree(3) == 4
-    with pytest.raises(ValueError):
-        tm.SteenrodSpec(tm.OMIT_TAU)
-    with pytest.raises(ValueError):
-        tm.SteenrodSpec(tm.FULL, omitted=2)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +78,6 @@ def test_sigma_on_odd_word_gives_divided_generator():
 
 
 def test_sigma_on_divided_power_shifts_index():
-    t = tm.build_torus(3, 3, 40, mode=gh.TRUNCATING)
     big = tm.build_torus(4, 3, 40)
     z = "rho0_3 rho_2 mu_1"
     out = tm.sigma(big, 4, {((big.index[z], 3),): 1})
@@ -100,7 +88,7 @@ def test_sigma_on_divided_power_shifts_index():
 
 
 def test_sigma_on_tau_and_xi():
-    t = tm.build_torus(2, 3, 20, tm.SteenrodSpec())
+    t = tm.build_torus(2, 3, 20, coaction=True)
     assert tm.sigma(t, 1, mono(t, ("xi1", 1))) == {}
     assert tm.sigma(t, 1, mono(t, ("tau0", 1))) == mono(t, ("mu_1", 1))
     assert tm.sigma(t, 2, mono(t, ("tau1", 1))) == mono(t, ("mu_2", 3))
@@ -109,15 +97,12 @@ def test_sigma_on_tau_and_xi():
 
 
 def test_sigma_truncates_or_raises_beyond_bound():
-    t = tm.build_torus(2, 3, 12, tm.SteenrodSpec())
+    t = tm.build_torus(2, 3, 12, coaction=True)
     # tau2 has degree 17 > 12 so it is not even a generator here
     assert "tau2" not in t.index
     # suspending tau1 lands at degree 6 <= 12: fine
     assert tm.sigma(t, 2, mono(t, ("tau1", 1))) == mono(t, ("mu_2", 3))
-    strict = tm.build_torus(2, 3, 5, tm.SteenrodSpec(), mode=gh.STRICT)
-    with pytest.raises(gh.DegreeOverflow):
-        tm.sigma(strict, 2, mono(strict, ("tau1", 1)))
-    lax = tm.build_torus(2, 3, 5, tm.SteenrodSpec())
+    lax = tm.build_torus(2, 3, 5, coaction=True)
     assert tm.sigma(lax, 2, mono(lax, ("tau1", 1))) == {}
 
 
@@ -157,7 +142,7 @@ def _random_label_bounded(t: tm.TorusAlgebra, degree: int, v: int, rng) -> gh.El
 
 def test_sigma_is_a_derivation_randomized():
     rng = random.Random(97)
-    t = tm.build_torus(3, 3, 24, tm.SteenrodSpec())
+    t = tm.build_torus(3, 3, 24, coaction=True)
     v = 3
     for _ in range(300):
         d1 = rng.randrange(1, 10)
@@ -218,7 +203,7 @@ def test_project_top_cell_after_sigma():
 
 
 def test_in_p_ideal():
-    t = tm.build_torus(2, 3, 12, tm.SteenrodSpec())
+    t = tm.build_torus(2, 3, 12, coaction=True)
     assert not tm.in_p_ideal(t, mono(t, ("mu_1", 3)))
     assert not tm.in_p_ideal(t, {gh.ONE: 1})
     assert tm.in_p_ideal(t, mono(t, ("rho_2 mu_1", 1)))
