@@ -24,7 +24,7 @@ first.
 
 from __future__ import annotations
 
-import re
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -67,7 +67,7 @@ def phi_sup(k: int) -> Letter:
 
 
 # ---------------------------------------------------------------------------
-# rendering and parsing
+# rendering
 # ---------------------------------------------------------------------------
 
 
@@ -83,29 +83,6 @@ def render_letter(letter: Letter) -> str:
 
 def render(word: Word) -> str:
     return " ".join(render_letter(l) for l in word)
-
-
-_TOKEN = re.compile(r"^(mu|rho|phi)(\d*)$")
-
-
-def parse(text: str) -> Word:
-    letters: List[Letter] = []
-    for token in text.split():
-        m = _TOKEN.match(token)
-        if not m:
-            raise ValueError(f"bad letter token {token!r}")
-        name, digits = m.groups()
-        if name == "mu":
-            if digits:
-                raise ValueError("mu carries no superscript")
-            letters.append(L_MU)
-        elif name == "rho":
-            letters.append(L_RHO if not digits else rho_sup(int(digits)))
-        else:
-            if not digits:
-                raise ValueError("phi needs a superscript")
-            letters.append(phi_sup(int(digits)))
-    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +287,14 @@ def is_sum_of_p_powers(m: int, count: int, p: int) -> bool:
 
 def _exponent_multisets(n: int, p: int, max_total: int):
     """All multisets (j_1 <= ... <= j_n) with sum of p^{j_i} <= max_total."""
-
-    def rec(slots: int, min_j: int, total: int, acc: List[int]):
-        if slots == 0:
-            yield tuple(acc)
-            return
-        j = min_j
-        while total + p**j * slots <= max_total:
-            acc.append(j)
-            yield from rec(slots - 1, j, total + p**j, acc)
-            acc.pop()
-            j += 1
-
-    yield from rec(n, 0, 0, [])
+    top = 0  # the largest j with p^j <= max_total
+    while p ** (top + 1) <= max_total:
+        top += 1
+    return (
+        js
+        for js in itertools.combinations_with_replacement(range(top + 1), n)
+        if sum(p**j for j in js) <= max_total
+    )
 
 
 def digit_sum_checks(p: int, max_length: int, max_degree: int) -> Dict[str, object]:
@@ -402,18 +374,18 @@ def word_generator(word: Word, p: int, label: str) -> gh.GeneratorSpec:
     return gh.exterior(label, d) if d % 2 else gh.divided(label, d)
 
 
-def word_algebra(length: int, p: int, bound: int, mode: str = gh.TRUNCATING) -> gh.AlgebraSpec:
+def word_algebra(length: int, p: int, bound: int) -> gh.AlgebraSpec:
     """The Hopf algebra on monic words of one length, truncated at `bound`.
 
     Length 1 is the polynomial algebra on mu; longer lengths are exterior on
     odd-degree monic words tensor divided powers on even-degree ones.
     """
     if length == 1:
-        return gh.AlgebraSpec((gh.polynomial("mu", 2),), bound, mode)
+        return gh.AlgebraSpec((gh.polynomial("mu", 2),), bound)
     gens = tuple(
         word_generator(w, p, render(w)) for w in enumerate_monic(length, p, bound)
     )
-    return gh.AlgebraSpec(gens, bound, mode)
+    return gh.AlgebraSpec(gens, bound)
 
 
 def labeled_render(word: Word, labels: Sequence[int]) -> str:

@@ -2,10 +2,10 @@
 
 Every function returns a :class:`CheckResult` whose ``details`` are plain
 JSON-safe data, so the CLI's ``verify-all`` report and the test suite consume
-the same objects.  Parameters default to the suite's contractual values;
-``run_all`` executes the whole battery in a fixed order.  Randomized checks
-take an explicit seed and record it, making reports reproducible byte for
-byte.
+the same objects.  Each check fixes the suite's contractual values and
+records them in ``params``; ``run_all`` executes the whole battery in a
+fixed order.  Randomized checks take an explicit seed and record it,
+making reports reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import admissible_words as aw
 from . import bar_tor
@@ -63,8 +63,8 @@ def tor_ladder(p: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def word_laws(p: int, max_length: int = 8, max_degree: Optional[int] = None) -> CheckResult:
-    bound = 2 * p * p if max_degree is None else max_degree
+def word_laws(p: int) -> CheckResult:
+    max_length, bound = 8, 2 * p * p
     report = aw.check_word_laws(p, max_length, bound)
     return CheckResult(
         "word-structure.parts",
@@ -78,13 +78,13 @@ def word_laws(p: int, max_length: int = 8, max_degree: Optional[int] = None) -> 
     )
 
 
-def primitive_routes(n: int, p: int, bound: int, mode: str = gh.TRUNCATING) -> List[Tuple[int, int, int]]:
+def primitive_routes(n: int, p: int, bound: int) -> List[Tuple[int, int, int]]:
     """(degree, coproduct-kernel dimension, monic-word count) for degrees 1..bound.
 
     The two counts are independent routes to the primitives of the length-n
     word algebra and must agree in every degree.
     """
-    spec = aw.word_algebra(n, p, bound, mode=mode)
+    spec = aw.word_algebra(n, p, bound)
     word_counts = Counter(aw.degree(w, p) for w in aw.enumerate_monic(n, p, bound))
     return [(t, len(gh.primitive_basis(spec, t, p)), word_counts[t]) for t in range(1, bound + 1)]
 
@@ -166,7 +166,8 @@ def digit_sum_degree_sets(p: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def lucas_pascal(n_max: int = 2000, primes: Sequence[int] = (3, 5, 7)) -> CheckResult:
+def lucas_pascal() -> CheckResult:
+    n_max, primes = 2000, (3, 5, 7)
     per_p = []
     passed = True
     for p in primes:
@@ -178,7 +179,8 @@ def lucas_pascal(n_max: int = 2000, primes: Sequence[int] = (3, 5, 7)) -> CheckR
     )
 
 
-def relation_forms(p: int, n_max: int = 200) -> CheckResult:
+def relation_forms(p: int) -> CheckResult:
+    n_max = 200
     failures = []
     by_type: Dict[str, int] = {}
     # every weight reads the same Lucas rows; build them once for this call
@@ -341,8 +343,9 @@ def _random_bounded(mons: Sequence[gh.Monomial], p: int, rng: random.Random) -> 
     return out
 
 
-def sigma_contract(p: int, seed: int, pairs: int = 1000) -> CheckResult:
+def sigma_contract(p: int, seed: int) -> CheckResult:
     """Derivation law, image ideal membership, and top-cell projections."""
+    pairs = 1000
     bound = 4 * p + 2
     rng = random.Random(seed)
     tori = {n: tm.build_torus(n, p, bound) for n in (2, 3, 4)}
@@ -474,8 +477,9 @@ def _core_config(p: int) -> gh.AlgebraSpec:
     )
 
 
-def core_properties(p: int, seed: int, cases: int = 1000) -> CheckResult:
-    """Six structural laws, each on >= `cases` random homogeneous draws."""
+def core_properties(p: int, seed: int) -> CheckResult:
+    """Six structural laws, each on 1000 random homogeneous draws."""
+    cases = 1000
     spec = _core_config(p)
     bound = spec.degree_bound
     rng = random.Random(seed)

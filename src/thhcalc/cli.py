@@ -76,10 +76,6 @@ def _require_odd_prime(p: int) -> int:
     return p
 
 
-def _mode(args: argparse.Namespace) -> str:
-    return gh.STRICT if args.strict else gh.TRUNCATING
-
-
 def _check_dict(result: checks.CheckResult) -> Dict[str, object]:
     return {
         "id": result.id,
@@ -134,7 +130,7 @@ def _run_poincare(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
-    spec = aw.word_algebra(args.n, p, args.max_degree, mode=_mode(args))
+    spec = aw.word_algebra(args.n, p, args.max_degree)
     series = gh.poincare_series(spec, args.max_degree, p)
     rows = [[t, d] for t, d in enumerate(series)]
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
@@ -145,7 +141,7 @@ def _run_tor(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
-    spec = aw.word_algebra(args.n, p, args.max_degree, mode=_mode(args))
+    spec = aw.word_algebra(args.n, p, args.max_degree)
     dims = bar_tor.tor_dims(spec, p, args.max_degree)
     rows = [[s, t, d] for (s, t), d in sorted(dims.items())]
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
@@ -181,7 +177,7 @@ def _run_primitives(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
-    routes = checks.primitive_routes(args.n, p, args.max_degree, _mode(args))
+    routes = checks.primitive_routes(args.n, p, args.max_degree)
     rows = [[t, kdim, wcount] for t, kdim, wcount in routes if kdim or wcount]
     agree = all(kdim == wcount for _, kdim, wcount in routes)
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
@@ -425,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, summary, *, n=None, degree=True, mode=False, p=True):
+    def verb(name, summary, *, n=None, degree=True, p=True):
         """A verb's parser with only the shared flags its handler reads; n is --n's help."""
         sp = sub.add_parser(name, help=summary)
         if p:
@@ -435,10 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         if degree:
             sp.add_argument("--max-degree", type=int, default=20, help="degree cap (default 20)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if mode:
-            group = sp.add_mutually_exclusive_group()
-            group.add_argument("--strict", action="store_true", help="error on degree overflow")
-            group.add_argument("--truncate", action="store_true", help="drop overflowing terms (default)")
         sp.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
         sp.add_argument("--out", type=str, default=None, help="write the report to this path")
         return sp
@@ -446,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = verb("words", "enumerate admissible words", n="word length")
     sp.add_argument("--monic", action="store_true", help="restrict to monic words")
 
-    verb("poincare", "dimension series of a word algebra", n="word length", mode=True)
-    verb("tor", "Tor dimensions over a word algebra, by bidegree", n="word length", mode=True)
+    verb("poincare", "dimension series of a word algebra", n="word length")
+    verb("tor", "Tor dimensions over a word algebra, by bidegree", n="word length")
 
     sp = verb("tor-check", "Tor over one word algebra vs the next")
     sp.add_argument("--from", dest="source", type=str, required=True, help="source algebra tag, e.g. b2")
     sp.add_argument("--to", dest="target", type=str, required=True, help="expected answer tag, e.g. b3")
 
-    verb("primitives", "primitive dimensions vs monic word counts", n="word length", mode=True)
+    verb("primitives", "primitive dimensions vs monic word counts", n="word length")
     verb("relations", "coproduct relation module at one weight", n=f"weight N, 3..{MAX_WEIGHT}", degree=False)
 
     sp = verb("decompose", "classify a coproduct coefficient table", n=f"weight N, 2..{MAX_WEIGHT}", degree=False)

@@ -11,8 +11,8 @@ An algebra is a tensor product of four kinds of one-generator pieces:
 Monomials are exponent maps; for a divided-power generator the exponent k
 stands for gamma_k, so the degree contribution is k*|x| uniformly across all
 kinds.  Elements are monomial -> coefficient dictionaries with coefficients
-in F_p, and every computation stays below an explicit degree bound: products
-that overflow either raise (strict mode) or are dropped (truncating mode).
+in F_p, and every computation stays below an explicit degree bound: a
+product or coproduct term that overflows it is dropped.
 
 The coproduct makes each algebra a Hopf algebra: exterior, polynomial and
 truncated generators are primitive, while divided powers split as
@@ -51,9 +51,6 @@ DIVIDED = "divided_power"
 
 _KINDS = (EXTERIOR, POLYNOMIAL, TRUNCATED, DIVIDED)
 
-STRICT = "strict"
-TRUNCATING = "truncating"
-
 # a monomial is a sorted tuple of (generator index, exponent>0) pairs
 Monomial = Tuple[Tuple[int, int], ...]
 Element = Dict[Monomial, int]
@@ -62,10 +59,6 @@ TensorSquare = Dict[Tuple[Monomial, Monomial], int]
 ProductTable = Dict[Tuple[Monomial, Monomial], Optional[Tuple[int, Monomial]]]
 
 ONE: Monomial = ()
-
-
-class DegreeOverflow(Exception):
-    """A product left the degree window of a strict-mode algebra."""
 
 
 class DualizeError(Exception):
@@ -135,15 +128,12 @@ class GeneratorTable(NamedTuple):
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """A generator list, a degree bound, and an overflow mode."""
+    """A generator list and a degree bound above which terms are dropped."""
 
     generators: Tuple[GeneratorSpec, ...]
     degree_bound: int
-    mode: str = TRUNCATING
 
     def __post_init__(self) -> None:
-        if self.mode not in (STRICT, TRUNCATING):
-            raise ValueError(f"unknown overflow mode {self.mode!r}")
         if self.degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
         labels = [g.label for g in self.generators]
@@ -159,8 +149,8 @@ class AlgebraSpec:
         )
 
 
-def algebra(gens: Iterable[GeneratorSpec], degree_bound: int, mode: str = TRUNCATING) -> AlgebraSpec:
-    return AlgebraSpec(tuple(gens), degree_bound, mode)
+def algebra(gens: Iterable[GeneratorSpec], degree_bound: int) -> AlgebraSpec:
+    return AlgebraSpec(tuple(gens), degree_bound)
 
 
 def _height(g: GeneratorSpec, p: int) -> int:
@@ -195,9 +185,8 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Opti
     """Product of two basis monomials: a coefficient and a monomial, or None.
 
     None covers genuine zeros (exterior squares, truncation heights, divided
-    binomials divisible by p) and degree overflow in truncating mode; strict
-    mode raises DegreeOverflow instead of dropping.  Zeros are found before
-    the degree is checked, so a vanishing product never raises.
+    binomials divisible by p) and products above the degree bound.  Zeros
+    are found during the merge, before the degree is checked.
 
     One pass merges the two sorted factor lists.  It adds up the degree and
     the Koszul sign on the way: each odd factor of m1 moves past the odd
@@ -249,8 +238,6 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Opti
         if odd2 and kinds[i] == EXTERIOR:
             inversions += odd2
     if degree > spec.degree_bound:
-        if spec.mode == STRICT:
-            raise DegreeOverflow(f"product degree {degree} exceeds bound {spec.degree_bound}")
         return None
     if inversions % 2:
         coeff = -coeff % p
@@ -376,14 +363,12 @@ def _monomial_coproduct(spec: AlgebraSpec, mon: Monomial, p: int) -> TensorSquar
     c_i = 1 for a divided power and C(e_i, a_i) mod p otherwise; no
     product is formed.  The Koszul sign counts the pairs i < k with an odd
     part of g_i kept on the right and an odd part of g_k moved to the left,
-    which is what multiplying the factors' coproducts in order gives.  In
-    truncating mode a term with a side above the degree bound is dropped;
-    strict mode raises on a monomial above it.
+    which is what multiplying the factors' coproducts in order gives.  A
+    term with a side above the degree bound is dropped, which can only
+    happen when the monomial itself lies above it.
     """
     kinds = spec.table.kinds
     over = monomial_degree(spec, mon) > spec.degree_bound
-    if over and spec.mode == STRICT:
-        raise DegreeOverflow(f"coproduct of a monomial above the degree bound {spec.degree_bound}")
     # per factor: (left part, right part, coefficient, odd part moved left, odd part kept right)
     splits = []
     for i, e in mon:
@@ -436,31 +421,27 @@ def reduced_coproduct(spec: AlgebraSpec, a: Element, p: int) -> TensorSquare:
 
 @lru_cache(maxsize=None)
 def _basis_cached(spec: AlgebraSpec, t: int, p: int) -> Tuple[Monomial, ...]:
-    if t == 0:
-        return (ONE,)
+    """The degree-t monomials, in ascending lexicographic order of exponent vectors.
+
+    Each recursion level picks the next nonzero factor, so the depth is the
+    number of factors, not of generators.  A later first factor leaves more
+    leading zeros, so the generators are scanned from last to first.
+    """
     if t < 0:
         return ()
-
     gens = spec.generators
+    tops = [{EXTERIOR: 1, TRUNCATED: _height(g, p) - 1}.get(g.kind, t) for g in gens]  # largest exponents
     out: List[Monomial] = []
 
-    def rec(idx: int, remaining: int, acc: List[Tuple[int, int]]) -> None:
+    def rec(start: int, remaining: int, acc: List[Tuple[int, int]]) -> None:
         if remaining == 0:
             out.append(tuple(acc))
             return
-        if idx == len(gens):
-            return
-        g = gens[idx]
-        max_e = remaining // g.degree
-        if g.kind == EXTERIOR:
-            max_e = min(max_e, 1)
-        elif g.kind == TRUNCATED:
-            max_e = min(max_e, _height(g, p) - 1)
-        for e in range(0, max_e + 1):
-            if e:
-                acc.append((idx, e))
-            rec(idx + 1, remaining - e * g.degree, acc)
-            if e:
+        for i in range(len(gens) - 1, start - 1, -1):
+            d = gens[i].degree
+            for e in range(1, min(remaining // d, tops[i]) + 1):
+                acc.append((i, e))
+                rec(i + 1, remaining - e * d, acc)
                 acc.pop()
 
     rec(0, t, [])
@@ -562,7 +543,7 @@ def dualize(spec: AlgebraSpec) -> AlgebraSpec:
             gens.append(GeneratorSpec(g.label + "*", g.degree, POLYNOMIAL))
         else:
             raise DualizeError(f"no dual presentation for {g.kind} generator {g.label!r}")
-    return AlgebraSpec(tuple(gens), spec.degree_bound, spec.mode)
+    return AlgebraSpec(tuple(gens), spec.degree_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -62,20 +62,6 @@ def digits(n: int, p: int) -> List[int]:
     return out
 
 
-def lucas(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p via digitwise binomials."""
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    while k or n:
-        n, nd = divmod(n, p)
-        k, kd = divmod(k, p)
-        out = out * comb(nd, kd) % p
-        if not out:
-            return 0
-    return out
-
-
 def binom_div_p(n: int, k: int, p: int) -> int:
     """(C(n, k) / p) mod p for n a positive power of p and 0 < k < n.
 

@@ -184,7 +184,7 @@ def p_term_spec(p: int, x_degrees: Sequence[int], max_total: int) -> gh.AlgebraS
     for i, d in enumerate(x_degrees):
         gens.append(gh.divided(f"x{i}", d))
         gens.append(gh.exterior(f"y{i + 1}", p * d - 1))
-    return gh.AlgebraSpec(tuple(gens), max_total + 1, gh.TRUNCATING)
+    return gh.AlgebraSpec(tuple(gens), max_total + 1)
 
 
 def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str, object]:
@@ -212,7 +212,7 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
 
     homology = page_homology(term, dspec, max_total)
 
-    closed_spec = gh.AlgebraSpec(tuple(trunc_gens), max_total + 1, gh.TRUNCATING)
+    closed_spec = gh.AlgebraSpec(tuple(trunc_gens), max_total + 1)
     closed_term = SSTerm(closed_spec, p, {g.label: 1 for g in trunc_gens})
     expected: Dict[Tuple[int, int], int] = {}
     for m in range(0, max_total + 1):
@@ -241,7 +241,7 @@ def change_basis_spec(p: int, k_max: int, n_coeffs: int) -> gh.AlgebraSpec:
     for i in range(n_coeffs):
         gens.append(gh.divided(f"x{i}", 2))
         gens.append(gh.exterior(f"y{i + 1}", 2 * p - 1))
-    return gh.AlgebraSpec(tuple(gens), 2 * p ** (k_max + 1), gh.TRUNCATING)
+    return gh.AlgebraSpec(tuple(gens), 2 * p ** (k_max + 1))
 
 
 def change_basis_cycles(p: int, k_max: int, r_coeffs: Sequence[int]) -> Dict[str, object]:

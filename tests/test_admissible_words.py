@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from thhcalc import admissible_words as aw
 from thhcalc import graded_hopf as gh
@@ -34,55 +35,79 @@ def is_admissible(word: aw.Word) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_TOKEN = re.compile(r"^(mu|rho|phi)(\d*)$")
+
+
+def parse(text: str) -> aw.Word:
+    """A word written as space-separated letters, e.g. "phi0 rho1 rho mu"."""
+    letters = []
+    for token in text.split():
+        m = _TOKEN.match(token)
+        if not m:
+            raise ValueError(f"bad letter token {token!r}")
+        name, digits = m.groups()
+        if name == "mu":
+            if digits:
+                raise ValueError("mu carries no superscript")
+            letters.append(aw.L_MU)
+        elif name == "rho":
+            letters.append(aw.L_RHO if not digits else aw.rho_sup(int(digits)))
+        else:
+            if not digits:
+                raise ValueError("phi needs a superscript")
+            letters.append(aw.phi_sup(int(digits)))
+    return tuple(letters)
+
+
 def test_render_parse_roundtrip():
-    w = aw.parse("phi0 rho1 rho mu")
+    w = parse("phi0 rho1 rho mu")
     assert w == (aw.phi_sup(0), aw.rho_sup(1), aw.L_RHO, aw.L_MU)
     assert aw.render(w) == "phi0 rho1 rho mu"
-    assert aw.parse(aw.render(w)) == w
+    assert parse(aw.render(w)) == w
 
 
 def test_degree_base_cases():
-    assert aw.degree(aw.parse("mu"), 3) == 2
-    assert aw.degree(aw.parse("rho mu"), 3) == 3
-    assert aw.degree(aw.parse("rho0 rho mu"), 3) == 4
-    assert aw.degree(aw.parse("rho0 rho mu"), 5) == 4
+    assert aw.degree(parse("mu"), 3) == 2
+    assert aw.degree(parse("rho mu"), 3) == 3
+    assert aw.degree(parse("rho0 rho mu"), 3) == 4
+    assert aw.degree(parse("rho0 rho mu"), 5) == 4
 
 
 def test_degree_length_four_families():
     for p in (3, 5):
         for k in range(4):
-            assert aw.degree(aw.parse(f"rho rho{k} rho mu"), p) == 1 + 4 * p**k
-            assert aw.degree(aw.parse(f"phi0 rho{k} rho mu"), p) == 2 + 4 * p ** (k + 1)
+            assert aw.degree(parse(f"rho rho{k} rho mu"), p) == 1 + 4 * p**k
+            assert aw.degree(parse(f"phi0 rho{k} rho mu"), p) == 2 + 4 * p ** (k + 1)
 
 
 def test_admissibility_rules():
-    assert is_admissible(aw.parse("mu"))
-    assert is_admissible(aw.parse("rho mu"))
-    assert is_admissible(aw.parse("rho0 rho mu"))
-    assert is_admissible(aw.parse("phi0 rho2 rho mu"))
-    assert is_admissible(aw.parse("phi0 phi1 rho0 rho mu"))
+    assert is_admissible(parse("mu"))
+    assert is_admissible(parse("rho mu"))
+    assert is_admissible(parse("rho0 rho mu"))
+    assert is_admissible(parse("phi0 rho2 rho mu"))
+    assert is_admissible(parse("phi0 phi1 rho0 rho mu"))
     # mu must terminate and appear once
-    assert not is_admissible(aw.parse("mu mu"))
-    assert not is_admissible(aw.parse("rho"))
+    assert not is_admissible(parse("mu mu"))
+    assert not is_admissible(parse("rho"))
     # mu preceded only by bare rho
-    assert not is_admissible(aw.parse("rho0 mu"))
-    assert not is_admissible(aw.parse("phi0 mu"))
+    assert not is_admissible(parse("rho0 mu"))
+    assert not is_admissible(parse("phi0 mu"))
     # bare rho preceded only by superscripted rho
-    assert not is_admissible(aw.parse("rho rho mu"))
-    assert not is_admissible(aw.parse("phi0 rho mu"))
+    assert not is_admissible(parse("rho rho mu"))
+    assert not is_admissible(parse("phi0 rho mu"))
     # superscripted letters preceded by bare rho or phi, never rho^l
-    assert not is_admissible(aw.parse("rho0 rho1 rho mu"))
-    assert not is_admissible(aw.parse("rho1 phi0 rho mu"))
-    assert is_admissible(aw.parse("rho rho1 rho mu"))
+    assert not is_admissible(parse("rho0 rho1 rho mu"))
+    assert not is_admissible(parse("rho1 phi0 rho mu"))
+    assert is_admissible(parse("rho rho1 rho mu"))
 
 
 def test_monicity():
-    assert aw.is_monic(aw.parse("mu"))
-    assert aw.is_monic(aw.parse("rho mu"))
-    assert aw.is_monic(aw.parse("rho0 rho mu"))
-    assert aw.is_monic(aw.parse("phi0 rho1 rho mu"))
-    assert not aw.is_monic(aw.parse("rho1 rho mu"))
-    assert not aw.is_monic(aw.parse("phi1 rho0 rho mu"))
+    assert aw.is_monic(parse("mu"))
+    assert aw.is_monic(parse("rho mu"))
+    assert aw.is_monic(parse("rho0 rho mu"))
+    assert aw.is_monic(parse("phi0 rho1 rho mu"))
+    assert not aw.is_monic(parse("rho1 rho mu"))
+    assert not aw.is_monic(parse("phi1 rho0 rho mu"))
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +198,13 @@ def test_word_laws_sweep():
 def test_residue_shape_examples():
     # degree 14 = 2*7, p=3: 14 mod 6 = 2, so k=1 and the word must end in mu
     # immediately, start with phi0, or start with rho0 rho
-    assert aw._residue_shape_holds(aw.parse("phi0 rho0 rho mu"), 3)
+    assert aw._residue_shape_holds(parse("phi0 rho0 rho mu"), 3)
     # degree 6, p=5: 6 mod 10 = 6, k=3 and (rho0 rho)^2 mu is the exact word
-    assert aw._residue_shape_holds(aw.parse("rho0 rho rho0 rho mu"), 5)
+    assert aw._residue_shape_holds(parse("rho0 rho rho0 rho mu"), 5)
     # degree 13, p=3: 13 mod 6 = 1, k=0 odd: bare-rho start suffices
-    assert aw._residue_shape_holds(aw.parse("rho rho1 rho mu"), 3)
+    assert aw._residue_shape_holds(parse("rho rho1 rho mu"), 3)
     # mu has degree 2 = 2*1: k=1 even, and mu equals the k=1 mu-pattern
-    assert aw._residue_shape_holds(aw.parse("mu"), 3)
+    assert aw._residue_shape_holds(parse("mu"), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +244,36 @@ def test_digit_sum_checks_sweep():
         assert report["comult_skipped_lengths"] == [1]
 
 
+# The recursive enumeration the library used before it switched to
+# itertools; kept as the oracle for order as well as content.
+
+
+def _exponent_multisets_oracle(n, p, max_total):
+    def rec(slots, min_j, total, acc):
+        if slots == 0:
+            yield tuple(acc)
+            return
+        j = min_j
+        while total + p**j * slots <= max_total:
+            acc.append(j)
+            yield from rec(slots - 1, j, total + p**j, acc)
+            acc.pop()
+            j += 1
+
+    yield from rec(n, 0, 0, [])
+
+
+def test_exponent_multisets_match_recursive_oracle():
+    for p in (3, 5, 7):
+        for n in range(0, 9):
+            for total in range(0, 200, 7):
+                assert list(aw._exponent_multisets(n, p, total)) == list(_exponent_multisets_oracle(n, p, total))
+
+
 def test_digit_sum_generator_examples():
     # phi0 rho0 rho mu at p=3: degree 14, half 7 = 21_3, digit sum 3 = 4 - 1
     assert aw.digit_sum(7, 3) == 3
-    assert aw.rho_count(aw.parse("phi0 rho0 rho mu")) == 1
+    assert aw.rho_count(parse("phi0 rho0 rho mu")) == 1
     # rho0 rho mu at p=5: degree 4, half 2, digit sum 2 = 3 - 1
     assert aw.digit_sum(2, 5) == 2
 
@@ -285,7 +336,7 @@ def test_labeled_word_algebra():
 
 
 def test_labeled_render_orders_labels_descending():
-    w = aw.parse("phi0 rho0 rho mu")
+    w = parse("phi0 rho0 rho mu")
     assert aw.labeled_render(w, (3, 1, 4, 2)) == "phi0_4 rho0_3 rho_2 mu_1"
 
 

@@ -13,8 +13,8 @@ from thhcalc import graded_hopf as gh
 from thhcalc.fp_linalg import FpSparseMatrix, rank
 
 
-def gamma_spec(degree=2, bound=40, mode=gh.TRUNCATING):
-    return gh.algebra([gh.divided("x", degree)], bound, mode)
+def gamma_spec(degree=2, bound=40):
+    return gh.algebra([gh.divided("x", degree)], bound)
 
 
 def poly_spec(degree=2, bound=40):
@@ -62,16 +62,13 @@ def test_koszul_sign_on_odd_swap():
     assert ba == {((0, 1), (1, 1)): 4}
 
 
-def test_strict_mode_overflow_raises():
-    spec = gamma_spec(bound=6, mode=gh.STRICT)
+def test_overflowing_product_is_dropped():
+    spec = gamma_spec(bound=6)
     g3 = {((0, 3),): 1}
-    with pytest.raises(gh.DegreeOverflow):
-        gh.multiply(spec, g3, {((0, 1),): 1}, 5)
-    # truncating drops the same product silently
-    spec_t = gamma_spec(bound=6)
-    assert gh.multiply(spec_t, g3, {((0, 1),): 1}, 5) == {}
-    # a zero product is found before the degree check, so it never raises
-    ext = gh.algebra([gh.exterior("y", 3)], 4, gh.STRICT)
+    assert gh.multiply(spec, g3, {((0, 1),): 1}, 5) == {}
+    assert gh.multiply(spec, g3, {(): 1}, 5) == g3
+    # a zero product is found before the degree check
+    ext = gh.algebra([gh.exterior("y", 3)], 4)
     assert gh.mul_monomials(ext, ((0, 1),), ((0, 1),), 5) is None
 
 
@@ -105,19 +102,9 @@ def _mul_monomials_oracle(spec, m1, m2, p):
                 return None
         exps[i] = e
     mon = tuple(sorted(exps.items()))
-    degree = gh.monomial_degree(spec, mon)
-    if degree > spec.degree_bound:
-        if spec.mode == gh.STRICT:
-            raise gh.DegreeOverflow(f"product degree {degree} exceeds bound {spec.degree_bound}")
+    if gh.monomial_degree(spec, mon) > spec.degree_bound:
         return None
     return coeff, mon
-
-
-def _outcome(mul, spec, m1, m2, p):
-    try:
-        return mul(spec, m1, m2, p)
-    except gh.DegreeOverflow as exc:
-        return ("overflow", str(exc))
 
 
 _generator = st.one_of(
@@ -135,7 +122,7 @@ _EXPONENTS = [1, 1, 1, 1, 2, 3]
 def _spec_and_monomials(draw):
     kinds = draw(st.lists(_generator, min_size=2, max_size=6))
     gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)]
-    spec = gh.algebra(gens, draw(st.integers(0, 60)), draw(st.sampled_from([gh.STRICT, gh.TRUNCATING])))
+    spec = gh.algebra(gens, draw(st.integers(0, 60)))
     # each generator goes to neither, one or both factors; an exponent may
     # exceed its kind's range
     m1, m2 = [], []
@@ -152,7 +139,7 @@ def _spec_and_monomials(draw):
 @given(_spec_and_monomials(), st.sampled_from([3, 5, 7]))
 def test_compiled_product_matches_oracle(case, p):
     spec, m1, m2 = case
-    assert _outcome(gh.mul_monomials, spec, m1, m2, p) == _outcome(_mul_monomials_oracle, spec, m1, m2, p)
+    assert gh.mul_monomials(spec, m1, m2, p) == _mul_monomials_oracle(spec, m1, m2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +169,14 @@ def _coproduct_oracle(spec, mon, p):
     return part
 
 
-def _closed_form(spec, mon, p):
-    return gh.coproduct(spec, {mon: 1}, p)
-
-
-def _coproduct_outcome(coproduct, spec, mon, p):
-    try:
-        return coproduct(spec, mon, p)
-    except gh.DegreeOverflow:
-        return "overflow"
-
-
 @st.composite
 def _spec_and_basis_monomial(draw):
-    """A spec mixing all four kinds, default and explicit heights, either
-    mode, and a basis monomial of it that may lie above the degree bound."""
+    """A spec mixing all four kinds, default and explicit heights, and a
+    basis monomial of it that may lie above the degree bound."""
     p = draw(st.sampled_from([3, 5, 7]))
     kinds = draw(st.lists(_generator, min_size=1, max_size=6))
     gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)]
-    spec = gh.algebra(gens, draw(st.integers(0, 40)), draw(st.sampled_from([gh.STRICT, gh.TRUNCATING])))
+    spec = gh.algebra(gens, draw(st.integers(0, 40)))
     mon = []
     for i, g in enumerate(gens):
         top = {gh.EXTERIOR: 1, gh.TRUNCATED: (g.height or p) - 1}.get(g.kind, 4)
@@ -214,7 +190,7 @@ def _spec_and_basis_monomial(draw):
 @given(_spec_and_basis_monomial())
 def test_closed_form_coproduct_matches_generator_products(case):
     spec, mon, p = case
-    assert _coproduct_outcome(_closed_form, spec, mon, p) == _coproduct_outcome(_coproduct_oracle, spec, mon, p)
+    assert gh.coproduct(spec, {mon: 1}, p) == _coproduct_oracle(spec, mon, p)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -312,6 +288,48 @@ def test_basis_counts_agree_with_poincare_series():
     series = gh.poincare_series(spec, 25, 5)
     for t in range(26):
         assert len(gh.basis(spec, t, 5)) == series[t]
+
+
+# The basis enumeration as it was before it recursed once per factor: one
+# level per generator, exponent 0 first.  Kept as the oracle for the order.
+
+
+def _basis_oracle(spec, t, p):
+    if t < 0:
+        return []
+    gens = spec.generators
+    out = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if idx == len(gens):
+            return
+        g = gens[idx]
+        max_e = remaining // g.degree
+        if g.kind == gh.EXTERIOR:
+            max_e = min(max_e, 1)
+        elif g.kind == gh.TRUNCATED:
+            max_e = min(max_e, (g.height if g.height is not None else p) - 1)
+        for e in range(0, max_e + 1):
+            if e:
+                acc.append((idx, e))
+            rec(idx + 1, remaining - e * g.degree, acc)
+            if e:
+                acc.pop()
+
+    rec(0, t, [])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_generator, max_size=6), st.sampled_from([3, 5, 7]))
+def test_basis_matches_per_generator_recursion(kinds, p):
+    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)]
+    spec = gh.algebra(gens, 18)
+    for t in range(-1, 19):
+        assert gh.basis(spec, t, p) == _basis_oracle(spec, t, p)
 
 
 # ---------------------------------------------------------------------------

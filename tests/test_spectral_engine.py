@@ -11,7 +11,7 @@ from thhcalc.fp_linalg import ContractViolation
 
 
 def _term(p, gens, filt, bound):
-    spec = gh.AlgebraSpec(tuple(gens), bound, gh.TRUNCATING)
+    spec = gh.AlgebraSpec(tuple(gens), bound)
     return se.SSTerm(spec, p, filt)
 
 
@@ -28,7 +28,7 @@ def test_bidegree_weights_exponents():
 
 
 def test_missing_filtration_rejected():
-    spec = gh.AlgebraSpec((gh.exterior("a", 3),), 10, gh.TRUNCATING)
+    spec = gh.AlgebraSpec((gh.exterior("a", 3),), 10)
     with pytest.raises(ValueError):
         se.SSTerm(spec, 3, {})
 
