@@ -250,8 +250,6 @@ def check_word_laws(p: int, max_length: int, max_degree: int) -> Dict[str, objec
                 if not _residue_shape_holds(word, p):
                     failures.append(("residue-shape", render(word)))
     return {
-        "id": "word-structure.parts",
-        "params": {"p": p, "max_length": max_length, "max_degree": max_degree},
         "words_checked": checked,
         "monic_checked": monic_checked,
         "failures": failures,
@@ -353,8 +351,6 @@ def digit_sum_checks(p: int, max_length: int, max_degree: int) -> Dict[str, obje
                     failures.append(("comult-degree-extra", render(word)))
 
     return {
-        "id": "digit-sum",
-        "params": {"p": p, "max_length": max_length, "max_degree": max_degree},
         "generators_checked": generators_checked,
         "product_checked": product_checked,
         "comult_checked": comult_checked,

@@ -19,7 +19,8 @@ cost would run to hours: `--p` above `MAX_PRIME`, `relations` and
 `MAX_ROGNES_COMPOSITIONS` compositions of p^(n-1) into n parts, and
 `changebasis` and `pterm` when the basis they walk (every monomial of
 degree <= 2p^k in the changebasis page, of degree <= max_degree + 1 in the
-pterm page) has more than `MAX_BASIS_MONOMIALS` monomials.
+pterm page) has more than `MAX_BASIS_MONOMIALS` monomials, and `cubes` when
+one pinch order over its monomials gives more than that many.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ SCHEMA = "thhcalc/1"
 MAX_PRIME = 2**31 - 1  # --p; trial division is exponential in its digit count
 MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
-MAX_BASIS_MONOMIALS = 100_000  # changebasis exchange basis and pterm page
+MAX_BASIS_MONOMIALS = 100_000  # changebasis exchange basis, pterm page, cubes pinches
 
 _VERBS = (
     "words",
@@ -247,6 +248,11 @@ def _run_cubes(args) -> Dict[str, object]:
         raise CLIError("--n (pinch directions) must be 1..3")
     if args.max_degree < 0:
         raise CLIError("--max-degree must be >= 0")
+    # one pinch order over the monomials of degree <= h gives C(h + 2n, 2n)
+    h = args.max_degree // 2
+    _require_small_basis(
+        f"--n {args.n} --max-degree {args.max_degree}", "pinched", (), lambda: comb(h + 2 * args.n, 2 * args.n)
+    )
     report = mf.pinch_order_report(args.n, args.max_degree, p)
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     details = {key: report[key] for key in ("monomials_checked", "orders_per_monomial", "failures")}
@@ -283,7 +289,7 @@ def _require_small_basis(what: str, basis: str, lower_bounds: Iterable[int], cou
     lower_bounds are cheap closed forms, each at most the count, that grow
     with the input: checking them in order stops a huge input at the first
     one above the limit, before any algebra is built.  count() is then the
-    exact figure, the sum of the algebra's dimension series.
+    exact figure, such as the sum of the algebra's dimension series.
     """
     if any(b > MAX_BASIS_MONOMIALS for b in lower_bounds) or count() > MAX_BASIS_MONOMIALS:
         raise CLIError(f"{what} needs more than {MAX_BASIS_MONOMIALS} {basis} monomials")

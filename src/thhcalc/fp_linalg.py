@@ -7,23 +7,16 @@ byte-identical report guarantee bottoms out here.
 
 All elimination runs through one step, `_pivot`: normalize the pivot row,
 clear its column from every other row, and keep the column index in step.
-Two pivot rules drive it, on matrices of every size:
+One pivot rule drives it: scan the columns left to right and pivot on the
+smallest active row index.  `rank` runs the forward half of it and only
+counts the pivots; a pivot row leaves the column index for good, since a
+rank needs no clearing above its pivots.  `_rref`, behind kernels and
+solves, reduces in one Gauss-Jordan pass: each normalized pivot row stays
+in the column index, so every later pivot clears its column from the
+earlier pivot rows as it is taken, touching only the rows that hold that
+column, and no back-substitution follows.
 
-* `rank` keeps the columns in a min-heap keyed by their entry count when
-  queued and pivots on the column with the fewest entries then; a column
-  that fill-in has grown since is queued again with its new count, one whose
-  count fell keeps its old place.  In the chosen column it takes the row
-  with the fewest entries.  Both choices keep fill-in low, and the heap
-  spares a scan over every column per pivot;
-* `_rref`, behind kernels and solves, scans columns left to right and
-  pivots on the smallest available row index.  It reduces in one
-  Gauss-Jordan pass: each normalized pivot row stays in the column index,
-  so every later pivot clears its column from the earlier pivot rows as it
-  is taken, touching only the rows that hold that column, and no
-  back-substitution follows.
-
-Both rules give the same rank; the fewest-entries rule is never used for
-kernels or solutions, whose coordinate vectors are part of the public
+The coordinate vectors of kernels and solutions are part of the public
 contract.  `kernel_basis` returns one sparse {column: value} dict per free
 column, keys increasing, ending at that free column with value 1; every
 other key is a pivot column to its left.  So column j is free exactly when
@@ -41,7 +34,6 @@ systems; `kernel_basis` on the same relations is its test oracle.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -201,23 +193,20 @@ def _rref(rows: List[Dict[int, int]], cols: int, p: int) -> List[Tuple[int, Dict
 
 
 def rank(m: FpSparseMatrix, p: int) -> int:
-    """Rank of m over F_p, pivoting on the sparsest column (when queued) and row first."""
+    """Rank of m over F_p, by the forward half of `_rref`'s pivot rule.
+
+    Columns are scanned in increasing order and each pivots on the smallest
+    active row touching it; pivot rows are not put back into the column
+    index, so nothing above a pivot is cleared.
+    """
     rows = _sparse_rows(m, p)
     col_index = _column_index(rows)
-    # fill-in only reaches columns already indexed, so this heap sees them all
-    heap = [(len(touching), c) for c, touching in col_index.items()]
-    heapq.heapify(heap)
     found = 0
-    while heap:
-        queued, c = heapq.heappop(heap)
+    for c in range(m.cols):
         touching = col_index.get(c)
-        if not touching:
-            continue
-        if len(touching) > queued:
-            heapq.heappush(heap, (len(touching), c))
-            continue
-        _pivot(rows, col_index, min(touching, key=lambda r: (len(rows[r]), r)), c, p)
-        found += 1
+        if touching:
+            _pivot(rows, col_index, min(touching), c, p)
+            found += 1
     return found
 
 

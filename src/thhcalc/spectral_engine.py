@@ -311,10 +311,7 @@ def change_basis_cycles(p: int, k_max: int, r_coeffs: Sequence[int]) -> Dict[str
             rest, digit = divmod(rest, p)
             if digit:
                 base = gamma("z", 1) if k == 0 else reps[k]
-                piece = {gh.ONE: 1}
-                for _ in range(digit):
-                    piece = gh.multiply(spec, piece, base, p)
-                out = gh.multiply(spec, out, piece, p)
+                out = gh.multiply(spec, out, gh.power(spec, base, digit, p), p)
             k += 1
         return out
 

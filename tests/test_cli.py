@@ -324,6 +324,36 @@ def test_pterm_above_the_page_limit_is_refused_at_once(capsys):
     assert "--p 3 --towers 12 --max-degree 24 needs more than 100000 page monomials" in err
 
 
+def test_cubes_above_the_pinch_limit_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["cubes", "--n", "3", "--max-degree", "80"]) == 2  # 9.4M monomials
+    assert main(["cubes", "--n", "3", "--max-degree", "34"]) == 2  # 100,947
+    assert main(["cubes", "--n", "2", "--max-degree", "74"]) == 2  # 101,270
+    assert main(["cubes", "--n", "1", "--max-degree", "892"]) == 2  # 100,128
+    assert main(["cubes", "--n", "1", "--max-degree", "100000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--n 3 --max-degree 80 needs more than 100000 pinched monomials" in err
+
+
+def test_cubes_argvs_in_use_pass_the_guard(tmp_path, monkeypatch):
+    # the benchmark's verb-sweep grid, the battery's n = 3 at degree 20
+    # (8,008 monomials), and the largest degree the limit admits for each n
+    ran = []
+
+    def certified(n_directions, max_degree, p):
+        ran.append((n_directions, max_degree))
+        return {"monomials_checked": 0, "orders_per_monomial": 1, "failures": [], "passed": True}
+
+    monkeypatch.setattr(cli.mf, "pinch_order_report", certified)
+    argvs = [["cubes", "--n", n, "--max-degree", cap] for n in ("1", "2", "3") for cap in ("8", "10", "12")]
+    argvs += [["cubes", "--n", n, "--max-degree", cap] for n, cap in (("3", "20"), ("3", "33"), ("2", "73"), ("1", "891"))]
+    for argv in argvs:
+        assert _run(tmp_path, *argv)[0] == 0, argv
+    assert len(ran) == len(argvs)
+
+
 def test_pterm_argvs_in_use_pass_the_guard(tmp_path, monkeypatch):
     # the benchmark's verb-sweep grid, whose largest page has 481 monomials,
     # and 5 towers at cap 24 (31,749)

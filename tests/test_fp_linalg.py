@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from thhcalc import admissible_words as aw
 from thhcalc import bar_tor
 from thhcalc import fp_linalg
+from thhcalc import multifold as mf
 from thhcalc import spectral_engine as se
 from thhcalc.fp_linalg import (
     FpSparseMatrix,
@@ -230,12 +231,13 @@ def test_compose_and_transpose_shapes():
 
 
 # ---------------------------------------------------------------------------
-# the heap-driven rank and the scattered kernel against the code they replaced
+# the column-order rank and the scattered kernel against independent oracles
 # ---------------------------------------------------------------------------
 
 
 def rank_full_scan(m, p):
-    """Oracle: the rank loop that rescanned every column for each pivot."""
+    """Oracle: a different pivot rule, the column with the fewest entries and
+    then its sparsest row, found by rescanning every column for each pivot."""
     rows = _sparse_rows(m, p)
     col_index = _column_index(rows)
     found = 0
@@ -293,8 +295,34 @@ def prime_matrices(draw):
     return m, p
 
 
+@st.composite
+def unitriangular_matrices(draw):
+    """Upper unitriangular, up to 25 x 25, as the exchange matrices of
+    `change_basis_cycles` are: every column pivots on its diagonal row."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 25))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    entries = {(r, r): 1 for r in range(n)}
+    entries.update({(r, c): rnd.randrange(1, p) for c in range(n) for r in range(c) if rnd.random() < density})
+    return FpSparseMatrix(n, n, entries), p
+
+
+@st.composite
+def arrow_matrices(draw):
+    """A diagonal with a full first row and first column, up to 25 x 25: the
+    first pivot fills in every other row, so rank deficiency hides in it."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 25))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    entries = {(r, r): rnd.randrange(1, p) for r in range(n)}
+    entries.update({(0, c): rnd.randrange(1, p) for c in range(1, n)})
+    entries.update({(r, 0): rnd.randrange(1, p) for r in range(1, n)})
+    return FpSparseMatrix(n, n, entries), p
+
+
 @settings(max_examples=300, deadline=None)
-@given(prime_matrices())
+@given(st.one_of(prime_matrices(), unitriangular_matrices(), arrow_matrices()))
 def test_rank_matches_full_scan_oracle(case):
     m, p = case
     assert rank(m, p) == rank_full_scan(m, p)
@@ -308,18 +336,21 @@ def test_kernel_basis_matches_lookup_oracle(case):
     assert [list(v.items()) for v in kernel_basis(m, p)] == [list(v.items()) for v in kernel_basis_lookup(m, p)]
 
 
+CALLERS = {
+    "change_basis_cycles(5, 2, (1, 2))": lambda: se.change_basis_cycles(5, 2, (1, 2)),
+    "rognes_check(3, 3)": lambda: se.rognes_check(3, 3),
+    "verify_p_term(3, [2, 2], 30)": lambda: se.verify_p_term(3, [2, 2], 30),
+    "relation_module(200, 5)": lambda: mf.relation_module(200, 5),
+}
+
+
 @pytest.fixture(scope="module")
 def caller_matrices():
-    """Every matrix the spectral-sequence callers hand to rank, by caller."""
+    """Every matrix the library callers hand to rank, by caller."""
     recorded = {}
     real_rank = fp_linalg.rank
-    calls = {
-        "change_basis_cycles(5, 2, (1, 2))": lambda: se.change_basis_cycles(5, 2, (1, 2)),
-        "rognes_check(3, 3)": lambda: se.rognes_check(3, 3),
-        "verify_p_term(3, [2, 2], 30)": lambda: se.verify_p_term(3, [2, 2], 30),
-    }
     with pytest.MonkeyPatch.context() as mp:
-        for name, call in calls.items():
+        for name, call in CALLERS.items():
             seen = recorded.setdefault(name, [])
 
             def recording_rank(m, p, seen=seen):
@@ -327,13 +358,13 @@ def caller_matrices():
                 return real_rank(m, p)
 
             mp.setattr(fp_linalg, "rank", recording_rank)
+            # multifold binds rank by name at import
+            mp.setattr(mf, "rank", recording_rank)
             call()
     return recorded
 
 
-@pytest.mark.parametrize(
-    "caller", ["change_basis_cycles(5, 2, (1, 2))", "rognes_check(3, 3)", "verify_p_term(3, [2, 2], 30)"]
-)
+@pytest.mark.parametrize("caller", list(CALLERS))
 def test_rank_matches_full_scan_oracle_on_caller_matrices(caller_matrices, caller):
     matrices = caller_matrices[caller]
     assert matrices
