@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import graded_hopf as gh
 
@@ -179,22 +179,9 @@ def monic_degrees(length: int, p: int, max_degree: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_pattern(k: int, tail: Optional[Letter]) -> Optional[Word]:
-    """(rho^0 rho)^k followed by tail (None = pure prefix); None if k < 0."""
-    if k < 0:
-        return None
-    body: List[Letter] = [rho_sup(0), L_RHO] * k
-    if tail is not None:
-        body.append(tail)
-    return tuple(body)
-
-
-def _starts_with(word: Word, prefix: Optional[Word]) -> bool:
-    return prefix is not None and word[: len(prefix)] == prefix
-
-
-def _equals(word: Word, other: Optional[Word]) -> bool:
-    return other is not None and word == other
+def _prefix_pattern(k: int, *tail: Letter) -> Word:
+    """(rho^0 rho)^k followed by the tail letters."""
+    return (rho_sup(0), L_RHO) * k + tail
 
 
 def _residue_shape_holds(word: Word, p: int) -> bool:
@@ -205,17 +192,16 @@ def _residue_shape_holds(word: Word, p: int) -> bool:
         if word[0] != L_RHO:
             return False
         word = word[1:]
-        # k = 0 leaves no constraint beyond the leading rho (any admissible
-        # tail may follow), matching the parity law.
-        if k == 0:
-            return True
-    ends_mu = _prefix_pattern(k - 1, L_MU)
+    # k = 0 leaves no constraint (beyond the leading rho of an odd word):
+    # any admissible tail may follow, matching the parity law.
+    if k == 0:
+        return True
     starts_phi = _prefix_pattern(k - 1, phi_sup(0))
-    continues = _prefix_pattern(k, None)
+    continues = _prefix_pattern(k)
     return (
-        _equals(word, ends_mu)
-        or _starts_with(word, starts_phi)
-        or _starts_with(word, continues)
+        word == _prefix_pattern(k - 1, L_MU)
+        or word[: len(starts_phi)] == starts_phi
+        or word[: len(continues)] == continues
     )
 
 

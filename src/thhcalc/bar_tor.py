@@ -269,10 +269,6 @@ def verify_tor_iso(
             first_mismatch = {"total_degree": m, "got": got[m], "expected": expected[m]}
             break
     return {
-        "source": [g.label for g in source.generators],
-        "answer": [g.label for g in answer.generators],
-        "p": p,
-        "max_total_degree": max_total_degree,
         "got": got,
         "expected": expected,
         "first_mismatch": first_mismatch,

@@ -276,8 +276,8 @@ def _run_pterm(args) -> Dict[str, object]:
     report = se.verify_p_term(p, [2] * towers, cap)
     params = {"p": p, "towers": args.towers, "max_degree": args.max_degree, "seed": args.seed}
     details = {
-        "homology": _stringify_keys(report.get("homology", {})),
-        "expected": _stringify_keys(report.get("expected", {})),
+        "homology": _stringify_keys(report["homology"]),
+        "expected": _stringify_keys(report["expected"]),
     }
     check = _check_dict(checks.CheckResult("pterm.closed-form", params, report["passed"], details))
     return _envelope("pterm", params, check_list=[check])

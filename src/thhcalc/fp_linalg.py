@@ -76,16 +76,22 @@ class FpSparseMatrix:
     entries: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     @staticmethod
-    def from_columns(rows: int, columns: Sequence[Dict[int, int]]) -> "FpSparseMatrix":
-        """Assemble a matrix from per-column {row: value} maps."""
+    def from_columns(rows: int, columns: Iterable[Dict[int, int]]) -> "FpSparseMatrix":
+        """Assemble a matrix from per-column {row: value} maps.
+
+        The columns are read once, in order, so a generator can hand them
+        over one at a time without holding them all.
+        """
         entries: Dict[Tuple[int, int], int] = {}
-        for c, col in enumerate(columns):
+        cols = 0
+        for col in columns:
             for r, v in col.items():
                 if not 0 <= r < rows:
                     raise ValueError("row index out of range")
                 if v:
-                    entries[(r, c)] = v
-        return FpSparseMatrix(rows, len(columns), entries)
+                    entries[(r, cols)] = v
+            cols += 1
+        return FpSparseMatrix(rows, cols, entries)
 
     def compose(self, inner: "FpSparseMatrix", p: int) -> "FpSparseMatrix":
         """Matrix product self @ inner (apply inner first)."""

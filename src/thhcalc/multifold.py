@@ -246,9 +246,11 @@ def decompose_coproduct(table: CoproductTable, p: int) -> Dict[str, object]:
     failure is reported as a witness triple.  A consistent table is then
     written in the canonical basis for its weight class: a round multiple
     of the Lucas row (or of the divided row for p-power weights), plus a
-    skew unit at the smaller power for two-power weights.
+    skew unit at the smaller power for two-power weights.  Coefficients are
+    read mod p, so every reported part lies in 0..p-1.
     """
     N = table.N
+    table = CoproductTable(N, {k: v % p for k, v in table.coeffs.items()})
     binoms = [lucas_row(n, p) for n in range(N)]
     for a in range(1, N - 1):
         outer = binoms[N - a]  # C(b + c, b) with c = N - a - b >= 1
@@ -370,9 +372,6 @@ def pinch_order_report(n_directions: int, max_degree: int, p: int) -> Dict[str, 
                 failures.append(exps)
                 break
     return {
-        "directions": n_directions,
-        "max_degree": max_degree,
-        "p": p,
         "monomials_checked": checked,
         "orders_per_monomial": len(list(itertools.permutations(dirs))),
         "failures": failures,
@@ -415,8 +414,6 @@ def lucas_vs_pascal(p: int, n_max: int) -> Dict[str, object]:
             k = next(i for i in range(n + 1) if row[i] != pascal[i])
             first_mismatch = (n, k)
     return {
-        "p": p,
-        "n_max": n_max,
         "first_mismatch": first_mismatch,
         "passed": first_mismatch is None,
     }

@@ -79,11 +79,7 @@ def build_torus(n: int, p: int, degree_bound: int, coaction: bool = False) -> To
             info.append((WORD, u, (aw.L_MU,)))
             continue
         for word in aw.enumerate_monic(len(u), p, degree_bound):
-            d = aw.degree(word, p)
-            label = aw.labeled_render(word, u)
-            gens.append(
-                gh.exterior(label, d) if d % 2 else gh.divided(label, d)
-            )
+            gens.append(aw.word_generator(word, p, aw.labeled_render(word, u)))
             info.append((WORD, u, word))
     if coaction:
         i = 1
@@ -280,10 +276,6 @@ def multifold_primitive_degree_check(n: int, p: int, max_degree: int) -> Dict[st
             if degrees.get(p * d) is not None:
                 violations.append(("stretched-word-degree", p * d))
     return {
-        "n": n,
-        "p": p,
-        "max_degree": max_degree,
-        "partition_degrees": len(degrees),
         "words_checked": words_checked,
         "violations": violations,
         "passed": not violations,
@@ -322,12 +314,4 @@ def torus_poincare_report(n: int, p: int, max_degree: int) -> Dict[str, object]:
     top = gh.poincare_series(aw.word_algebra(n, p, max_degree), max_degree, p)
     skeleton_product = gh.convolve(skeleton, top)
 
-    return {
-        "n": n,
-        "p": p,
-        "max_degree": max_degree,
-        "series": series,
-        "product_by_sizes": product,
-        "skeleton_times_top": skeleton_product,
-        "passed": series == product == skeleton_product,
-    }
+    return {"series": series, "passed": series == product == skeleton_product}

@@ -207,6 +207,62 @@ def test_residue_shape_examples():
     assert aw._residue_shape_holds(parse("mu"), 3)
 
 
+# The residue-shape law as first written, with a pattern that may be absent
+# (None for k < 0) and comparisons that guard against it: the oracle for
+# the rewrite that handles k = 0 up front for both parities.
+
+
+def _prefix_pattern_oracle(k, tail):
+    if k < 0:
+        return None
+    body = [aw.rho_sup(0), aw.L_RHO] * k
+    if tail is not None:
+        body.append(tail)
+    return tuple(body)
+
+
+def _starts_with_oracle(word, prefix):
+    return prefix is not None and word[: len(prefix)] == prefix
+
+
+def _equals_oracle(word, other):
+    return other is not None and word == other
+
+
+def _residue_shape_oracle(word, p):
+    d = aw.degree(word, p)
+    k, odd = divmod(d % (2 * p), 2)
+    if odd:
+        if word[0] != aw.L_RHO:
+            return False
+        word = word[1:]
+        if k == 0:
+            return True
+    return (
+        _equals_oracle(word, _prefix_pattern_oracle(k - 1, aw.L_MU))
+        or _starts_with_oracle(word, _prefix_pattern_oracle(k - 1, aw.phi_sup(0)))
+        or _starts_with_oracle(word, _prefix_pattern_oracle(k, None))
+    )
+
+
+def test_residue_shape_matches_oracle():
+    for p in (3, 5, 7, 11):
+        words = [w for n in range(1, 10) for w in aw.enumerate_words(n, p, p**3)]
+        assert words
+        for word in words:
+            assert aw._residue_shape_holds(word, p) == _residue_shape_oracle(word, p), aw.render(word)
+    # arbitrary letter tuples, admissible or not, reach every branch
+    letters = [aw.L_MU, aw.L_RHO, aw.rho_sup(0), aw.rho_sup(1), aw.phi_sup(0), aw.phi_sup(1)]
+    outcomes = set()
+    for p in (3, 5):
+        for length in range(1, 6):
+            for word in itertools.product(letters, repeat=length):
+                got = aw._residue_shape_holds(word, p)
+                assert got == _residue_shape_oracle(word, p), (p, aw.render(word))
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # digit sums
 # ---------------------------------------------------------------------------

@@ -141,6 +141,16 @@ def test_decompose_verb_with_table(tmp_path):
     assert details["skew"] == 0
 
 
+def test_decompose_reads_coefficients_mod_p(tmp_path):
+    for n, table, reduced in [("2", "1:5", "1:2"), ("2", "1:-1", "1:2"), ("9", "3:4,6:4", "3:1,6:1")]:
+        code, doc = _run_json(tmp_path, "decompose", "--p", "3", "--n", n, "--table", table)
+        want_code, want = _run_json(tmp_path, "decompose", "--p", "3", "--n", n, "--table", reduced)
+        assert code == want_code == 0, table
+        assert doc["checks"][0]["details"] == want["checks"][0]["details"], table
+        # the parameters echo the table as given
+        assert doc["params"]["table"] != want["params"]["table"]
+
+
 def test_decompose_default_table_is_consistent(tmp_path):
     code, doc = _run_json(tmp_path, "decompose", "--p", "5", "--n", "25")
     assert code == 0

@@ -6,7 +6,6 @@ import pytest
 
 from thhcalc import graded_hopf as gh
 from thhcalc import spectral_engine as se
-from thhcalc import torus_model as tm
 from thhcalc.fp_linalg import ContractViolation
 
 
@@ -94,30 +93,6 @@ def test_apply_differential_is_a_derivation():
     assert checked >= 150
 
 
-def test_validate_differential_passes_height_p_rule():
-    term, dspec = _pterm_setup(3, bound=30)
-    report = se.validate_differential(term, dspec)
-    assert report["passed"]
-
-
-def test_validate_differential_catches_bad_bidegree():
-    term, dspec = _pterm_setup(3, bound=30)
-    wrong = se.DifferentialSpec(dspec.r + 1, dspec.values)
-    report = se.validate_differential(term, wrong)
-    assert report["bad_bidegrees"] == ["x"]
-    assert not report["passed"]
-
-
-def test_validate_differential_catches_nonzero_square():
-    gens = [gh.polynomial("a", 4), gh.exterior("b", 3), gh.polynomial("c", 2)]
-    # d(a) = b and d(b) = c makes d(d(a)) = c != 0
-    term = _term(3, gens, {"a": 2, "b": 1, "c": 0}, 10)
-    dspec = se.DifferentialSpec(1, {"a": {((1, 1),): 1}, "b": {((2, 1),): 1}})
-    report = se.validate_differential(term, dspec)
-    assert ((0, 1),) in report["square_failures"]
-    assert not report["passed"]
-
-
 # ---------------------------------------------------------------------------
 # page homology
 # ---------------------------------------------------------------------------
@@ -130,6 +105,29 @@ def test_page_homology_polynomial_times_exterior():
     hom = se.page_homology(term, dspec, 12)
     # survivors: 1, m^p and m^{2p}, and m^{p-1}e and m^{2p-1}e
     assert hom == {(0, 0): 1, (5, 0): 1, (6, 0): 1, (11, 0): 1, (12, 0): 1}
+
+
+def test_page_homology_accepts_height_p_rule():
+    term, dspec = _pterm_setup(3, bound=30)
+    # 1, x, gamma_2(x): the height-3 truncation, one class per total degree
+    assert se.page_homology(term, dspec, 29) == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+
+
+def test_page_homology_rejects_wrong_page_index():
+    term, dspec = _pterm_setup(3, bound=30)
+    wrong = se.DifferentialSpec(dspec.r + 1, dspec.values)
+    with pytest.raises(ContractViolation, match="differential image"):
+        se.page_homology(term, wrong, 29)
+
+
+def test_page_homology_rejects_nonzero_square():
+    gens = [gh.polynomial("a", 4), gh.exterior("b", 3), gh.polynomial("c", 2)]
+    # d(a) = b and d(b) = c makes d(d(a)) = c != 0
+    term = _term(3, gens, {"a": 2, "b": 1, "c": 0}, 10)
+    dspec = se.DifferentialSpec(1, {"a": {((1, 1),): 1}, "b": {((2, 1),): 1}})
+    # a sits at bidegree (2, 2)
+    with pytest.raises(ContractViolation, match=r"d o d is nonzero at \(2, 2\)"):
+        se.page_homology(term, dspec, 9)
 
 
 def test_page_homology_rejects_off_target_images():
@@ -219,55 +217,6 @@ def test_change_basis_rejects_bad_input():
 # ---------------------------------------------------------------------------
 # the two-column page and the power-class hitting problem
 # ---------------------------------------------------------------------------
-
-
-def test_two_column_differential_on_odd_coaction_classes():
-    torus = tm.build_torus(2, 3, 20, coaction=True)
-    page = se.TwoColumnTerm(torus)
-    mu = {v: torus.index[f"mu_{v}"] for v in (1, 2)}
-    tau0 = torus.index["tau0"]
-    tau1 = torus.index["tau1"]
-    assert page.d2({((tau0, 1),): 1}) == {
-        1: {((mu[1], 1),): 1},
-        2: {((mu[2], 1),): 1},
-    }
-    assert page.d2({((tau1, 1),): 1}) == {
-        1: {((mu[1], 3),): 1},
-        2: {((mu[2], 3),): 1},
-    }
-    # polynomial coaction classes suspend to zero; the unit is closed
-    xi1 = torus.index["xi1"]
-    assert page.d2({((xi1, 1),): 1}) == {}
-    assert page.d2({gh.ONE: 1}) == {}
-
-
-def test_two_column_differential_is_componentwise_derivation():
-    torus = tm.build_torus(2, 3, 20, coaction=True)
-    page = se.TwoColumnTerm(torus)
-    tau0 = torus.index["tau0"]
-    tau1 = torus.index["tau1"]
-    spec = torus.spec
-    prod = gh.multiply(spec, {((tau0, 1),): 1}, {((tau1, 1),): 1}, 3)
-    image = page.d2(prod)
-    for v in (1, 2):
-        expected = gh.add(
-            gh.multiply(spec, tm.sigma(torus, v, {((tau0, 1),): 1}), {((tau1, 1),): 1}, 3),
-            gh.scalar_mul(
-                -1,
-                gh.multiply(spec, {((tau0, 1),): 1}, tm.sigma(torus, v, {((tau1, 1),): 1}), 3),
-                3,
-            ),
-            3,
-        )
-        assert image[v] == expected
-
-
-def test_two_column_differential_refuses_low_coordinates():
-    torus = tm.build_torus(2, 3, 20, coaction=True)
-    page = se.TwoColumnTerm(torus)
-    mu1 = torus.index["mu_1"]
-    with pytest.raises(tm.UnsupportedSigma):
-        page.d2({((mu1, 1),): 1})
 
 
 def test_hitting_problem_obstructed_small():

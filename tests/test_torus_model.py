@@ -89,9 +89,20 @@ def test_sigma_on_divided_power_shifts_index():
 
 def test_sigma_on_tau_and_xi():
     t = tm.build_torus(2, 3, 20, coaction=True)
-    assert tm.sigma(t, 1, mono(t, ("xi1", 1))) == {}
-    assert tm.sigma(t, 1, mono(t, ("tau0", 1))) == mono(t, ("mu_1", 1))
-    assert tm.sigma(t, 2, mono(t, ("tau1", 1))) == mono(t, ("mu_2", 3))
+    for v in (1, 2):
+        mu = f"mu_{v}"
+        # polynomial coaction classes suspend to zero; the unit is closed
+        assert tm.sigma(t, v, mono(t, ("xi1", 1))) == {}
+        assert tm.sigma(t, v, {gh.ONE: 1}) == {}
+        assert tm.sigma(t, v, mono(t, ("tau0", 1))) == mono(t, (mu, 1))
+        assert tm.sigma(t, v, mono(t, ("tau1", 1))) == mono(t, (mu, 3))
+        # tau0 tau1: the odd degree of tau0 signs the second term
+        tau01 = gh.multiply(t.spec, mono(t, ("tau0", 1)), mono(t, ("tau1", 1)), 3)
+        assert tm.sigma(t, v, tau01) == gh.add(
+            mono(t, (mu, 1), ("tau1", 1)),
+            gh.scalar_mul(-1, mono(t, ("tau0", 1), (mu, 3)), 3),
+            3,
+        )
     # tau2 would land at degree 18 as mu^9: present iff bound allows
     assert tm.sigma(t, 2, mono(t, ("tau2", 1))) == mono(t, ("mu_2", 9))
 
