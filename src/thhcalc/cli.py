@@ -208,7 +208,7 @@ def _run_relations(args) -> Dict[str, object]:
     )
 
 
-def _parse_table(text: str, weight: int) -> mf.CoproductTable:
+def _parse_table(text: str, weight: int) -> Dict[int, int]:
     coeffs: Dict[int, int] = {}
     for item in text.split(","):
         item = item.strip()
@@ -224,7 +224,7 @@ def _parse_table(text: str, weight: int) -> mf.CoproductTable:
         if pos in coeffs:
             raise CLIError(f"--table position {pos} given twice")
         coeffs[pos] = val
-    return mf.CoproductTable(weight, coeffs)
+    return coeffs
 
 
 def _run_decompose(args) -> Dict[str, object]:
@@ -233,11 +233,11 @@ def _run_decompose(args) -> Dict[str, object]:
         raise CLIError(f"--n (the weight) must be in 2..{MAX_WEIGHT}")
     if args.table is None:
         row = mf.lucas_row(args.n, p)
-        table = mf.CoproductTable(args.n, {k: row[k] for k in range(1, args.n)})
+        table = {k: row[k] for k in range(1, args.n)}
     else:
         table = _parse_table(args.table, args.n)
-    report = mf.decompose_coproduct(table, p)
-    params = {"p": p, "n": args.n, "table": sorted(table.coeffs.items()), "seed": args.seed}
+    report = mf.decompose_coproduct(args.n, table, p)
+    params = {"p": p, "n": args.n, "table": sorted(table.items()), "seed": args.seed}
     check = _check_dict(checks.CheckResult("decompose.normal-form", params, report["consistent"], dict(report)))
     return _envelope("decompose", params, check_list=[check])
 

@@ -298,11 +298,13 @@ def two_term_kernel(
     return list(vectors.values())
 
 
-def solve_membership(m: FpSparseMatrix, b: Sequence[int], p: int) -> Optional[Vector]:
-    """A solution x of m x = b over F_p, or None when b is not in the image.
+def solve_membership(m: FpSparseMatrix, b: Sequence[int], p: int) -> Tuple[Optional[Vector], int]:
+    """(x, rank of m): a solution x of m x = b over F_p, or None when b is
+    not in the image.
 
     The returned solution sets every free variable to zero, making it the
-    unique echelon-form representative.
+    unique echelon-form representative.  The rank is read off the same
+    echelon form: the pivots left of the right-hand side's column.
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
@@ -316,6 +318,7 @@ def solve_membership(m: FpSparseMatrix, b: Sequence[int], p: int) -> Optional[Ve
     x = [0] * m.cols
     for c, row in pivots:
         if c == sentinel:
-            return None
+            # the columns are pivoted in increasing order, so this one is last
+            return None, len(pivots) - 1
         x[c] = row.get(sentinel, 0)
-    return tuple(x)
+    return tuple(x), len(pivots)

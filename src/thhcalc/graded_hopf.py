@@ -453,26 +453,6 @@ def basis(spec: AlgebraSpec, t: int, p: int) -> List[Monomial]:
     return list(_basis_cached(spec, t, p))
 
 
-def _gen_series(g: GeneratorSpec, limit: int, p: int) -> List[int]:
-    series = [0] * (limit + 1)
-    if g.kind == EXTERIOR:
-        series[0] = 1
-        if g.degree <= limit:
-            series[g.degree] = 1
-    elif g.kind == TRUNCATED:
-        h = _height(g, p)
-        for k in range(0, h):
-            if k * g.degree > limit:
-                break
-            series[k * g.degree] = 1
-    else:  # polynomial and divided power have identical dimension series
-        k = 0
-        while k * g.degree <= limit:
-            series[k * g.degree] = 1
-            k += 1
-    return series
-
-
 def compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
     """Ordered ways to write total >= 0 as `parts` nonnegative parts (parts >= 1).
 
@@ -501,11 +481,25 @@ def convolve(a: List[int], b: List[int]) -> List[int]:
 
 
 def poincare_series(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
-    """Dimensions of the graded pieces in degrees 0..limit."""
-    series = [1] + [0] * limit
+    """Dimensions of the graded pieces in degrees 0..limit.
+
+    Each generator of degree d multiplies the series in place, in O(limit):
+    by 1 / (1 - t^d), and then, at a height h (2 for an exterior generator),
+    by 1 - t^(hd).
+    """
+    out = [1] + [0] * limit
     for g in spec.generators:
-        series = convolve(series, _gen_series(g, limit, p))
-    return series
+        d = g.degree
+        # bottom up, so each out[i - d] already holds the quotient
+        for i in range(d, limit + 1):
+            out[i] += out[i - d]
+        height = {EXTERIOR: 2, TRUNCATED: _height(g, p)}.get(g.kind)
+        if height:
+            # top down, so each out[i - hd] is still the quotient
+            hd = height * d
+            for i in range(limit, hd - 1, -1):
+                out[i] -= out[i - hd]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ the p-adic shape of N:
 * anything else: one dimension, spanned by the Lucas row k -> C(N, k).
 
 `decompose_coproduct` inverts this: given a coefficient table it either
-rejects with a failed relation or expresses the table in the canonical
-basis (a round part on the Lucas row plus, in the two-power case, a skew
-part at the smaller power).
+rejects with a failed relation or checks the table against the claimed
+basis from `closed_form_vectors`, the one statement of the closed forms,
+and reads its canonical parts off the coordinates (a round part on the
+Lucas row plus, in the two-power case, a skew part at the smaller power).
 
 `cube_psi` implements the coordinate pinch maps of a polynomial algebra on
 direction-indexed degree-2 classes, so that their order-independence can be
@@ -38,7 +39,6 @@ tested directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -69,7 +69,7 @@ def binom_div_p(n: int, k: int, p: int) -> int:
     analogue of the Lucas row, nonzero exactly when k has p-adic valuation
     one below n's.
     """
-    if n < p or any(d for d in digits(n, p)[:-1]) or digits(n, p)[-1] != 1:
+    if n < p or classify_weight(n, p)[0] != P_POWER:
         raise ValueError(f"{n} is not a positive power of {p}")
     if not 0 < k < n:
         raise ValueError("k must lie strictly between 0 and n")
@@ -79,41 +79,25 @@ def binom_div_p(n: int, k: int, p: int) -> int:
     return (c // p) % p
 
 
-def is_p_power(v: int, p: int) -> bool:
-    """Whether v is p^m with m >= 1."""
-    if v < p:
-        return False
-    while v % p == 0:
-        v //= p
-    return v == 1
-
-
-def two_power_split(v: int, p: int) -> Optional[Tuple[int, int]]:
-    """(larger, smaller) if v is a sum of two distinct p-powers, else None.
-
-    p^0 counts as a power, so p + 1 qualifies; 2 p^m (equal powers) does not.
-    """
-    ds = digits(v, p)
-    ones = [i for i, d in enumerate(ds) if d == 1]
-    if len(ones) == 2 and all(d in (0, 1) for d in ds):
-        return p ** ones[1], p ** ones[0]
-    return None
-
-
 P_POWER = "p_power"
 TWO_POWERS = "two_powers"
 GENERIC = "generic"
-UNIT = "unit"
 
 
-def classify_weight(v: int, p: int) -> str:
-    if v == 1:
-        return UNIT
-    if is_p_power(v, p):
-        return P_POWER
-    if two_power_split(v, p) is not None:
-        return TWO_POWERS
-    return GENERIC
+def classify_weight(v: int, p: int) -> Tuple[str, Tuple[int, ...]]:
+    """The p-adic class of a weight v >= 2 and the p-powers that shape it.
+
+    (P_POWER, (v,)) for v = p^m with m >= 1; (TWO_POWERS, (larger, smaller))
+    for a sum of two distinct p-powers, where p^0 counts, so p + 1 qualifies
+    and 2 p^m does not; otherwise (GENERIC, (p^top,)) with p^top <= v < p^(top+1).
+    """
+    ds = digits(v, p)
+    powers = tuple(p**i for i in reversed(range(len(ds))) if ds[i])
+    if max(ds) == 1 and len(powers) == 1 and v > 1:
+        return P_POWER, powers
+    if max(ds) == 1 and len(powers) == 2:
+        return TWO_POWERS, powers
+    return GENERIC, powers[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +156,22 @@ def _checked(
 
 
 def closed_form_vectors(N: int, p: int) -> Tuple[str, List[List[int]], Dict[str, object]]:
-    """(type, claimed kernel basis, normal-form descriptor) for weight N."""
-    kind = classify_weight(N, p)
+    """(type, claimed kernel basis, normal-form descriptor) for weight N.
+
+    Each claimed vector is 1 at its own pivot and 0 at the other pivots.
+    """
+    kind, powers = classify_weight(N, p)
     if kind == P_POWER:
         vec = [binom_div_p(N, k, p) for k in range(1, N)]
         pivot = N // p
         return kind, [vec], {"pivot": pivot, "pivot_value": vec[pivot - 1]}
     if kind == TWO_POWERS:
-        hi, lo = two_power_split(N, p)
-        e_hi = [1 if k == hi else 0 for k in range(1, N)]
-        e_lo = [1 if k == lo else 0 for k in range(1, N)]
-        return kind, [e_hi, e_lo], {"pivots": (hi, lo)}
-    ds = digits(N, p)
-    top = len(ds) - 1
-    inv = pow(ds[top], -1, p)
-    vec = [c * inv % p for c in lucas_row(N, p)[1:N]]
-    return kind, [vec], {"pivot": p**top, "pivot_value": vec[p**top - 1]}
+        return kind, [[int(k == pivot) for k in range(1, N)] for pivot in powers], {"pivots": powers}
+    (top,) = powers
+    row = lucas_row(N, p)
+    inv = pow(row[top], -1, p)
+    vec = [c * inv % p for c in row[1:N]]
+    return kind, [vec], {"pivot": top, "pivot_value": vec[top - 1]}
 
 
 def relation_module(
@@ -214,8 +198,6 @@ def relation_module(
         and len(kernel) == len(claimed) == claimed_rank == joint
     )
     return {
-        "N": N,
-        "p": p,
         "type": kind,
         "dimension": len(kernel),
         "normal_form": normal,
@@ -228,72 +210,43 @@ def relation_module(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoproductTable:
-    """Reduced-coproduct coefficients of a single class of weight N."""
-
-    N: int
-    coeffs: Dict[int, int] = field(default_factory=dict)
-
-    def __getitem__(self, a: int) -> int:
-        return self.coeffs.get(a, 0)
-
-
-def decompose_coproduct(table: CoproductTable, p: int) -> Dict[str, object]:
+def decompose_coproduct(N: int, coeffs: Dict[int, int], p: int) -> Dict[str, object]:
     """Reject an incoassociative table or split it into canonical parts.
 
-    The relations are scanned in lexicographic (a, b) order and the first
-    failure is reported as a witness triple.  A consistent table is then
-    written in the canonical basis for its weight class: a round multiple
-    of the Lucas row (or of the divided row for p-power weights), plus a
-    skew unit at the smaller power for two-power weights.  Coefficients are
-    read mod p, so every reported part lies in 0..p-1.
+    coeffs maps positions 1..N-1 to coefficients, read mod p; absent ones
+    are 0.  The relations are scanned in lexicographic (a, b) order and the
+    first failure is reported as a witness triple.  A consistent table is
+    then checked against the claimed basis from `closed_form_vectors`: its
+    values at the pivots are its coordinates, and the first position where
+    the table leaves their span is a ("pattern", k) witness.  The parts are
+    read off the coordinates: a p_part on the divided row for p-power
+    weights, otherwise a round multiple of the Lucas row plus, for
+    two-power weights, a skew unit at the smaller power.  Every reported
+    part lies in 0..p-1.
     """
-    N = table.N
-    table = CoproductTable(N, {k: v % p for k, v in table.coeffs.items()})
+    table = [coeffs.get(k, 0) % p for k in range(N)]
     binoms = [lucas_row(n, p) for n in range(N)]
     for a in range(1, N - 1):
         outer = binoms[N - a]  # C(b + c, b) with c = N - a - b >= 1
         for b in range(1, N - a):
-            c = N - a - b
-            lhs = binoms[a + b][b] * table[a + b] % p
-            rhs = outer[b] * table[a] % p
-            if lhs != rhs:
-                return {
-                    "N": N,
-                    "p": p,
-                    "consistent": False,
-                    "witness": (a, b, c),
-                }
-    kind = classify_weight(N, p)
+            if binoms[a + b][b] * table[a + b] % p != outer[b] * table[a] % p:
+                return {"N": N, "p": p, "consistent": False, "witness": (a, b, N - a - b)}
+    kind, claimed, normal = closed_form_vectors(N, p)
+    pivots = normal["pivots"] if kind == TWO_POWERS else (normal["pivot"],)
+    coords = [table[k] for k in pivots]
+    for k in range(1, N):
+        if table[k] != sum(x * vec[k - 1] for x, vec in zip(coords, claimed)) % p:
+            return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
     result: Dict[str, object] = {"N": N, "p": p, "consistent": True, "type": kind}
     if kind == P_POWER:
-        r = table[N // p]
-        for k in range(1, N):
-            if table[k] != r * binom_div_p(N, k, p) % p:
-                return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
-        result["p_part"] = r
+        result["p_part"] = coords[0]
         return result
-    row = lucas_row(N, p)
+    # the Lucas row is C(N, top) = N // top times the vector of the leading
+    # power top, and for two-power weights it is the sum of both unit vectors
+    result["round"] = coords[0] * pow(N // pivots[0], -1, p) % p
     if kind == TWO_POWERS:
-        hi, lo = two_power_split(N, p)
-        r = table[hi]
-        t = (table[lo] - r) % p
-        for k in range(1, N):
-            expected = (r * row[k] + (t if k == lo else 0)) % p
-            if table[k] != expected:
-                return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
-        result["round"] = r
-        result["skew"] = t
-        result["skew_position"] = lo
-        return result
-    ds = digits(N, p)
-    top = len(ds) - 1
-    r = table[p**top] * pow(ds[top], -1, p) % p
-    for k in range(1, N):
-        if table[k] != r * row[k] % p:
-            return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
-    result["round"] = r
+        result["skew"] = (coords[1] - coords[0]) % p
+        result["skew_position"] = pivots[1]
     return result
 
 

@@ -80,9 +80,9 @@ def test_kernel_of_row_vector_mod_3():
 
 def test_solve_membership_column_mod_5():
     m = from_dense([[1], [2]])
-    assert solve_membership(m, (2, 4), 5) == (2,)
+    assert solve_membership(m, (2, 4), 5) == ((2,), 1)
     # inconsistent right-hand side: rank jumps by one on augmenting
-    assert solve_membership(m, (2, 3), 5) is None
+    assert solve_membership(m, (2, 3), 5) == (None, 1)
     aug = from_dense([[1, 2], [2, 3]])
     assert rank(aug, 5) == rank(m, 5) + 1
 
@@ -121,7 +121,7 @@ def test_solve_round_trip(p):
         m = random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8), p)
         x = dict(enumerate(rng.randrange(p) for _ in range(m.cols)))
         b = mul_vec(m, x, p)
-        x2 = solve_membership(m, b, p)
+        x2, _ = solve_membership(m, b, p)
         assert x2 is not None
         assert mul_vec(m, dict(enumerate(x2)), p) == b
 
@@ -133,14 +133,15 @@ def test_no_solution_certified_by_rank_jump(p):
     while checked < 50:
         m = random_matrix(rng, rng.randrange(2, 8), rng.randrange(1, 6), p)
         b = tuple(rng.randrange(p) for _ in range(m.rows))
-        if solve_membership(m, b, p) is not None:
+        solution, m_rank = solve_membership(m, b, p)
+        if solution is not None:
             continue
         cols = [dict() for _ in range(m.cols + 1)]
         for (r, c), v in m.entries.items():
             cols[c][r] = v
         cols[m.cols] = {r: v for r, v in enumerate(b) if v}
         aug = FpSparseMatrix.from_columns(m.rows, cols)
-        assert rank(aug, p) == rank(m, p) + 1
+        assert rank(aug, p) == rank(m, p) + 1 == m_rank + 1
         checked += 1
 
 
@@ -325,7 +326,11 @@ def arrow_matrices(draw):
 @given(st.one_of(prime_matrices(), unitriangular_matrices(), arrow_matrices()))
 def test_rank_matches_full_scan_oracle(case):
     m, p = case
-    assert rank(m, p) == rank_full_scan(m, p)
+    full = rank_full_scan(m, p)
+    assert rank(m, p) == full
+    # the solve reads the same rank off its own echelon form, hit or not
+    for b in ([0] * m.rows, [1] * m.rows):
+        assert solve_membership(m, b, p)[1] == full
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,18 +351,27 @@ CALLERS = {
 
 @pytest.fixture(scope="module")
 def caller_matrices():
-    """Every matrix the library callers hand to rank, by caller."""
+    """Every matrix the library callers rank, by caller, with the rank that
+    `rank` or `solve_membership` returned for it."""
     recorded = {}
     real_rank = fp_linalg.rank
+    real_solve = fp_linalg.solve_membership
     with pytest.MonkeyPatch.context() as mp:
         for name, call in CALLERS.items():
             seen = recorded.setdefault(name, [])
 
             def recording_rank(m, p, seen=seen):
-                seen.append((FpSparseMatrix(m.rows, m.cols, dict(m.entries)), p))
-                return real_rank(m, p)
+                got = real_rank(m, p)
+                seen.append((FpSparseMatrix(m.rows, m.cols, dict(m.entries)), p, got))
+                return got
+
+            def recording_solve(m, b, p, seen=seen):
+                solution, got = real_solve(m, b, p)
+                seen.append((FpSparseMatrix(m.rows, m.cols, dict(m.entries)), p, got))
+                return solution, got
 
             mp.setattr(fp_linalg, "rank", recording_rank)
+            mp.setattr(fp_linalg, "solve_membership", recording_solve)
             # multifold binds rank by name at import
             mp.setattr(mf, "rank", recording_rank)
             call()
@@ -368,8 +382,8 @@ def caller_matrices():
 def test_rank_matches_full_scan_oracle_on_caller_matrices(caller_matrices, caller):
     matrices = caller_matrices[caller]
     assert matrices
-    for m, p in matrices:
-        assert rank(m, p) == rank_full_scan(m, p)
+    for m, p, got in matrices:
+        assert got == rank_full_scan(m, p)
 
 
 # ---------------------------------------------------------------------------

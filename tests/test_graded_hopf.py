@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thhcalc import admissible_words as aw
 from thhcalc import graded_hopf as gh
 from thhcalc.fp_linalg import FpSparseMatrix, rank
 
@@ -330,6 +331,34 @@ def test_basis_matches_per_generator_recursion(kinds, p):
     spec = gh.algebra(gens, 18)
     for t in range(-1, 19):
         assert gh.basis(spec, t, p) == _basis_oracle(spec, t, p)
+
+
+# The dimension series as it was before each generator multiplied it in
+# place: one series per generator, convolved in.  Kept as the oracle.
+
+
+def _poincare_oracle(spec, limit, p):
+    series = [1] + [0] * limit
+    for g in spec.generators:
+        top = {gh.EXTERIOR: 1, gh.TRUNCATED: (g.height or p) - 1}.get(g.kind, limit)
+        factor = [0] * (limit + 1)
+        for k in range(min(top, limit // g.degree) + 1):
+            factor[k * g.degree] = 1
+        series = gh.convolve(series, factor)
+    return series
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_generator, max_size=8), st.integers(0, 80), st.sampled_from([3, 5]))
+def test_poincare_series_matches_convolution_oracle(kinds, limit, p):
+    spec = gh.algebra([gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)], limit)
+    assert gh.poincare_series(spec, limit, p) == _poincare_oracle(spec, limit, p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_poincare_series_of_word_algebras_matches_convolution_oracle(n):
+    spec = aw.word_algebra(n, 3, 600)
+    assert gh.poincare_series(spec, 600, 3) == _poincare_oracle(spec, 600, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,15 @@ def test_binom_div_p_examples():
 
 
 def test_weight_classification():
-    assert mf.classify_weight(1, 3) == mf.UNIT
-    assert mf.classify_weight(9, 3) == mf.P_POWER
-    assert mf.classify_weight(4, 3) == mf.TWO_POWERS  # 3 + 1
-    assert mf.classify_weight(12, 3) == mf.TWO_POWERS  # 9 + 3
-    assert mf.classify_weight(2, 3) == mf.GENERIC  # 1 + 1, equal powers
-    assert mf.classify_weight(6, 3) == mf.GENERIC  # 3 + 3
-    assert mf.classify_weight(5, 3) == mf.GENERIC  # digits (2, 1)
-    assert mf.classify_weight(26, 5) == mf.TWO_POWERS  # 25 + 1
-    assert mf.two_power_split(12, 3) == (9, 3)
+    assert mf.classify_weight(9, 3) == (mf.P_POWER, (9,))
+    assert mf.classify_weight(3, 3) == (mf.P_POWER, (3,))
+    assert mf.classify_weight(4, 3) == (mf.TWO_POWERS, (3, 1))
+    assert mf.classify_weight(12, 3) == (mf.TWO_POWERS, (9, 3))
+    assert mf.classify_weight(2, 3) == (mf.GENERIC, (1,))  # 1 + 1, equal powers
+    assert mf.classify_weight(6, 3) == (mf.GENERIC, (3,))  # 3 + 3
+    assert mf.classify_weight(5, 3) == (mf.GENERIC, (3,))  # digits (2, 1)
+    assert mf.classify_weight(31, 3) == (mf.GENERIC, (27,))  # 27 + 3 + 1
+    assert mf.classify_weight(26, 5) == (mf.TWO_POWERS, (25, 1))
 
 
 # The recursive enumerations the library used before it switched to
@@ -174,8 +174,7 @@ def test_relation_module_sweep_small():
 
 def test_decompose_power_table():
     # the weight-4 power class at p = 3: coefficients C(4, k) = 1, 0, 1
-    table = mf.CoproductTable(4, {1: 1, 2: 0, 3: 1})
-    report = mf.decompose_coproduct(table, 3)
+    report = mf.decompose_coproduct(4, {1: 1, 2: 0, 3: 1}, 3)
     assert report["consistent"]
     assert report["round"] == 1 and report["skew"] == 0
 
@@ -183,24 +182,21 @@ def test_decompose_power_table():
 def test_decompose_pure_skew_table():
     # a single hit at position 1 of weight p + 1: pure skew part
     p = 5
-    table = mf.CoproductTable(p + 1, {1: 1})
-    report = mf.decompose_coproduct(table, p)
+    report = mf.decompose_coproduct(p + 1, {1: 1}, p)
     assert report["consistent"]
     assert report["round"] == 0 and report["skew"] == 1
     assert report["skew_position"] == 1
 
 
 def test_decompose_rejects_bad_table():
-    table = mf.CoproductTable(4, {2: 1})
-    report = mf.decompose_coproduct(table, 3)
+    report = mf.decompose_coproduct(4, {2: 1}, 3)
     assert not report["consistent"]
     assert report["witness"] == (1, 1, 2)
 
 
 def test_decompose_p_power_table():
     p = 3
-    table = mf.CoproductTable(9, {k: 2 * mf.binom_div_p(9, k, p) % p for k in range(1, 9)})
-    report = mf.decompose_coproduct(table, p)
+    report = mf.decompose_coproduct(9, {k: 2 * mf.binom_div_p(9, k, p) % p for k in range(1, 9)}, p)
     assert report["consistent"]
     assert report["p_part"] == 2
 
@@ -208,8 +204,7 @@ def test_decompose_p_power_table():
 def test_decompose_generic_table():
     # twice the Lucas row at weight 5, p = 3
     p = 3
-    table = mf.CoproductTable(5, {k: 2 * lucas(5, k, p) % p for k in range(1, 5)})
-    report = mf.decompose_coproduct(table, p)
+    report = mf.decompose_coproduct(5, {k: 2 * lucas(5, k, p) % p for k in range(1, 5)}, p)
     assert report["consistent"]
     assert report["round"] == 2
 
@@ -227,7 +222,7 @@ def test_decompose_round_trip_randomized():
                     k: sum(w * v[k - 1] for w, v in zip(weights, vectors)) % p
                     for k in range(1, N)
                 }
-                report = mf.decompose_coproduct(mf.CoproductTable(N, coeffs), p)
+                report = mf.decompose_coproduct(N, coeffs, p)
                 assert report["consistent"], (N, p, weights)
 
 
@@ -300,33 +295,41 @@ def _relation_matrix_oracle(N, p):
     return row, N - 1, entries
 
 
-def _decompose_oracle(table, p):
-    N = table.N
+def _decompose_oracle(N, coeffs, p):
+    """The decomposition with its own weight classes and per-kind expected
+    rows, written without the library's closed forms."""
+    table = [coeffs.get(k, 0) % p for k in range(N)]
     for a in range(1, N - 1):
         for b in range(1, N - a):
             c = N - a - b
             if lucas(a + b, b, p) * table[a + b] % p != lucas(b + c, b, p) * table[a] % p:
                 return {"N": N, "p": p, "consistent": False, "witness": (a, b, c)}
-    kind = mf.classify_weight(N, p)
-    result = {"N": N, "p": p, "consistent": True, "type": kind}
-    if kind == mf.P_POWER:
+    ds, n = [], N
+    while n:
+        n, d = divmod(n, p)
+        ds.append(d)
+    ones = [p**i for i, d in enumerate(ds) if d == 1]
+    zero_one = all(d in (0, 1) for d in ds)
+    if zero_one and len(ones) == 1 and N >= p:
+        kind = mf.P_POWER
         r = table[N // p]
-        expected = {k: r * mf.binom_div_p(N, k, p) % p for k in range(1, N)}
-        result["p_part"] = r
-    elif kind == mf.TWO_POWERS:
-        hi, lo = mf.two_power_split(N, p)
+        expected = {k: r * (comb(N, k) // p) % p for k in range(1, N)}
+        result = {"p_part": r}
+    elif zero_one and len(ones) == 2:
+        kind = mf.TWO_POWERS
+        lo, hi = ones
         r, t = table[hi], (table[lo] - table[hi]) % p
         expected = {k: (r * lucas(N, k, p) + (t if k == lo else 0)) % p for k in range(1, N)}
-        result.update(round=r, skew=t, skew_position=lo)
+        result = {"round": r, "skew": t, "skew_position": lo}
     else:
-        ds = mf.digits(N, p)
+        kind = mf.GENERIC
         r = table[p ** (len(ds) - 1)] * pow(ds[-1], -1, p) % p
         expected = {k: r * lucas(N, k, p) % p for k in range(1, N)}
-        result["round"] = r
+        result = {"round": r}
     for k in range(1, N):
         if table[k] != expected[k]:
             return {"N": N, "p": p, "consistent": False, "witness": ("pattern", k)}
-    return result
+    return {"N": N, "p": p, "consistent": True, "type": kind, **result}
 
 
 def _distinct_constraints(N, p):
@@ -420,5 +423,27 @@ def test_decompose_matches_lucas_calls(p):
             broken[k] = (broken[k] + 1) % p
             tables.append(broken)
         for coeffs in tables:
-            table = mf.CoproductTable(N, coeffs)
-            assert mf.decompose_coproduct(table, p) == _decompose_oracle(table, p), (N, coeffs)
+            assert mf.decompose_coproduct(N, coeffs, p) == _decompose_oracle(N, coeffs, p), (N, coeffs)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_decompose_reports_the_first_position_off_the_claimed_span(p, monkeypatch):
+    # a table on the true closed form passes every relation; against a claim
+    # tampered at one position off the pivots it must fail there, so the
+    # table is checked against what closed_form_vectors claims
+    true_forms = mf.closed_form_vectors
+    kinds = set()
+    for N in range(3, 40):
+        kind, vectors, normal = true_forms(N, p)
+        pivots = normal["pivots"] if kind == mf.TWO_POWERS else (normal["pivot"],)
+        coeffs = {k: sum(vec[k - 1] for vec in vectors) % p for k in range(1, N)}
+        spot = next(k for k in range(1, N) if k not in pivots)
+        tampered = [list(vec) for vec in vectors]
+        tampered[0][spot - 1] = (tampered[0][spot - 1] + 1) % p
+        monkeypatch.setattr(mf, "closed_form_vectors", lambda n, q: (kind, tampered, normal))
+        report = mf.decompose_coproduct(N, coeffs, p)
+        assert report == {"N": N, "p": p, "consistent": False, "witness": ("pattern", spot)}, N
+        monkeypatch.setattr(mf, "closed_form_vectors", true_forms)
+        assert mf.decompose_coproduct(N, coeffs, p)["consistent"], N
+        kinds.add(kind)
+    assert kinds == {mf.P_POWER, mf.TWO_POWERS, mf.GENERIC}
