@@ -292,8 +292,8 @@ def digit_sum_checks(p: int, max_length: int, max_degree: int) -> Dict[str, obje
       is the range swept here);
     * comult-degree: an even admissible word of length n >= 2 never has
       degree equal to a sum of exactly n doubled p-powers, and (for p >= 5)
-      never one of exactly n+1 of them.  Length 1 is reported as a
-      degenerate skip: mu itself has degree 2 = 2 p^0.
+      never one of exactly n+1 of them.  Length 1 is not checked: mu itself
+      has degree 2 = 2 p^0.
     """
     failures: List[Tuple[str, str]] = []
     generators_checked = 0
@@ -318,7 +318,6 @@ def digit_sum_checks(p: int, max_length: int, max_degree: int) -> Dict[str, obje
                 failures.append(("product", f"n={n} exponents={js}"))
 
     comult_checked = 0
-    comult_skipped_lengths = [1]
     for n in range(2, max_length + 1):
         for word in enumerate_words(n, p, max_degree):
             d = degree(word, p)
@@ -340,7 +339,6 @@ def digit_sum_checks(p: int, max_length: int, max_degree: int) -> Dict[str, obje
         "generators_checked": generators_checked,
         "product_checked": product_checked,
         "comult_checked": comult_checked,
-        "comult_skipped_lengths": comult_skipped_lengths,
         "failures": failures,
         "passed": not failures,
     }

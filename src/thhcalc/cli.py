@@ -16,11 +16,12 @@ do nothing is a usage error (argparse, exit 2).
 Cost guards refuse, with exit 2 and before anything is built, an input whose
 cost would run to hours: `--p` above `MAX_PRIME`, `relations` and
 `decompose` above weight `MAX_WEIGHT`, `rognes` above
-`MAX_ROGNES_COMPOSITIONS` compositions of p^(n-1) into n parts, and
-`changebasis` and `pterm` when the basis they walk (every monomial of
-degree <= 2p^k in the changebasis page, of degree <= max_degree + 1 in the
-pterm page) has more than `MAX_BASIS_MONOMIALS` monomials, and `cubes` when
-one pinch order over its monomials gives more than that many.
+`MAX_ROGNES_COMPOSITIONS` compositions of p^(n-1) into n parts,
+`changebasis` when its page has more than `MAX_BASIS_MONOMIALS` monomials
+of degree <= 2p^k (the degrees its exchange map is certified over),
+`pterm` when its page has more than that many of degree <= max_degree + 1,
+and `cubes` when one pinch order over its monomials gives more than that
+many.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ SCHEMA = "thhcalc/1"
 MAX_PRIME = 2**31 - 1  # --p; trial division is exponential in its digit count
 MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
-MAX_BASIS_MONOMIALS = 100_000  # changebasis exchange basis, pterm page, cubes pinches
+MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches
 
 _VERBS = (
     "words",
@@ -304,8 +305,8 @@ def _run_changebasis(args) -> Dict[str, object]:
         raise CLIError(f"--r must be comma-separated integers, got {args.r!r}") from exc
     if depth < 1:
         raise CLIError("--k must be >= 1")
-    # the exchange basis is every monomial of degree <= 2p^k in the page;
-    # z, x_0 .. x_{L-1} of degree 2 alone give C(p^k + L + 1, L + 1) of them
+    # the page's monomials of degree <= 2p^k, where the exchange map is
+    # certified; z, x_0 .. x_{L-1} of degree 2 alone give C(p^k + L + 1, L + 1) of them
     n = len(coeffs)
     _require_small_basis(
         f"--p {p} --k {depth} with {n} --r coefficient(s)",

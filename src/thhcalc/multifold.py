@@ -42,7 +42,7 @@ import itertools
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .fp_linalg import FpSparseMatrix, add_to, rank, two_term_kernel
+from .fp_linalg import add_to, two_term_kernel
 
 # a two-term relation (i, u, j, v): u x_i = v x_j, either coefficient may be 0
 Relation = Tuple[int, int, int, int]
@@ -174,6 +174,11 @@ def closed_form_vectors(N: int, p: int) -> Tuple[str, List[List[int]], Dict[str,
     return kind, [vec], {"pivot": top, "pivot_value": vec[top - 1]}
 
 
+def _pivots(kind: str, normal: Dict[str, object]) -> Tuple[int, ...]:
+    """The pivot positions of `closed_form_vectors`' claimed basis, one per vector."""
+    return normal["pivots"] if kind == TWO_POWERS else (normal["pivot"],)
+
+
 def relation_module(
     N: int, p: int, binoms: Optional[Sequence[List[int]]] = None
 ) -> Dict[str, object]:
@@ -181,8 +186,11 @@ def relation_module(
 
     Returns the computed kernel dimension, the classified type, and whether
     the closed-form spanning set matches the kernel exactly: membership is
-    evaluated on every constraint, independence and span through ranks.
-    binoms is passed to `relation_rows`.
+    evaluated on every constraint, and the claimed vectors must be as many
+    as the kernel's dimension and in the pivot form that
+    `decompose_coproduct` reads coordinates off (each 1 at its own pivot, 0
+    at the others), which makes them independent.  binoms is passed to
+    `relation_rows`.
     """
     if N < 3:
         raise ValueError("weights below 3 carry no constraints worth solving")
@@ -190,13 +198,9 @@ def relation_module(
     vectors = [{k: v for k, v in enumerate(vec) if v} for vec in claimed]
     broken: List[Relation] = []
     kernel = two_term_kernel(N - 1, _checked(relation_rows(N, p, binoms), vectors, p, broken), p)
-    member = not broken
-    claimed_rank = rank(FpSparseMatrix.from_columns(N - 1, vectors), p)
-    joint = rank(FpSparseMatrix.from_columns(N - 1, vectors + kernel), p)
-    agrees = (
-        member
-        and len(kernel) == len(claimed) == claimed_rank == joint
-    )
+    pivots = _pivots(kind, normal)
+    pivot_form = all(vec[k - 1] == int(k == own) for own, vec in zip(pivots, claimed) for k in pivots)
+    agrees = not broken and pivot_form and len(kernel) == len(claimed) == len(pivots)
     return {
         "type": kind,
         "dimension": len(kernel),
@@ -232,7 +236,7 @@ def decompose_coproduct(N: int, coeffs: Dict[int, int], p: int) -> Dict[str, obj
             if binoms[a + b][b] * table[a + b] % p != outer[b] * table[a] % p:
                 return {"N": N, "p": p, "consistent": False, "witness": (a, b, N - a - b)}
     kind, claimed, normal = closed_form_vectors(N, p)
-    pivots = normal["pivots"] if kind == TWO_POWERS else (normal["pivot"],)
+    pivots = _pivots(kind, normal)
     coords = [table[k] for k in pivots]
     for k in range(1, N):
         if table[k] != sum(x * vec[k - 1] for x, vec in zip(coords, claimed)) % p:

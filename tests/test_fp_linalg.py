@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from thhcalc import admissible_words as aw
 from thhcalc import bar_tor
 from thhcalc import fp_linalg
-from thhcalc import multifold as mf
 from thhcalc import spectral_engine as se
 from thhcalc.fp_linalg import (
     FpSparseMatrix,
@@ -298,8 +297,7 @@ def prime_matrices(draw):
 
 @st.composite
 def unitriangular_matrices(draw):
-    """Upper unitriangular, up to 25 x 25, as the exchange matrices of
-    `change_basis_cycles` are: every column pivots on its diagonal row."""
+    """Upper unitriangular, up to 25 x 25: every column pivots on its diagonal row."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(0, 25))
     density = draw(st.sampled_from([0.05, 0.3, 1.0]))
@@ -342,10 +340,8 @@ def test_kernel_basis_matches_lookup_oracle(case):
 
 
 CALLERS = {
-    "change_basis_cycles(5, 2, (1, 2))": lambda: se.change_basis_cycles(5, 2, (1, 2)),
     "rognes_check(3, 3)": lambda: se.rognes_check(3, 3),
     "verify_p_term(3, [2, 2], 30)": lambda: se.verify_p_term(3, [2, 2], 30),
-    "relation_module(200, 5)": lambda: mf.relation_module(200, 5),
 }
 
 
@@ -372,8 +368,6 @@ def caller_matrices():
 
             mp.setattr(fp_linalg, "rank", recording_rank)
             mp.setattr(fp_linalg, "solve_membership", recording_solve)
-            # multifold binds rank by name at import
-            mp.setattr(mf, "rank", recording_rank)
             call()
     return recorded
 

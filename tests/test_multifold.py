@@ -395,6 +395,23 @@ def test_relation_module_membership_sees_forced_zeros(p, monkeypatch):
     assert tried >= 20
 
 
+@pytest.mark.parametrize("p, weights", [(3, (4, 10)), (5, (6, 26))])
+def test_relation_module_refuses_a_spanning_claim_off_pivot_form(p, weights, monkeypatch):
+    # [e_a + e_b, e_b] spans the two-power kernel, but decompose_coproduct
+    # reads coordinates off the pivots and so rejects the valid table that is
+    # 1 at both powers; relation_module must not agree with such a claim
+    true_forms = mf.closed_form_vectors
+    for N in weights:
+        kind, vectors, normal = true_forms(N, p)
+        assert kind == mf.TWO_POWERS and mf.relation_module(N, p)["agrees"], N
+        a, b = normal["pivots"]
+        skewed = [[x + y for x, y in zip(*vectors)], vectors[1]]
+        monkeypatch.setattr(mf, "closed_form_vectors", lambda n, q: (kind, skewed, normal))
+        assert mf.decompose_coproduct(N, {a: 1, b: 1}, p)["witness"] == ("pattern", b), N
+        assert not mf.relation_module(N, p)["agrees"], N
+        monkeypatch.setattr(mf, "closed_form_vectors", true_forms)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_two_term_kernel_matches_elimination_on_relation_systems(p):
     # the solver on the relation rows against kernel_basis on the oracle matrix

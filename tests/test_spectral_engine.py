@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from thhcalc import fp_linalg
 from thhcalc import graded_hopf as gh
+from thhcalc import multifold as mf
 from thhcalc import spectral_engine as se
-from thhcalc.fp_linalg import ContractViolation
+from thhcalc.fp_linalg import ContractViolation, FpSparseMatrix, rank
 
 
 def _term(p, gens, filt, bound):
@@ -179,10 +181,80 @@ def test_p_term_rejects_odd_degree():
 
 def test_change_basis_first_replacement_content():
     report = se.change_basis_cycles(3, 1, (2,))
-    assert report["labels"] == ["z", "x0", "y1"]
     # gamma_3(z') = gamma_3(z) - 2 gamma_3(x0) = gamma_3(z) + gamma_3(x0) mod 3
     assert report["replacements"][1] == {((0, 3),): 1, ((1, 3),): 1}
     assert report["passed"]
+
+
+@pytest.mark.parametrize("p, k_max, n", [(3, 1, 1), (3, 2, 3), (5, 1, 2), (7, 2, 4)])
+def test_change_basis_spec_is_z_then_the_p_term_towers(p, k_max, n):
+    gens = [gh.divided("z", 2)]
+    for i in range(n):
+        gens += [gh.divided(f"x{i}", 2), gh.exterior(f"y{i + 1}", 2 * p - 1)]
+    assert se.change_basis_spec(p, k_max, n) == gh.AlgebraSpec(tuple(gens), 2 * p ** (k_max + 1))
+
+
+def _exchange_oracle(p, k_max, r_coeffs):
+    """The exchange map ranked degree by degree, as the certificate once was.
+
+    In each degree t <= 2p^k_max, gamma_a(z) m (m free of z) goes to
+    gamma_a(z') m, gamma_a(z') the digitwise product of the replacements
+    that `change_basis_cycles` reports, and the map must have full rank.
+    """
+    spec = se.change_basis_spec(p, k_max, len(r_coeffs))
+    reps = se.change_basis_cycles(p, k_max, r_coeffs)["replacements"]
+
+    def replaced(a):
+        out = {gh.ONE: 1}
+        for k, digit in enumerate(mf.digits(a, p)):
+            base = {((0, 1),): 1} if k == 0 else reps[k]
+            out = gh.multiply(spec, out, gh.power(spec, base, digit, p), p)
+        return out
+
+    for t in range(2 * p**k_max + 1):
+        basis = gh.basis(spec, t, p)
+        index = {mon: i for i, mon in enumerate(basis)}
+        columns = []
+        for mon in basis:
+            if mon and mon[0][0] == 0:
+                image = gh.multiply(spec, replaced(mon[0][1]), {mon[1:]: 1}, p)
+            else:
+                image = {mon: 1}
+            columns.append({index[m2]: c for m2, c in image.items()})
+        if rank(FpSparseMatrix.from_columns(len(basis), columns), p) != len(basis):
+            return False
+    return True
+
+
+# the battery's configurations and the benchmark verb-sweep's changebasis grid
+EXCHANGE_CONFIGS = [(3, 2, (1,)), (3, 2, (2, 2)), (5, 1, (1,)), (5, 1, (3, 1, 4))] + [
+    (p, k, r) for p, k in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)] for r in [(1,), (1, 2), (2, 1)]
+]
+
+
+@pytest.mark.parametrize("p, k_max, r_coeffs", EXCHANGE_CONFIGS)
+def test_change_basis_leading_terms_agree_with_exchange_ranks(p, k_max, r_coeffs):
+    assert se.change_basis_cycles(p, k_max, r_coeffs)["exchange_invertible"] is True
+    assert _exchange_oracle(p, k_max, r_coeffs) is True
+
+
+@pytest.mark.parametrize("p, k_max, r_coeffs", [(3, 1, (1,)), (3, 2, (2, 2)), (5, 1, (3, 1, 4)), (5, 2, (1, 2))])
+def test_change_basis_without_leading_terms_is_not_invertible(monkeypatch, p, k_max, r_coeffs):
+    # with no empty composition, every replacement loses its gamma_{p^k}(z)
+    # term and keeps only terms of lower z exponent
+    real = gh.compositions
+    monkeypatch.setattr(gh, "compositions", lambda total, parts: [] if total == 0 else real(total, parts))
+    assert se.change_basis_cycles(p, k_max, r_coeffs)["exchange_invertible"] is False
+    assert _exchange_oracle(p, k_max, r_coeffs) is False
+
+
+def test_change_basis_ranks_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("change_basis_cycles built or ranked a matrix")
+
+    monkeypatch.setattr(fp_linalg, "rank", refuse)
+    monkeypatch.setattr(FpSparseMatrix, "from_columns", refuse)
+    assert se.change_basis_cycles(5, 2, (1, 2))["passed"]
 
 
 def test_change_basis_p3_depth_two():
