@@ -33,7 +33,13 @@ Lucas row plus, in the two-power case, a skew part at the smaller power).
 
 `cube_psi` implements the coordinate pinch maps of a polynomial algebra on
 direction-indexed degree-2 classes, so that their order-independence can be
-tested directly.
+tested directly.  The branch variables sort where the pinched one stood, so
+each new monomial is spliced from slices of the old one, with no sort.
+
+The per-entry work of the digit kernels runs in C: `lucas_row` fills each
+digit step of a row by slice assignment, and `lucas_vs_pascal` holds each
+Pascal row mod p as one int with a byte per entry, so one shift, one add
+and a masked subtraction build the next row (p < 128).
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import itertools
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .fp_linalg import add_to, two_term_kernel
+from .fp_linalg import two_term_kernel
 
 # a two-term relation (i, u, j, v): u x_i = v x_j, either coefficient may be 0
 Relation = Tuple[int, int, int, int]
@@ -276,24 +282,38 @@ def cube_psi(direction: int, elem: CubeElement, p: int) -> CubeElement:
 
     The coordinate class m_d of the pinched direction maps to the sum of the
     two branch classes, so m_d^e spreads as sum_j C(e, j) over the branches.
-    Directions already pinched must not be pinched again.
+    Monomials must be sorted as `cube_monomial` builds them.  The branch
+    variables (d, 0) < (d, 1) sort exactly where (d, -1) stood, so each new
+    monomial is spliced from slices of the old one without sorting, and
+    distinct (monomial, j) pairs give distinct monomials, so no two terms
+    meet.  Directions already pinched must not be pinched again.
     """
+    lo, hi = (direction, 0), (direction, 1)
+    # exponent e -> [(branch part of m_d^e's j-th term, C(e, j) mod p) for C(e, j) != 0];
+    # the slice drops the branch whose exponent is 0
+    spreads: Dict[int, List[Tuple[CubeMonomial, int]]] = {}
     out: CubeElement = {}
     for mon, coeff in elem.items():
-        exp = 0
-        rest: List[Tuple[CubeVar, int]] = []
-        for var, e in mon:
-            if var == (direction, -1):
-                exp = e
-            elif var[0] == direction:
-                raise ValueError(f"direction {direction} is already pinched")
-            else:
-                rest.append((var, e))
-        for j in range(exp + 1):
-            c = coeff * comb(exp, j) % p
+        i = 0
+        while i < len(mon) and mon[i][0][0] < direction:
+            i += 1
+        head, exp = mon[:i], 0
+        if i < len(mon) and mon[i][0] == (direction, -1):
+            exp = mon[i][1]
+            i += 1
+        tail = mon[i:]
+        if tail and tail[0][0][0] == direction:
+            raise ValueError(f"direction {direction} is already pinched")
+        if exp not in spreads:
+            spreads[exp] = [
+                (((lo, j), (hi, exp - j))[j == 0 : 1 + (j < exp)], c)
+                for j in range(exp + 1)
+                if (c := comb(exp, j) % p)
+            ]
+        for mid, c in spreads[exp]:
+            c = coeff * c % p
             if c:
-                new = cube_monomial(rest + [((direction, 0), j), ((direction, 1), exp - j)])
-                add_to(out, new, c, p)
+                out[head + mid + tail] = c
     return out
 
 
@@ -342,33 +362,55 @@ def pinch_order_report(n_directions: int, max_degree: int, p: int) -> Dict[str, 
 
 
 def lucas_row(n: int, p: int) -> List[int]:
-    """[C(n, k) mod p for k in 0..n] built digitwise in O(n)."""
+    """[C(n, k) mod p for k in 0..n] built digitwise in O(n).
+
+    Each base-p digit d of n, most significant first, turns the row R of the
+    prefix value v into the row of v * p + d, whose entry i * p + j is
+    C(d, j) R[i] (Lucas).  So every digit step fills the slice new[j::p]
+    with R, or with a copy of R scaled by C(d, j) mod p, in one slice
+    assignment.
+    The row stays a list for every prime: entries reach p - 1, which no
+    byte holds once p > 256.
+    """
     row = [1]
     value = 0
     for d in reversed(digits(n, p)):
         value = value * p + d
         new = [0] * (value + 1)
-        for i, c in enumerate(row):
-            if not c:
-                continue
-            base = i * p
-            for j in range(d + 1):
-                if base + j <= value:
-                    new[base + j] = c * comb(d, j) % p
+        scaled = {1: row}  # C(d, j) = C(d, d - j): each distinct factor is scaled once
+        for j in range(d + 1):
+            b = comb(d, j) % p
+            if b not in scaled:
+                scaled[b] = [c * b % p for c in row]
+            new[j::p] = scaled[b]
         row = new
     return row
 
 
 def lucas_vs_pascal(p: int, n_max: int) -> Dict[str, object]:
-    """Compare the digitwise rows with iteratively built Pascal rows mod p."""
-    pascal = [1]
+    """Compare the digitwise rows with iteratively built Pascal rows mod p.
+
+    Pascal row n is packed into one int, one byte per entry C(n, k) mod p at
+    byte k.  Row n + 1 is x = row + (row << 8), each byte the sum of two
+    entries, and every byte at least p loses p: x + bias sets bit 7 of
+    exactly those bytes, bias holding 128 - p in every byte.  That needs
+    2(p - 1) + 128 - p < 256, or a byte would carry into its neighbour, so
+    primes p >= 128 are refused.
+    """
+    if p >= 128:
+        raise ValueError(f"packed Pascal rows need p < 128, got {p}")
+    ones = int.from_bytes(b"\x01" * (n_max + 1), "little")
+    bias, hi = (128 - p) * ones, 0x80 * ones
+    pascal = 1
     first_mismatch: Optional[Tuple[int, int]] = None
     for n in range(n_max + 1):
         if n:
-            pascal = [1] + [(x + y) % p for x, y in zip(pascal, pascal[1:])] + [1]
-        row = lucas_row(n, p)
-        if row != pascal and first_mismatch is None:
-            k = next(i for i in range(n + 1) if row[i] != pascal[i])
+            x = pascal + (pascal << 8)
+            pascal = x - (((x + bias) & hi) >> 7) * p
+        row = bytes(lucas_row(n, p))
+        packed = pascal.to_bytes(n + 1, "little")
+        if row != packed and first_mismatch is None:
+            k = next(i for i in range(n + 1) if row[i] != packed[i])
             first_mismatch = (n, k)
     return {
         "first_mismatch": first_mismatch,

@@ -225,6 +225,12 @@ GOLDEN_DIGESTS = [
     # certificate: the largest changebasis argvs the guard admits
     ("changebasis --p 5 --k 2 --r 3,4,5", "d94223ac840f0c7960436e888444d5e045962d1eecb52f2a174ec2c1d9eeecda"),
     ("changebasis --p 7 --k 2 --r 1,2", "de38e675e7a8fa4065c3153a8e100348e6eeb5809e8e6d32e403e1e996c9e732"),
+    # recorded before pinches were spliced and Lucas rows slice-assigned: the
+    # largest cubes argv the guard admits, and rows at p = 257 with several
+    # digits and entries of 256 and more
+    ("cubes --n 3 --max-degree 33", "417004c9e4843d4bf046e10cf0c52e8d4a63ccac0ce8a4b746c8a97fa358e9dc"),
+    ("decompose --p 257 --n 600", "0e45cf266d15e0048adffd68e3693ad36863a035cc00d69f1c5d3f3db4522e2d"),
+    ("relations --p 257 --n 600", "5676287ed30b17bd8e059680bc2549c412da8f712a29f3d2cf8e909eac15323a"),
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from thhcalc import graded_hopf as gh
 from thhcalc import multifold as mf
-from thhcalc.fp_linalg import FpSparseMatrix, kernel_basis, two_term_kernel
+from thhcalc.fp_linalg import FpSparseMatrix, add_to, kernel_basis, two_term_kernel
 from thhcalc.fp_linalg import rank as fp_rank
 
 
@@ -107,15 +107,62 @@ def test_stdlib_enumerations_match_recursive_oracles():
 
 
 def test_lucas_row_construction():
-    for p in (3, 5):
-        for n in (0, 1, 7, 30, 81, 121):
-            assert mf.lucas_row(n, p) == [comb(n, k) % p for k in range(n + 1)]
+    # decompose and relations admit primes up to 2^31 - 1, whose rows hold
+    # entries of 256 and more: the row must stay a list
+    for p in (3, 5, 257, 1009, 2**31 - 1):
+        for n in (0, 1, 7, 30, 81, 121, 256, 257, 258, 514, 515, 600):
+            row = mf.lucas_row(n, p)
+            assert type(row) is list and row == [comb(n, k) % p for k in range(n + 1)], (n, p)
 
 
 def test_lucas_vs_pascal_small_sweep():
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 127):
         report = mf.lucas_vs_pascal(p, 150)
         assert report["passed"], report
+
+
+def _list_pascal_rows(p):
+    """A stand-in for lucas_row(n, p) that returns Pascal row n mod p, built
+    as a list from the row before it: the oracle for the packed rows.  The
+    rows must be asked for in increasing order of n."""
+    state = {"n": 0, "row": [1]}
+
+    def row(n, q):
+        assert q == p and n >= state["n"]
+        while state["n"] < n:
+            prev = state["row"]
+            state["row"] = [1] + [(x + y) % p for x, y in zip(prev, prev[1:])] + [1]
+            state["n"] += 1
+        return list(state["row"])
+
+    return row
+
+
+@pytest.mark.parametrize("p, n_max", [(3, 2000), (5, 2000), (7, 2000), (127, 300)])
+def test_packed_pascal_rows_match_list_oracle(p, n_max, monkeypatch):
+    # with lucas_row swapped for the list-built rows, lucas_vs_pascal checks
+    # every packed row against the oracle
+    monkeypatch.setattr(mf, "lucas_row", _list_pascal_rows(p))
+    assert mf.lucas_vs_pascal(p, n_max)["first_mismatch"] is None
+
+
+def test_lucas_vs_pascal_reports_the_first_mismatch(monkeypatch):
+    oracle = _list_pascal_rows(5)
+
+    def off_from_40(n, p):
+        row = oracle(n, p)
+        if n >= 40:
+            row[17] = (row[17] + 1) % p
+        return row
+
+    monkeypatch.setattr(mf, "lucas_row", off_from_40)
+    assert mf.lucas_vs_pascal(5, 60) == {"first_mismatch": (40, 17), "passed": False}
+
+
+def test_lucas_vs_pascal_refuses_primes_whose_bytes_would_carry():
+    for p in (131, 257):
+        with pytest.raises(ValueError):
+            mf.lucas_vs_pascal(p, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +303,59 @@ def test_cube_psi_rejects_repinching():
     out = mf.cube_psi(0, {mf.cube_monomial([((0, -1), 1)]): 1}, p)
     with pytest.raises(ValueError):
         mf.cube_psi(0, out, p)
+
+
+def _cube_psi_oracle(direction, elem, p):
+    """cube_psi as it was before it spliced: each new monomial sorted by
+    cube_monomial and accumulated with add_to."""
+    out = {}
+    for mon, coeff in elem.items():
+        exp = 0
+        rest = []
+        for var, e in mon:
+            if var == (direction, -1):
+                exp = e
+            elif var[0] == direction:
+                raise ValueError(f"direction {direction} is already pinched")
+            else:
+                rest.append((var, e))
+        for j in range(exp + 1):
+            c = coeff * comb(exp, j) % p
+            if c:
+                new = mf.cube_monomial(rest + [((direction, 0), j), ((direction, 1), exp - j)])
+                add_to(out, new, c, p)
+    return out
+
+
+def _pinch_outcome(psi, direction, elem, p):
+    try:
+        return psi(direction, elem, p)
+    except ValueError as err:
+        return ("refused", str(err))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cube_psi_matches_sort_and_add_oracle(p):
+    # random elements on 1-3 directions, pinched along random chains of
+    # directions; a chain may name a direction no monomial holds, or one
+    # already pinched, which both versions must refuse alike
+    rng = random.Random(53 + p)
+    pinches = refusals = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        elem = {}
+        for _ in range(rng.randint(1, 4)):
+            mon = mf.cube_monomial([((d, -1), rng.randrange(2 * p + 2)) for d in range(n)])
+            elem[mon] = rng.randrange(1, p)
+        for d in [rng.randrange(n + 1) for _ in range(rng.randint(1, n + 1))]:
+            want = _pinch_outcome(_cube_psi_oracle, d, elem, p)
+            assert _pinch_outcome(mf.cube_psi, d, elem, p) == want, (d, elem)
+            if isinstance(want, tuple):
+                refusals += 1
+                break
+            pinches += 1
+            elem = want
+    assert pinches > 500 and refusals > 50, (pinches, refusals)
 
 
 def test_pinch_order_independence_two_directions():
