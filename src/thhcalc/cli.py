@@ -50,21 +50,6 @@ MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
 MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches
 
-_VERBS = (
-    "words",
-    "poincare",
-    "tor",
-    "tor-check",
-    "primitives",
-    "relations",
-    "decompose",
-    "cubes",
-    "pterm",
-    "changebasis",
-    "rognes",
-    "verify-all",
-)
-
 
 class CLIError(Exception):
     """Invalid configuration; reported on stderr with exit status 2."""

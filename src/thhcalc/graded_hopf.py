@@ -4,7 +4,7 @@ An algebra is a tensor product of four kinds of one-generator pieces:
 
 * exterior  E(x), |x| odd: x^2 = 0;
 * polynomial P(x), |x| even: free commutative;
-* truncated  P_h(x), |x| even: x^h = 0 for a height h >= 2 (default p);
+* truncated  P_p(x), |x| even: x^p = 0;
 * divided power Gamma(x), |x| even: basis gamma_k(x) with
   gamma_i gamma_j = binom(i+j, i) gamma_{i+j}.
 
@@ -20,12 +20,18 @@ psi(gamma_k) = sum_{i+j=k} gamma_i (x) gamma_j.  `coproduct` evaluates the
 closed form of that product on each monomial, with no monomial products,
 so checking psi(ab) = psi(a) psi(b) compares it with `tensor_multiply`.
 
+Every spec is a Hopf algebra because the truncation height is p.  A free
+height h would break this: psi(x)^h = sum C(h, i) x^i (x) x^(h-i) vanishes,
+as x^h does, only when p divides every C(h, i) with 0 < i < h, that is when
+h is a power of p.  At p = 5 and height 3, psi(u u^2) = 0 while
+psi(u) psi(u^2) = 3 u^2 (x) u + 3 u (x) u^2.
+
 Monomial arithmetic reads a per-generator table instead of the generator
 specs.  `AlgebraSpec.table` is built on first use and kept on the frozen
-spec: tuples of degrees, kinds and raw heights, where a height of None still
-means p.  `mul_monomials` merges its two sorted factor lists in one pass over
-this table, summing the product degree and the Koszul sign as it goes;
-`monomial_degree` and, through it, `tensor_multiply` read the same degrees.
+spec: tuples of degrees and kinds.  `mul_monomials` merges its two sorted
+factor lists in one pass over this table, summing the product degree and
+the Koszul sign as it goes; `monomial_degree` and, through it,
+`tensor_multiply` read the same degrees.
 
 `multiply`, `power` and `tensor_multiply` take an optional `ProductTable`,
 a (m1, m2) -> `mul_monomials` dict that a caller creates for one spec and
@@ -72,16 +78,14 @@ class DualizeError(Exception):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """One generator: label, degree, kind, and height for truncated kind.
+    """One generator: label, degree and kind.
 
-    height=None on a truncated generator means "use p", resolved when an
-    operation receives the prime.
+    A truncated generator x has x^p = 0 for the prime an operation receives.
     """
 
     label: str
     degree: int
     kind: str
-    height: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -92,11 +96,6 @@ class GeneratorSpec:
             raise ValueError("exterior generators must have odd degree")
         if self.kind != EXTERIOR and self.degree % 2 == 1:
             raise ValueError(f"{self.kind} generators must have even degree")
-        if self.kind == TRUNCATED:
-            if self.height is not None and self.height < 2:
-                raise ValueError("truncation height must be at least 2")
-        elif self.height is not None:
-            raise ValueError("height is only meaningful for truncated generators")
 
 
 def exterior(label: str, degree: int) -> GeneratorSpec:
@@ -107,8 +106,8 @@ def polynomial(label: str, degree: int) -> GeneratorSpec:
     return GeneratorSpec(label, degree, POLYNOMIAL)
 
 
-def truncated(label: str, degree: int, height: Optional[int] = None) -> GeneratorSpec:
-    return GeneratorSpec(label, degree, TRUNCATED, height)
+def truncated(label: str, degree: int) -> GeneratorSpec:
+    return GeneratorSpec(label, degree, TRUNCATED)
 
 
 def divided(label: str, degree: int) -> GeneratorSpec:
@@ -116,14 +115,10 @@ def divided(label: str, degree: int) -> GeneratorSpec:
 
 
 class GeneratorTable(NamedTuple):
-    """Per-generator facts indexed by generator position.
-
-    heights keeps the raw GeneratorSpec.height, so None still means "use p".
-    """
+    """Per-generator facts indexed by generator position."""
 
     degrees: Tuple[int, ...]
     kinds: Tuple[str, ...]
-    heights: Tuple[Optional[int], ...]
 
 
 @dataclass(frozen=True)
@@ -144,17 +139,11 @@ class AlgebraSpec:
     def table(self) -> GeneratorTable:
         """The generators as flat tuples, built on first use and kept."""
         gens = self.generators
-        return GeneratorTable(
-            tuple(g.degree for g in gens), tuple(g.kind for g in gens), tuple(g.height for g in gens)
-        )
+        return GeneratorTable(tuple(g.degree for g in gens), tuple(g.kind for g in gens))
 
 
 def algebra(gens: Iterable[GeneratorSpec], degree_bound: int) -> AlgebraSpec:
     return AlgebraSpec(tuple(gens), degree_bound)
-
-
-def _height(g: GeneratorSpec, p: int) -> int:
-    return g.height if g.height is not None else p
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +173,7 @@ def scalar_mul(c: int, a: Element, p: int) -> Element:
 def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Optional[Tuple[int, Monomial]]:
     """Product of two basis monomials: a coefficient and a monomial, or None.
 
-    None covers genuine zeros (exterior squares, truncation heights, divided
+    None covers genuine zeros (exterior squares, p-th truncated powers, divided
     binomials divisible by p) and products above the degree bound.  Zeros
     are found during the merge, before the degree is checked.
 
@@ -193,7 +182,7 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Opti
     factors of m2 merged before it.  Odd generators are exactly the exterior
     ones, so the kind decides the parity.
     """
-    degrees, kinds, heights = spec.table
+    degrees, kinds = spec.table
     out: List[Tuple[int, int]] = []
     degree = 0
     coeff = 1
@@ -222,8 +211,7 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Opti
                 return None
             odd2 += 1
         elif kind == TRUNCATED:
-            h = heights[j]
-            if e >= (p if h is None else h):
+            if e >= p:
                 return None
         elif kind == DIVIDED:
             coeff = coeff * comb(e, e1) % p
@@ -430,7 +418,7 @@ def _basis_cached(spec: AlgebraSpec, t: int, p: int) -> Tuple[Monomial, ...]:
     if t < 0:
         return ()
     gens = spec.generators
-    tops = [{EXTERIOR: 1, TRUNCATED: _height(g, p) - 1}.get(g.kind, t) for g in gens]  # largest exponents
+    tops = [{EXTERIOR: 1, TRUNCATED: p - 1}.get(g.kind, t) for g in gens]  # largest exponents
     out: List[Monomial] = []
 
     def rec(start: int, remaining: int, acc: List[Tuple[int, int]]) -> None:
@@ -484,8 +472,8 @@ def poincare_series(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
     """Dimensions of the graded pieces in degrees 0..limit.
 
     Each generator of degree d multiplies the series in place, in O(limit):
-    by 1 / (1 - t^d), and then, at a height h (2 for an exterior generator),
-    by 1 - t^(hd).
+    by 1 / (1 - t^d), and then, at a height h (2 for an exterior generator,
+    p for a truncated one), by 1 - t^(hd).
     """
     out = [1] + [0] * limit
     for g in spec.generators:
@@ -493,7 +481,7 @@ def poincare_series(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
         # bottom up, so each out[i - d] already holds the quotient
         for i in range(d, limit + 1):
             out[i] += out[i - d]
-        height = {EXTERIOR: 2, TRUNCATED: _height(g, p)}.get(g.kind)
+        height = {EXTERIOR: 2, TRUNCATED: p}.get(g.kind)
         if height:
             # top down, so each out[i - hd] is still the quotient
             hd = height * d
@@ -545,13 +533,13 @@ def dualize(spec: AlgebraSpec) -> AlgebraSpec:
 # ---------------------------------------------------------------------------
 
 
-def random_homogeneous(spec: AlgebraSpec, t: int, p: int, rng, max_terms: int = 3) -> Element:
-    """A random homogeneous element of degree t (possibly zero)."""
+def random_homogeneous(spec: AlgebraSpec, t: int, p: int, rng) -> Element:
+    """A random homogeneous element of degree t (possibly zero), of one to three terms."""
     pool = basis(spec, t, p)
     if not pool:
         return {}
     out: Element = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, 4)):
         mon = pool[rng.randrange(len(pool))]
         add_to(out, mon, rng.randrange(1, p), p)
     return out

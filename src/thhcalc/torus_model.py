@@ -19,10 +19,9 @@ augmentation-like ideal test `in_p_ideal` asks whether an element dies under
 the projection onto the polynomial subalgebra of single-coordinate classes.
 
 `n_delta_degrees` enumerates the total degrees realizable by partitioning
-the coordinate set into blocks of a given subset family, one generator
-degree per block; `multifold_primitive_degree_check` uses it to verify that
-the degrees reserved for length-n primitives are never hit by proper-block
-partitions.
+the coordinate set into proper nonempty subsets, one generator degree per
+block; `multifold_primitive_degree_check` uses it to verify that the degrees
+reserved for length-n primitives are never hit by these partitions.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from . import admissible_words as aw
 from . import graded_hopf as gh
@@ -196,26 +195,16 @@ def _block_degree_set(size: int, p: int, max_degree: int) -> List[int]:
     return sorted(set(aw.monic_degrees(size, p, max_degree)))
 
 
-def n_delta_degrees(
-    n: int, delta: Iterable[Iterable[int]], max_degree: int, p: int
-) -> Dict[int, bool]:
+def n_delta_degrees(n: int, max_degree: int, p: int) -> Dict[int, bool]:
     """Degrees of partition-indexed products, flagged by non-singleton use.
 
-    `delta` is a family of nonempty subsets of {1..n}, closed under taking
-    nonempty subsets.  Each partition of {1..n} into delta-blocks contributes
-    the sums of one generator degree per block: monic-word degrees for blocks
-    of size >= 2, power degrees 2 p^i for singletons.  The result maps each
-    achievable degree <= max_degree to True when some achieving partition
-    uses a block of size >= 2.
+    The blocks are the proper nonempty subsets of {1..n}.  Each partition of
+    {1..n} into such blocks contributes the sums of one generator degree per
+    block: monic-word degrees for blocks of size >= 2, power degrees 2 p^i
+    for singletons.  The result maps each achievable degree <= max_degree to
+    True when some achieving partition uses a block of size >= 2.
     """
-    blocks = sorted({frozenset(b) for b in delta}, key=lambda b: (len(b), sorted(b)))
-    if any(not b or not b <= set(range(1, n + 1)) for b in blocks):
-        raise ValueError("blocks must be nonempty subsets of the coordinate set")
-    family = set(blocks)
-    for b in blocks:
-        for sub in combinations(sorted(b), len(b) - 1):
-            if sub and frozenset(sub) not in family:
-                raise ValueError("block family is not closed under subsets")
+    blocks = [frozenset(u) for u in _subsets(n) if len(u) < n]
     degree_sets = {b: _block_degree_set(len(b), p, max_degree) for b in blocks}
 
     cache: Dict[FrozenSet[int], Set[Tuple[int, bool]]] = {}
@@ -254,8 +243,7 @@ def multifold_primitive_degree_check(n: int, p: int, max_degree: int) -> Dict[st
     """
     if not 2 <= n <= p:
         raise ValueError("the coordinate count must lie between 2 and p")
-    delta = [u for u in _subsets(n) if 0 < len(u) < n]
-    degrees = n_delta_degrees(n, delta, max_degree, p)
+    degrees = n_delta_degrees(n, max_degree, p)
     violations: List[Tuple[str, int]] = []
     for d, flagged in sorted(degrees.items()):
         if not flagged:

@@ -248,7 +248,7 @@ def _generator(draw, label: str) -> gh.GeneratorSpec:
         return gh.polynomial(label, degree)
     if kind == "divided":
         return gh.divided(label, degree)
-    return gh.truncated(label, degree, draw(st.sampled_from([None, 2, 3, 4])))
+    return gh.truncated(label, degree)
 
 
 @st.composite

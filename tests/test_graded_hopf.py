@@ -43,14 +43,15 @@ def test_exterior_squares_vanish():
     assert gh.multiply(spec, y, y, 5) == {}
 
 
-def test_truncated_height_default_and_explicit():
+def test_truncated_height_is_p():
     spec = gh.algebra([gh.truncated("u", 2)], 40)
-    u2 = {((0, 2),): 1}
-    # default height p: u^2 * u = u^3 != 0 mod 5, = 0 mod 3
-    assert gh.multiply(spec, u2, {((0, 1),): 1}, 3) == {}
-    assert gh.multiply(spec, u2, {((0, 1),): 1}, 5) == {((0, 3),): 1}
-    spec7 = gh.algebra([gh.truncated("u", 2, 4)], 40)
-    assert gh.multiply(spec7, u2, u2, 7) == {}
+    u = lambda k: {((0, k),): 1}
+    # u^2 * u = u^3 != 0 mod 5, = 0 mod 3
+    assert gh.multiply(spec, u(2), u(1), 3) == {}
+    assert gh.multiply(spec, u(2), u(1), 5) == {((0, 3),): 1}
+    # u^4 * u^2 = u^6 != 0 mod 7, u^4 * u^3 = 0 mod 7
+    assert gh.multiply(spec, u(4), u(2), 7) == {((0, 6),): 1}
+    assert gh.multiply(spec, u(4), u(3), 7) == {}
 
 
 def test_koszul_sign_on_odd_swap():
@@ -95,7 +96,7 @@ def _mul_monomials_oracle(spec, m1, m2, p):
             if e > 1:
                 return None
         elif g.kind == gh.TRUNCATED:
-            if e >= (g.height if g.height is not None else p):
+            if e >= p:
                 return None
         elif g.kind == gh.DIVIDED:
             coeff = coeff * comb(e, e1) % p
@@ -112,7 +113,7 @@ _generator = st.one_of(
     st.builds(gh.exterior, st.just(""), st.sampled_from([1, 3, 5])),
     st.builds(gh.polynomial, st.just(""), st.sampled_from([2, 4])),
     st.builds(gh.divided, st.just(""), st.sampled_from([2, 4])),
-    st.builds(gh.truncated, st.just(""), st.sampled_from([2, 4]), st.sampled_from([None, None, 2, 3, 4])),
+    st.builds(gh.truncated, st.just(""), st.sampled_from([2, 4])),
 )
 
 
@@ -122,7 +123,7 @@ _EXPONENTS = [1, 1, 1, 1, 2, 3]
 @st.composite
 def _spec_and_monomials(draw):
     kinds = draw(st.lists(_generator, min_size=2, max_size=6))
-    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)]
+    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)]
     spec = gh.algebra(gens, draw(st.integers(0, 60)))
     # each generator goes to neither, one or both factors; an exponent may
     # exceed its kind's range
@@ -172,15 +173,15 @@ def _coproduct_oracle(spec, mon, p):
 
 @st.composite
 def _spec_and_basis_monomial(draw):
-    """A spec mixing all four kinds, default and explicit heights, and a
-    basis monomial of it that may lie above the degree bound."""
+    """A spec mixing all four kinds and a basis monomial of it that may lie
+    above the degree bound."""
     p = draw(st.sampled_from([3, 5, 7]))
     kinds = draw(st.lists(_generator, min_size=1, max_size=6))
-    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)]
+    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)]
     spec = gh.algebra(gens, draw(st.integers(0, 40)))
     mon = []
     for i, g in enumerate(gens):
-        top = {gh.EXTERIOR: 1, gh.TRUNCATED: (g.height or p) - 1}.get(g.kind, 4)
+        top = {gh.EXTERIOR: 1, gh.TRUNCATED: p - 1}.get(g.kind, 4)
         e = draw(st.integers(0, top))
         if e:
             mon.append((i, e))
@@ -312,7 +313,7 @@ def _basis_oracle(spec, t, p):
         if g.kind == gh.EXTERIOR:
             max_e = min(max_e, 1)
         elif g.kind == gh.TRUNCATED:
-            max_e = min(max_e, (g.height if g.height is not None else p) - 1)
+            max_e = min(max_e, p - 1)
         for e in range(0, max_e + 1):
             if e:
                 acc.append((idx, e))
@@ -327,7 +328,7 @@ def _basis_oracle(spec, t, p):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_generator, max_size=6), st.sampled_from([3, 5, 7]))
 def test_basis_matches_per_generator_recursion(kinds, p):
-    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)]
+    gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)]
     spec = gh.algebra(gens, 18)
     for t in range(-1, 19):
         assert gh.basis(spec, t, p) == _basis_oracle(spec, t, p)
@@ -340,7 +341,7 @@ def test_basis_matches_per_generator_recursion(kinds, p):
 def _poincare_oracle(spec, limit, p):
     series = [1] + [0] * limit
     for g in spec.generators:
-        top = {gh.EXTERIOR: 1, gh.TRUNCATED: (g.height or p) - 1}.get(g.kind, limit)
+        top = {gh.EXTERIOR: 1, gh.TRUNCATED: p - 1}.get(g.kind, limit)
         factor = [0] * (limit + 1)
         for k in range(min(top, limit // g.degree) + 1):
             factor[k * g.degree] = 1
@@ -351,7 +352,7 @@ def _poincare_oracle(spec, limit, p):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_generator, max_size=8), st.integers(0, 80), st.sampled_from([3, 5]))
 def test_poincare_series_matches_convolution_oracle(kinds, limit, p):
-    spec = gh.algebra([gh.GeneratorSpec(f"g{i}", g.degree, g.kind, g.height) for i, g in enumerate(kinds)], limit)
+    spec = gh.algebra([gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)], limit)
     assert gh.poincare_series(spec, limit, p) == _poincare_oracle(spec, limit, p)
 
 
@@ -452,6 +453,32 @@ def test_coassociativity_random(p):
         assert _triple_left(MIXED, ts, p) == _triple_right(MIXED, ts, p)
 
 
+@st.composite
+def _spec_and_element_pair(draw):
+    """A spec drawn from all four constructors and two random homogeneous
+    elements whose product degree stays within its bound."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    kinds = draw(st.lists(_generator, min_size=1, max_size=4))
+    spec = gh.algebra([gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)], 30)
+    t1 = draw(st.integers(1, 15))
+    t2 = draw(st.integers(1, 30 - t1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return spec, p, gh.random_homogeneous(spec, t1, p, rng), gh.random_homogeneous(spec, t2, p, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spec_and_element_pair())
+def test_every_spec_is_a_hopf_algebra(case):
+    # truncation at p keeps psi multiplicative; truncated generators are
+    # drawn here at p = 7 as well as 3 and 5
+    spec, p, a, b = case
+    lhs = gh.coproduct(spec, gh.multiply(spec, a, b, p), p)
+    rhs = gh.tensor_multiply(spec, gh.coproduct(spec, a, p), gh.coproduct(spec, b, p), p)
+    assert lhs == rhs
+    ts = gh.coproduct(spec, a, p)
+    assert _triple_left(spec, ts, p) == _triple_right(spec, ts, p)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_frobenius_additivity_random(p):
     # (a+b)^p = a^p + b^p on even homogeneous elements
@@ -470,8 +497,12 @@ def test_frobenius_additivity_random(p):
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10), st.sampled_from([3, 5]), st.integers())
 def test_monomial_products_graded_commute_hypothesis(t1, t2, p, seed):
     rng = random.Random(seed)
-    a = gh.random_homogeneous(MIXED, t1, p, rng, max_terms=1)
-    b = gh.random_homogeneous(MIXED, t2, p, rng, max_terms=1)
+
+    def monomial(t):
+        pool = gh.basis(MIXED, t, p)
+        return {rng.choice(pool): rng.randrange(1, p)} if pool else {}
+
+    a, b = monomial(t1), monomial(t2)
     ab = gh.multiply(MIXED, a, b, p)
     ba = gh.multiply(MIXED, b, a, p)
     sign = -1 if (t1 * t2) % 2 else 1
@@ -502,4 +533,4 @@ def test_generator_parity_validation():
     with pytest.raises(ValueError):
         gh.polynomial("m", 3)
     with pytest.raises(ValueError):
-        gh.truncated("u", 4, 1)
+        gh.truncated("u", 3)

@@ -230,13 +230,12 @@ def test_in_p_ideal():
 
 
 def test_n_delta_degrees_two_singletons():
-    degrees = tm.n_delta_degrees(2, [(1,), (2,)], 18, 3)
+    degrees = tm.n_delta_degrees(2, 18, 3)
     assert degrees == {4: False, 8: False, 12: False}
 
 
 def test_n_delta_degrees_with_pairs():
-    delta = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
-    degrees = tm.n_delta_degrees(3, delta, 18, 3)
+    degrees = tm.n_delta_degrees(3, 18, 3)
     assert degrees == {
         5: True,
         6: False,
@@ -245,13 +244,6 @@ def test_n_delta_degrees_with_pairs():
         14: False,
         18: False,
     }
-
-
-def test_n_delta_degrees_validates_family():
-    with pytest.raises(ValueError):
-        tm.n_delta_degrees(3, [(1, 2), (3,)], 18, 3)  # missing singletons
-    with pytest.raises(ValueError):
-        tm.n_delta_degrees(2, [(1,), (2,), (5,)], 18, 3)
 
 
 def test_multifold_primitive_degree_check_sweep():
