@@ -121,45 +121,41 @@ def rho_count(word: Word) -> int:
 def enumerate_words(length: int, p: int, max_degree: int, monic_only: bool = False) -> List[Word]:
     """All admissible words of the given length with degree <= max_degree.
 
-    Words are built right to left from mu; each prepended letter strictly
-    increases the degree, so the cap prunes the search.  The result is sorted
-    by (degree, rendered word).
+    Words are built right to left from mu, depth first on an explicit stack.
+    Each prepended letter adds at least 1 to the degree, so a prefix whose
+    degree plus the letters still to come exceeds the cap is pruned.  The
+    result is sorted by (degree, rendered word).
     """
     if length < 1 or max_degree < 2:
         return []
     out: List[Word] = []
-
-    def extend(word: List[Letter], deg: int) -> None:
-        if len(word) == length:
+    word: List[Letter] = []
+    # (letters before it, letter, degree with it); the final sort fixes the order
+    stack = [(0, L_MU, 2)]
+    while stack:
+        depth, letter, deg = stack.pop()
+        del word[depth:]
+        word.append(letter)
+        depth += 1
+        if depth == length:
             if not monic_only or is_monic(tuple(reversed(word))):
                 out.append(tuple(reversed(word)))
-            return
-        first = word[-1]
-        if first.kind == MU:
-            if 1 + deg <= max_degree:
-                word.append(L_RHO)
-                extend(word, 1 + deg)
-                word.pop()
-        elif first.kind == RHO:
+            continue
+        # the next letter leaves one degree for each letter after it
+        cap = max_degree - (length - depth - 1)
+        if letter.kind == RHO:
             k = 0
-            while p**k * (1 + deg) <= max_degree:
-                word.append(rho_sup(k))
-                extend(word, p**k * (1 + deg))
-                word.pop()
+            while p**k * (1 + deg) <= cap:
+                stack.append((depth, rho_sup(k), p**k * (1 + deg)))
                 k += 1
         else:
-            if 1 + deg <= max_degree:
-                word.append(L_RHO)
-                extend(word, 1 + deg)
-                word.pop()
-            k = 0
-            while p**k * (2 + p * deg) <= max_degree:
-                word.append(phi_sup(k))
-                extend(word, p**k * (2 + p * deg))
-                word.pop()
-                k += 1
-
-    extend([L_MU], 2)
+            if 1 + deg <= cap:
+                stack.append((depth, L_RHO, 1 + deg))
+            if letter.kind != MU:
+                k = 0
+                while p**k * (2 + p * deg) <= cap:
+                    stack.append((depth, phi_sup(k), p**k * (2 + p * deg)))
+                    k += 1
     out.sort(key=lambda w: (degree(w, p), render(w)))
     return out
 

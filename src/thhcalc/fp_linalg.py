@@ -8,11 +8,9 @@ byte-identical report guarantee bottoms out here.
 All elimination runs through one step, `_pivot`: normalize the pivot row,
 clear its column from every other row, and keep the column index in step.
 One pivot rule drives it: scan the columns left to right and pivot on the
-smallest active row index.  `rank` runs the forward half of it and only
-counts the pivots; a pivot row leaves the column index for good, since a
-rank needs no clearing above its pivots.  `_rref`, behind kernels and
-solves, reduces in one Gauss-Jordan pass: each normalized pivot row stays
-in the column index, so every later pivot clears its column from the
+smallest active row index.  `_rref` reduces in one Gauss-Jordan pass, and
+that pass serves ranks, kernels and solves alike: each normalized pivot row
+stays in the column index, so every later pivot clears its column from the
 earlier pivot rows as it is taken, touching only the rows that hold that
 column, and no back-substitution follows.
 
@@ -21,7 +19,10 @@ contract.  `kernel_basis` returns one sparse {column: value} dict per free
 column, keys increasing, ending at that free column with value 1; every
 other key is a pivot column to its left.  So column j is free exactly when
 it lies in the span of the columns before it, and the vectors whose free
-column is below k span the kernel of the first k columns alone.  `add_to`
+column is below k span the kernel of the first k columns alone.  A solve is
+the same contract read once more: append b as the last column; m x = b has
+a solution exactly when some vector ends on that column, and that vector
+is (-x, 1) for the solution x whose free variables are all 0.  `add_to`
 is the package's one "add mod p, drop the key on zero" step for sparse
 accumulators.
 
@@ -35,9 +36,7 @@ systems; `kernel_basis` on the same relations is its test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-Vector = Tuple[int, ...]
+from typing import Dict, Iterable, List, Set, Tuple
 
 
 class ContractViolation(Exception):
@@ -199,21 +198,8 @@ def _rref(rows: List[Dict[int, int]], cols: int, p: int) -> List[Tuple[int, Dict
 
 
 def rank(m: FpSparseMatrix, p: int) -> int:
-    """Rank of m over F_p, by the forward half of `_rref`'s pivot rule.
-
-    Columns are scanned in increasing order and each pivots on the smallest
-    active row touching it; pivot rows are not put back into the column
-    index, so nothing above a pivot is cleared.
-    """
-    rows = _sparse_rows(m, p)
-    col_index = _column_index(rows)
-    found = 0
-    for c in range(m.cols):
-        touching = col_index.get(c)
-        if touching:
-            _pivot(rows, col_index, min(touching), c, p)
-            found += 1
-    return found
+    """Rank of m over F_p: the number of pivots in `_rref`'s one pass."""
+    return len(_rref(_sparse_rows(m, p), m.cols, p))
 
 
 def kernel_basis(m: FpSparseMatrix, p: int) -> List[Dict[int, int]]:
@@ -297,28 +283,3 @@ def two_term_kernel(
             vectors.setdefault(root, {})[v] = g
     return list(vectors.values())
 
-
-def solve_membership(m: FpSparseMatrix, b: Sequence[int], p: int) -> Tuple[Optional[Vector], int]:
-    """(x, rank of m): a solution x of m x = b over F_p, or None when b is
-    not in the image.
-
-    The returned solution sets every free variable to zero, making it the
-    unique echelon-form representative.  The rank is read off the same
-    echelon form: the pivots left of the right-hand side's column.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length does not match row count")
-    rows = _sparse_rows(m, p)
-    sentinel = m.cols
-    for r, val in enumerate(b):
-        vv = val % p
-        if vv:
-            rows[r][sentinel] = vv
-    pivots = _rref(rows, m.cols + 1, p)
-    x = [0] * m.cols
-    for c, row in pivots:
-        if c == sentinel:
-            # the columns are pivoted in increasing order, so this one is last
-            return None, len(pivots) - 1
-        x[c] = row.get(sentinel, 0)
-    return tuple(x), len(pivots)

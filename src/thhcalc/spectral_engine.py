@@ -339,14 +339,17 @@ def rognes_check(p: int, n: int, include_witness: bool = False) -> Dict[str, obj
         top[i - 1] = weight
         target[rows[(i, tuple(top))]] = 1
 
-    mat = FpSparseMatrix.from_columns(len(rows), columns)
-    solution, base_rank = fp_linalg.solve_membership(mat, [target.get(r, 0) for r in range(len(rows))], p)
+    # appended last, the target is hit exactly when the final kernel vector
+    # ends on its column, and that vector is (-solution, 1)
+    kernel = fp_linalg.kernel_basis(FpSparseMatrix.from_columns(len(rows), columns + [target]), p)
+    solution = None
+    if kernel and len(columns) in kernel[-1]:
+        solution = [-kernel[-1].get(c, 0) % p for c in range(len(columns))]
 
     report: Dict[str, object] = {
         "rows": len(rows),
         "cols": len(columns),
         "obstructed": solution is None,
-        "rank": base_rank,
         # the right-hand side raises the rank by one exactly when it is not hit
         "rank_gap": int(solution is None),
         "witness_included": include_witness,

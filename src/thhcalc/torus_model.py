@@ -72,7 +72,7 @@ def build_torus(n: int, p: int, degree_bound: int, coaction: bool = False) -> To
         raise ValueError("need at least one coordinate")
     gens: List[gh.GeneratorSpec] = []
     info: List[Tuple] = []
-    for u in sorted(_subsets(n), key=lambda s: (len(s), s)):
+    for u in _subsets(n):
         if len(u) == 1:
             gens.append(gh.polynomial(f"mu_{u[0]}", 2))
             info.append((WORD, u, (aw.L_MU,)))

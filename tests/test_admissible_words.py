@@ -176,6 +176,59 @@ def test_enumeration_matches_brute_force():
         assert aw.enumerate_words(length, p, max_degree) == list(brute)
 
 
+def _enumerate_words_recursive(length, p, max_degree, monic_only=False):
+    """Oracle: the recursive search the library used before its explicit
+    stack, one level per letter, pruning on the cap alone."""
+    if length < 1 or max_degree < 2:
+        return []
+    out = []
+
+    def extend(word, deg):
+        if len(word) == length:
+            if not monic_only or aw.is_monic(tuple(reversed(word))):
+                out.append(tuple(reversed(word)))
+            return
+        first = word[-1]
+        if first.kind == aw.MU:
+            if 1 + deg <= max_degree:
+                extend(word + [aw.L_RHO], 1 + deg)
+        elif first.kind == aw.RHO:
+            k = 0
+            while p**k * (1 + deg) <= max_degree:
+                extend(word + [aw.rho_sup(k)], p**k * (1 + deg))
+                k += 1
+        else:
+            if 1 + deg <= max_degree:
+                extend(word + [aw.L_RHO], 1 + deg)
+            k = 0
+            while p**k * (2 + p * deg) <= max_degree:
+                extend(word + [aw.phi_sup(k)], p**k * (2 + p * deg))
+                k += 1
+
+    extend([aw.L_MU], 2)
+    out.sort(key=lambda w: (aw.degree(w, p), aw.render(w)))
+    return out
+
+
+def test_enumeration_matches_recursive_oracle():
+    found = 0
+    for p in (3, 5, 7):
+        for length in range(1, 11):
+            for max_degree in (2, 5, 10, 20, 30, 60, 100, 150):
+                for monic_only in (False, True):
+                    want = _enumerate_words_recursive(length, p, max_degree, monic_only)
+                    assert aw.enumerate_words(length, p, max_degree, monic_only) == want
+                    found += len(want)
+    assert found > 1000
+
+
+def test_enumeration_reaches_long_words():
+    # the one word (rho rho0)^599 rho mu of length 1200 sits on the degree floor
+    words = aw.enumerate_words(1200, 3, 1201)
+    assert len(words) == 1
+    assert aw.degree(words[0], 3) == 1201
+
+
 def test_degree_floor_makes_caps_safe():
     # no admissible word of length n has degree below n + 1 (mu aside)
     assert aw.enumerate_words(6, 3, 6) == []

@@ -21,7 +21,6 @@ from thhcalc.fp_linalg import (
     add_to,
     kernel_basis,
     rank,
-    solve_membership,
     two_term_kernel,
 )
 
@@ -48,6 +47,24 @@ def mul_vec(m, vec, p):
 
 def transpose(m):
     return FpSparseMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def augment(m, b):
+    """[m | b]: the dense right-hand side b appended as the last column."""
+    entries = dict(m.entries)
+    entries.update({(r, m.cols): v for r, v in enumerate(b) if v})
+    return FpSparseMatrix(m.rows, m.cols + 1, entries)
+
+
+def solve_by_kernel(m, b, p):
+    """x with m x = b, read off the kernel vector of [m | b] that ends on the
+    appended column, or None when no vector ends there."""
+    kernel = kernel_basis(augment(m, b), p)
+    # the appended column can only be the last vector's free column
+    assert all(m.cols not in vec for vec in kernel[:-1])
+    if not kernel or m.cols not in kernel[-1]:
+        return None
+    return tuple(-kernel[-1].get(c, 0) % p for c in range(m.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +94,15 @@ def test_kernel_of_row_vector_mod_3():
     assert basis == [{0: 2, 1: 1}]
 
 
-def test_solve_membership_column_mod_5():
+def test_solve_by_appended_column_mod_5():
     m = from_dense([[1], [2]])
-    assert solve_membership(m, (2, 4), 5) == ((2,), 1)
-    # inconsistent right-hand side: rank jumps by one on augmenting
-    assert solve_membership(m, (2, 3), 5) == (None, 1)
-    aug = from_dense([[1, 2], [2, 3]])
-    assert rank(aug, 5) == rank(m, 5) + 1
+    # the vector ending on the appended column is (-x, 1)
+    assert kernel_basis(augment(m, (2, 4)), 5) == [{0: 3, 1: 1}]
+    assert solve_by_kernel(m, (2, 4), 5) == (2,)
+    # inconsistent right-hand side: no vector ends there, and the rank jumps
+    assert kernel_basis(augment(m, (2, 3)), 5) == []
+    assert solve_by_kernel(m, (2, 3), 5) is None
+    assert rank(augment(m, (2, 3)), 5) == rank(m, 5) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +139,12 @@ def test_solve_round_trip(p):
         m = random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8), p)
         x = dict(enumerate(rng.randrange(p) for _ in range(m.cols)))
         b = mul_vec(m, x, p)
-        x2, _ = solve_membership(m, b, p)
+        x2 = solve_by_kernel(m, b, p)
         assert x2 is not None
         assert mul_vec(m, dict(enumerate(x2)), p) == b
+        # every free variable is 0: x2 lives on the pivot columns of m alone
+        pivot_cols = set(range(m.cols)) - {next(reversed(vec)) for vec in kernel_basis(m, p)}
+        assert all(c in pivot_cols for c, v in enumerate(x2) if v)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -132,16 +154,10 @@ def test_no_solution_certified_by_rank_jump(p):
     while checked < 50:
         m = random_matrix(rng, rng.randrange(2, 8), rng.randrange(1, 6), p)
         b = tuple(rng.randrange(p) for _ in range(m.rows))
-        solution, m_rank = solve_membership(m, b, p)
-        if solution is not None:
-            continue
-        cols = [dict() for _ in range(m.cols + 1)]
-        for (r, c), v in m.entries.items():
-            cols[c][r] = v
-        cols[m.cols] = {r: v for r, v in enumerate(b) if v}
-        aug = FpSparseMatrix.from_columns(m.rows, cols)
-        assert rank(aug, p) == rank(m, p) + 1 == m_rank + 1
-        checked += 1
+        # no vector ends on the appended column exactly when the rank jumps
+        unsolved = solve_by_kernel(m, b, p) is None
+        assert unsolved == (rank(augment(m, b), p) == rank(m, p) + 1)
+        checked += unsolved
 
 
 def test_rank_matches_nullity_and_transpose_rank():
@@ -324,11 +340,7 @@ def arrow_matrices(draw):
 @given(st.one_of(prime_matrices(), unitriangular_matrices(), arrow_matrices()))
 def test_rank_matches_full_scan_oracle(case):
     m, p = case
-    full = rank_full_scan(m, p)
-    assert rank(m, p) == full
-    # the solve reads the same rank off its own echelon form, hit or not
-    for b in ([0] * m.rows, [1] * m.rows):
-        assert solve_membership(m, b, p)[1] == full
+    assert rank(m, p) == rank_full_scan(m, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -347,11 +359,11 @@ CALLERS = {
 
 @pytest.fixture(scope="module")
 def caller_matrices():
-    """Every matrix the library callers rank, by caller, with the rank that
-    `rank` or `solve_membership` returned for it."""
+    """Every matrix the library callers rank or take a kernel of, by caller,
+    with the rank that `rank` returned or cols minus the kernel's size."""
     recorded = {}
     real_rank = fp_linalg.rank
-    real_solve = fp_linalg.solve_membership
+    real_kernel_basis = fp_linalg.kernel_basis
     with pytest.MonkeyPatch.context() as mp:
         for name, call in CALLERS.items():
             seen = recorded.setdefault(name, [])
@@ -361,13 +373,13 @@ def caller_matrices():
                 seen.append((FpSparseMatrix(m.rows, m.cols, dict(m.entries)), p, got))
                 return got
 
-            def recording_solve(m, b, p, seen=seen):
-                solution, got = real_solve(m, b, p)
-                seen.append((FpSparseMatrix(m.rows, m.cols, dict(m.entries)), p, got))
-                return solution, got
+            def recording_kernel_basis(m, p, seen=seen):
+                kernel = real_kernel_basis(m, p)
+                seen.append((FpSparseMatrix(m.rows, m.cols, dict(m.entries)), p, m.cols - len(kernel)))
+                return kernel
 
             mp.setattr(fp_linalg, "rank", recording_rank)
-            mp.setattr(fp_linalg, "solve_membership", recording_solve)
+            mp.setattr(fp_linalg, "kernel_basis", recording_kernel_basis)
             call()
     return recorded
 

@@ -81,7 +81,7 @@ def test_weight_classification():
 
 # The recursive enumerations the library used before it switched to
 # itertools; kept as the oracle for order as well as content, since the
-# rognes column order fixes the solve_membership witness.
+# column order of rognes fixes its witness.
 
 
 def _subsets_of_size(pool, size):

@@ -291,14 +291,38 @@ def test_change_basis_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 
-def test_hitting_problem_obstructed_small():
+def _kernel_calls(monkeypatch):
+    """Record each matrix handed to `kernel_basis` with its kernel, and
+    refuse `rank`."""
+    seen = []
+    real = fp_linalg.kernel_basis
+
+    def recording(m, p):
+        kernel = real(m, p)
+        seen.append((m, kernel))
+        return kernel
+
+    def refuse(*args):
+        raise AssertionError("rognes_check ranked a matrix")
+
+    monkeypatch.setattr(fp_linalg, "kernel_basis", recording)
+    monkeypatch.setattr(fp_linalg, "rank", refuse)
+    return seen
+
+
+def test_hitting_problem_obstructed_small(monkeypatch):
+    seen = _kernel_calls(monkeypatch)
     for p, n, rows, cols in [(3, 2, 8, 3), (5, 2, 12, 5)]:
+        seen.clear()
         report = se.rognes_check(p, n)
         assert report["obstructed"], (p, n)
         assert report["rows"] == rows
         assert report["cols"] == cols
-        assert report["rank"] == cols  # the candidate columns are independent
         assert report["rank_gap"] == 1
+        # one elimination of the candidates with the target appended
+        [(m, kernel)] = seen
+        assert (m.rows, m.cols) == (rows, cols + 1)
+        assert kernel == []  # the candidate columns are independent, and so is the target
 
 
 def test_hitting_problem_obstructed_three_coordinates():
@@ -309,13 +333,19 @@ def test_hitting_problem_obstructed_three_coordinates():
     assert report["rank_gap"] == 1
 
 
-def test_hitting_problem_control_witness():
-    for p, n in [(3, 2), (5, 2), (5, 3)]:
+def test_hitting_problem_control_witness(monkeypatch):
+    seen = _kernel_calls(monkeypatch)
+    for p, n in [(3, 2), (5, 2), (5, 3), (3, 3), (3, 4), (7, 3)]:
+        seen.clear()
         report = se.rognes_check(p, n, include_witness=True)
+        assert len(seen) == 1, (p, n)
         assert not report["obstructed"], (p, n)
         assert report["witness_coefficient"] == 1
         assert report["canonical_solves"]
         assert report["witness_verified"]
+        # the columns and the canonical one are independent, so the solution
+        # is unique: tau_{n-1} alone
+        assert report["witness"] == {(n - 1, (0,) * n): 1}, (p, n)
 
 
 def test_hitting_problem_rejects_single_coordinate():
