@@ -25,9 +25,8 @@ first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import graded_hopf as gh
 
@@ -37,25 +36,31 @@ RHO_SUP = "rhok"
 PHI_SUP = "phik"
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
+class _LetterFields(NamedTuple):
     kind: str
-    sup: int = -1  # superscript for rhok/phik; -1 for mu and bare rho
+    sup: int  # superscript for rhok/phik; -1 for mu and bare rho
 
-    def __post_init__(self) -> None:
-        if self.kind not in (MU, RHO, RHO_SUP, PHI_SUP):
-            raise ValueError(f"unknown letter kind {self.kind!r}")
-        if self.kind in (RHO_SUP, PHI_SUP):
-            if self.sup < 0:
+
+class Letter(_LetterFields):
+    """A word letter, checked on construction; letters sort by (kind, sup)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, sup: int) -> "Letter":
+        if kind not in (MU, RHO, RHO_SUP, PHI_SUP):
+            raise ValueError(f"unknown letter kind {kind!r}")
+        if kind in (RHO_SUP, PHI_SUP):
+            if sup < 0:
                 raise ValueError("superscripted letters need a superscript >= 0")
-        elif self.sup != -1:
+        elif sup != -1:
             raise ValueError("mu and rho carry no superscript")
+        return super().__new__(cls, kind, sup)
 
 
 Word = Tuple[Letter, ...]
 
-L_MU = Letter(MU)
-L_RHO = Letter(RHO)
+L_MU = Letter(MU, -1)
+L_RHO = Letter(RHO, -1)
 
 
 def rho_sup(k: int) -> Letter:

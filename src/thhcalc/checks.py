@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import admissible_words as aw
 from . import bar_tor
@@ -24,12 +23,11 @@ from . import torus_model as tm
 from .fp_linalg import add_to
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     params: Dict[str, object]
     passed: bool
-    details: Dict[str, object] = field(default_factory=dict)
+    details: Dict[str, object]
 
 
 # ---------------------------------------------------------------------------

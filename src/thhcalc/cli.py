@@ -22,6 +22,15 @@ of degree <= 2p^k (the degrees its exchange map is certified over),
 `pterm` when its page has more than that many of degree <= max_degree + 1,
 and `cubes` when one pinch order over its monomials gives more than that
 many.
+
+Importing this module loads only what the `words`, `poincare`, `tor` and
+`tor-check` verbs read: `admissible_words`, `graded_hopf` and `bar_tor`,
+and `fp_linalg` through them.  Every verb runs in a process of its own, and
+these verbs compute for milliseconds, so loading the rest would cost them
+more than their work.  The other handlers import what they read on first
+use: `checks` (`primitives`, `rognes`, `verify-all`), `multifold`
+(`relations`, `decompose`, `cubes`) and `spectral_engine` (`pterm`,
+`changebasis`, `rognes`), with `torus_model` behind the last two.
 """
 
 from __future__ import annotations
@@ -37,10 +46,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from . import admissible_words as aw
 from . import bar_tor
-from . import checks
 from . import graded_hopf as gh
-from . import multifold as mf
-from . import spectral_engine as se
 
 SCHEMA = "thhcalc/1"
 
@@ -63,13 +69,10 @@ def _require_odd_prime(p: int) -> int:
     return p
 
 
-def _check_dict(result: checks.CheckResult) -> Dict[str, object]:
-    return {
-        "id": result.id,
-        "params": result.params,
-        "verdict": "pass" if result.passed else "fail",
-        "details": result.details,
-    }
+def _check_dict(
+    check_id: str, params: Dict[str, object], passed: bool, details: Dict[str, object]
+) -> Dict[str, object]:
+    return {"id": check_id, "params": params, "verdict": "pass" if passed else "fail", "details": details}
 
 
 def _stringify_keys(table: Dict) -> Dict[str, object]:
@@ -156,11 +159,13 @@ def _run_tor_check(args) -> Dict[str, object]:
     )
     params = {"p": p, "from": f"b{src}", "to": f"b{dst}", "max_degree": args.max_degree, "seed": args.seed}
     details = {key: report[key] for key in ("got", "expected", "first_mismatch")}
-    check = _check_dict(checks.CheckResult("tor.iso", params, report["passed"], details))
+    check = _check_dict("tor.iso", params, report["passed"], details)
     return _envelope("tor-check", params, check_list=[check])
 
 
 def _run_primitives(args) -> Dict[str, object]:
+    from . import checks
+
     p = _require_odd_prime(args.p)
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
@@ -170,13 +175,15 @@ def _run_primitives(args) -> Dict[str, object]:
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     check_list = []
     if args.n >= 2:
-        check_list.append(_check_dict(checks.CheckResult("primitives.gap", params, agree, {"routes_agree": agree})))
+        check_list.append(_check_dict("primitives.gap", params, agree, {"routes_agree": agree}))
     return _envelope(
         "primitives", params, rows=rows, columns=["degree", "kernel_dim", "word_count"], check_list=check_list
     )
 
 
 def _run_relations(args) -> Dict[str, object]:
+    from . import multifold as mf
+
     p = _require_odd_prime(args.p)
     if not 3 <= args.n <= MAX_WEIGHT:
         raise CLIError(f"--n (the weight) must be in 3..{MAX_WEIGHT}")
@@ -188,7 +195,7 @@ def _run_relations(args) -> Dict[str, object]:
         "dimension": report["dimension"],
         "normal_form": _stringify_keys(report["normal_form"]),
     }
-    check = _check_dict(checks.CheckResult("relations.closed-forms", params, report["agrees"], details))
+    check = _check_dict("relations.closed-forms", params, report["agrees"], details)
     return _envelope(
         "relations", params, rows=rows, columns=["N", "p", "type", "dimension", "agrees"], check_list=[check]
     )
@@ -214,6 +221,8 @@ def _parse_table(text: str, weight: int) -> Dict[int, int]:
 
 
 def _run_decompose(args) -> Dict[str, object]:
+    from . import multifold as mf
+
     p = _require_odd_prime(args.p)
     if not 2 <= args.n <= MAX_WEIGHT:
         raise CLIError(f"--n (the weight) must be in 2..{MAX_WEIGHT}")
@@ -224,11 +233,13 @@ def _run_decompose(args) -> Dict[str, object]:
         table = _parse_table(args.table, args.n)
     report = mf.decompose_coproduct(args.n, table, p)
     params = {"p": p, "n": args.n, "table": sorted(table.items()), "seed": args.seed}
-    check = _check_dict(checks.CheckResult("decompose.normal-form", params, report["consistent"], dict(report)))
+    check = _check_dict("decompose.normal-form", params, report["consistent"], dict(report))
     return _envelope("decompose", params, check_list=[check])
 
 
 def _run_cubes(args) -> Dict[str, object]:
+    from . import multifold as mf
+
     p = _require_odd_prime(args.p)
     if not 1 <= args.n <= 3:
         raise CLIError("--n (pinch directions) must be 1..3")
@@ -242,11 +253,13 @@ def _run_cubes(args) -> Dict[str, object]:
     report = mf.pinch_order_report(args.n, args.max_degree, p)
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     details = {key: report[key] for key in ("monomials_checked", "orders_per_monomial", "failures")}
-    check = _check_dict(checks.CheckResult("cubes.order-independence", params, report["passed"], details))
+    check = _check_dict("cubes.order-independence", params, report["passed"], details)
     return _envelope("cubes", params, check_list=[check])
 
 
 def _run_pterm(args) -> Dict[str, object]:
+    from . import spectral_engine as se
+
     p = _require_odd_prime(args.p)
     towers, cap = args.towers, args.max_degree
     if towers < 1 or cap < 2:
@@ -265,7 +278,7 @@ def _run_pterm(args) -> Dict[str, object]:
         "homology": _stringify_keys(report["homology"]),
         "expected": _stringify_keys(report["expected"]),
     }
-    check = _check_dict(checks.CheckResult("pterm.closed-form", params, report["passed"], details))
+    check = _check_dict("pterm.closed-form", params, report["passed"], details)
     return _envelope("pterm", params, check_list=[check])
 
 
@@ -282,6 +295,8 @@ def _require_small_basis(what: str, basis: str, lower_bounds: Iterable[int], cou
 
 
 def _run_changebasis(args) -> Dict[str, object]:
+    from . import spectral_engine as se
+
     p = _require_odd_prime(args.p)
     depth = args.depth if args.depth is not None else (2 if p == 3 else 1)
     try:
@@ -306,11 +321,14 @@ def _run_changebasis(args) -> Dict[str, object]:
         "pth_powers": report["power_checks"],
         "exchange_invertible": report["exchange_invertible"],
     }
-    check = _check_dict(checks.CheckResult("changebasis.cycles", params, report["passed"], details))
+    check = _check_dict("changebasis.cycles", params, report["passed"], details)
     return _envelope("changebasis", params, check_list=[check])
 
 
 def _run_rognes(args) -> Dict[str, object]:
+    from . import checks
+    from . import spectral_engine as se
+
     p = _require_odd_prime(args.p)
     if args.n < 2:
         raise CLIError("--n must be >= 2")
@@ -335,14 +353,17 @@ def _run_rognes(args) -> Dict[str, object]:
             [list(tag[1]), tag[0], coeff] for tag, coeff in report["witness"].items()
         )
         details["witness_verified"] = report["witness_verified"]
-    check = _check_dict(checks.CheckResult("rognes.obstruction", params, checks.rognes_passed(report), details))
+    check = _check_dict("rognes.obstruction", params, checks.rognes_passed(report), details)
     return _envelope("rognes", params, check_list=[check])
 
 
 def _run_verify_all(args) -> Dict[str, object]:
+    from . import checks
+
     results = checks.run_all(args.seed)
     params = {"seed": args.seed}
-    return _envelope("verify-all", params, check_list=[_check_dict(r) for r in results])
+    check_list = [_check_dict(r.id, r.params, r.passed, r.details) for r in results]
+    return _envelope("verify-all", params, check_list=check_list)
 
 
 _HANDLERS = {

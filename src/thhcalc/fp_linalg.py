@@ -35,7 +35,6 @@ systems; `kernel_basis` on the same relations is its test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
 
@@ -62,7 +61,6 @@ def add_to(acc: Dict, key, value: int, p: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FpSparseMatrix:
     """A rows x cols matrix over F_p stored as a {(row, col): value} map.
 
@@ -70,9 +68,10 @@ class FpSparseMatrix:
     acts on column vectors: it represents a linear map F_p^cols -> F_p^rows.
     """
 
-    rows: int
-    cols: int
-    entries: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self, rows: int, cols: int, entries: Dict[Tuple[int, int], int]) -> None:
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @staticmethod
     def from_columns(rows: int, columns: Iterable[Dict[int, int]]) -> "FpSparseMatrix":

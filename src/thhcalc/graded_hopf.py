@@ -26,24 +26,26 @@ as x^h does, only when p divides every C(h, i) with 0 < i < h, that is when
 h is a power of p.  At p = 5 and height 3, psi(u u^2) = 0 while
 psi(u) psi(u^2) = 3 u^2 (x) u + 3 u (x) u^2.
 
+Specs are named tuples that check their fields on construction: two specs
+with equal fields are equal, and hash in C like the tuple of their fields.
 Monomial arithmetic reads a per-generator table instead of the generator
-specs.  `AlgebraSpec.table` is built on first use and kept on the frozen
-spec: tuples of degrees and kinds.  `mul_monomials` merges its two sorted
-factor lists in one pass over this table, summing the product degree and
-the Koszul sign as it goes; `monomial_degree` and, through it,
-`tensor_multiply` read the same degrees.
+specs: `AlgebraSpec.table`, tuples of degrees and kinds.  It is built on
+first use and kept in the spec's instance dict, outside the read-only
+fields, so it plays no part in equality or hashing.  `mul_monomials` merges
+its two sorted factor lists in one pass over this table, summing the
+product degree and the Koszul sign as it goes; `monomial_degree` and,
+through it, `tensor_multiply` read the same degrees.
 
 `multiply`, `power` and `tensor_multiply` take an optional `ProductTable`,
 a (m1, m2) -> `mul_monomials` dict that a caller creates for one spec and
 one p, passes through its loops and then drops.  Nothing keeps one at
-module level or on the frozen spec, whose bases can reach 100,000
-monomials; `tensor_multiply` without one uses a table local to the call.
+module level or on the spec, whose bases can reach 100,000 monomials;
+`tensor_multiply` without one uses a table local to the call.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -76,26 +78,30 @@ class DualizeError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """One generator: label, degree and kind.
-
-    A truncated generator x has x^p = 0 for the prime an operation receives.
-    """
-
+class _GeneratorFields(NamedTuple):
     label: str
     degree: int
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.degree <= 0:
+
+class GeneratorSpec(_GeneratorFields):
+    """One generator: label, degree and kind, checked on construction.
+
+    A truncated generator x has x^p = 0 for the prime an operation receives.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, degree: int, kind: str) -> "GeneratorSpec":
+        if kind not in _KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if degree <= 0:
             raise ValueError("generator degree must be positive")
-        if self.kind == EXTERIOR and self.degree % 2 == 0:
+        if kind == EXTERIOR and degree % 2 == 0:
             raise ValueError("exterior generators must have odd degree")
-        if self.kind != EXTERIOR and self.degree % 2 == 1:
-            raise ValueError(f"{self.kind} generators must have even degree")
+        if kind != EXTERIOR and degree % 2 == 1:
+            raise ValueError(f"{kind} generators must have even degree")
+        return super().__new__(cls, label, degree, kind)
 
 
 def exterior(label: str, degree: int) -> GeneratorSpec:
@@ -121,19 +127,24 @@ class GeneratorTable(NamedTuple):
     kinds: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """A generator list and a degree bound above which terms are dropped."""
-
+class _AlgebraFields(NamedTuple):
     generators: Tuple[GeneratorSpec, ...]
     degree_bound: int
 
-    def __post_init__(self) -> None:
-        if self.degree_bound < 0:
+
+class AlgebraSpec(_AlgebraFields):
+    """A generator list and a degree bound above which terms are dropped.
+
+    The fields are read-only; the instance dict holds only `table`.
+    """
+
+    def __new__(cls, generators: Tuple[GeneratorSpec, ...], degree_bound: int) -> "AlgebraSpec":
+        if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
-        labels = [g.label for g in self.generators]
+        labels = [g.label for g in generators]
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be distinct")
+        return super().__new__(cls, generators, degree_bound)
 
     @cached_property
     def table(self) -> GeneratorTable:

@@ -28,8 +28,7 @@ including the power-class hitting problem it poses in weight p^{n-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import fp_linalg
 from . import graded_hopf as gh
@@ -37,18 +36,22 @@ from . import torus_model as tm
 from .fp_linalg import ContractViolation, FpSparseMatrix
 
 
-@dataclass
-class SSTerm:
-    """An algebra page with a filtration weight per generator."""
-
+class _SSTermFields(NamedTuple):
     spec: gh.AlgebraSpec
     p: int
     filtration: Dict[str, int]
 
-    def __post_init__(self) -> None:
-        for g in self.spec.generators:
-            if g.label not in self.filtration:
+
+class SSTerm(_SSTermFields):
+    """An algebra page with a filtration weight per generator."""
+
+    __slots__ = ()
+
+    def __new__(cls, spec: gh.AlgebraSpec, p: int, filtration: Dict[str, int]) -> "SSTerm":
+        for g in spec.generators:
+            if g.label not in filtration:
                 raise ValueError(f"generator {g.label!r} has no filtration weight")
+        return super().__new__(cls, spec, p, filtration)
 
     def weight(self, gi: int) -> int:
         return self.filtration[self.spec.generators[gi].label]
@@ -58,12 +61,11 @@ class SSTerm:
         return s, gh.monomial_degree(self.spec, mon) - s
 
 
-@dataclass
-class DifferentialSpec:
+class DifferentialSpec(NamedTuple):
     """Page index and generator images; absent labels map to zero."""
 
     r: int
-    values: Dict[str, gh.Element] = field(default_factory=dict)
+    values: Dict[str, gh.Element]
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ reserved for length-n primitives are never hit by these partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from . import admissible_words as aw
 from . import graded_hopf as gh
@@ -44,8 +43,7 @@ XI = "xi"
 TAU = "tau"
 
 
-@dataclass
-class TorusAlgebra:
+class TorusAlgebra(NamedTuple):
     """An n-torus word algebra with an optional coaction block."""
 
     n: int

@@ -5,7 +5,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thhcalc import cli
+from thhcalc import cli, multifold, spectral_engine
 from thhcalc.cli import build_parser, main
 from thhcalc.fp_linalg import ContractViolation
 
@@ -254,6 +256,80 @@ def test_verify_all_report_matches_reference(tmp_path):
     assert out.read_bytes() == VERIFY_ALL_REFERENCE.read_bytes()
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports thhcalc from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+# modules a tor-check process must not load: the check family, which cli
+# imports on first use, and dataclasses, which no module of the package imports
+UNREAD_BY_TOR_VERBS = (
+    "dataclasses",
+    "thhcalc.checks",
+    "thhcalc.multifold",
+    "thhcalc.spectral_engine",
+    "thhcalc.torus_model",
+)
+
+
+def test_a_tor_check_process_loads_no_check_family_module(tmp_path):
+    # what the interpreter loaded before thhcalc, such as site hooks, is not counted
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from thhcalc import cli\n"
+        "cli.build_parser()\n"
+        "code = cli.main(['tor-check', '--from', 'b1', '--to', 'b2', '--max-degree', '20', '--out', sys.argv[1]])\n"
+        "print(code, *sorted((set(sys.modules) - before) & set(sys.argv[2:])))\n"
+    )
+    result = _fresh_python(code, str(tmp_path / "report.json"), *UNREAD_BY_TOR_VERBS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [b"0"]
+
+
+def test_no_runtime_module_imports_dataclasses():
+    for path in sorted((SRC / "thhcalc").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in [name.split(".")[0] for name in names], path.name
+
+
+def _fresh_process_calls():
+    """One (argv, digest) per verb: its first golden argv, and verify-all's reference."""
+    calls = {}
+    for argv, digest in GOLDEN_DIGESTS:
+        calls.setdefault(argv.split()[0], (argv, digest))
+    calls["verify-all"] = ("verify-all --seed 0", hashlib.sha256(VERIFY_ALL_REFERENCE.read_bytes()).hexdigest())
+    return sorted(calls.values())
+
+
+def test_fresh_process_calls_cover_every_verb():
+    assert sorted(argv.split()[0] for argv, _ in _fresh_process_calls()) == sorted(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv, digest", _fresh_process_calls())
+def test_every_verb_runs_in_a_fresh_interpreter(argv, digest):
+    # in-process tests run with every module already imported, so only a new
+    # interpreter shows a handler whose lazy import is missing
+    result = _fresh_python("import sys; from thhcalc.cli import main; sys.exit(main())", *shlex.split(argv))
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
 def test_reports_are_byte_identical(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -369,7 +445,7 @@ def test_cubes_argvs_in_use_pass_the_guard(tmp_path, monkeypatch):
         ran.append((n_directions, max_degree))
         return {"monomials_checked": 0, "orders_per_monomial": 1, "failures": [], "passed": True}
 
-    monkeypatch.setattr(cli.mf, "pinch_order_report", certified)
+    monkeypatch.setattr(multifold, "pinch_order_report", certified)
     argvs = [["cubes", "--n", n, "--max-degree", cap] for n in ("1", "2", "3") for cap in ("8", "10", "12")]
     argvs += [["cubes", "--n", n, "--max-degree", cap] for n, cap in (("3", "20"), ("3", "33"), ("2", "73"), ("1", "891"))]
     for argv in argvs:
@@ -386,7 +462,7 @@ def test_pterm_argvs_in_use_pass_the_guard(tmp_path, monkeypatch):
         ran.append((p, len(x_degrees), max_total))
         return {"homology": {}, "expected": {}, "passed": True}
 
-    monkeypatch.setattr(cli.se, "verify_p_term", certified)
+    monkeypatch.setattr(spectral_engine, "verify_p_term", certified)
     argvs = [
         ["pterm", "--p", p, "--towers", towers, "--max-degree", cap]
         for p in ("3", "5")
