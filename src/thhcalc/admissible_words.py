@@ -165,6 +165,51 @@ def enumerate_words(length: int, p: int, max_degree: int, monic_only: bool = Fal
     return out
 
 
+def count_words(length: int, p: int, max_degree: int, limit: int) -> int:
+    """The number of words `enumerate_words` lists, or a number above limit.
+
+    The letters are walked right to left with the same prune, but each
+    prefix is kept only as a count per (kind of its first letter, degree):
+    rho^k and phi^k take the same letters before them, so both count under
+    RHO_SUP.  Every surviving prefix completes to at least one word, since
+    rho and rho^0 in turn each add exactly 1 to the degree, so the total at
+    any length is at most the final count; the walk stops, returning that
+    total, as soon as it passes limit.
+    """
+    if length < 1 or max_degree < 2:
+        return 0
+    counts: Dict[Tuple[str, int], int] = {(MU, 2): 1}
+    for depth in range(1, length):
+        # the next letter leaves one degree for each letter after it
+        cap = max_degree - (length - depth - 1)
+        longer: Dict[Tuple[str, int], int] = {}
+        total = 0
+        for (kind, deg), c in counts.items():
+            keys = []
+            if kind == RHO:
+                d = 1 + deg
+                while d <= cap:
+                    keys.append((RHO_SUP, d))
+                    d *= p
+            else:
+                if 1 + deg <= cap:
+                    keys.append((RHO, 1 + deg))
+                if kind != MU:
+                    d = 2 + p * deg
+                    while d <= cap:
+                        keys.append((RHO_SUP, d))
+                        d *= p
+            for key in keys:
+                longer[key] = longer.get(key, 0) + c
+            total += c * len(keys)
+            if total > limit:
+                return total
+        if not longer:
+            return 0
+        counts = longer
+    return sum(counts.values())
+
+
 def enumerate_monic(length: int, p: int, max_degree: int) -> List[Word]:
     return enumerate_words(length, p, max_degree, monic_only=True)
 

@@ -450,14 +450,15 @@ def _coproduct_on_side(
     """(psi (x) 1) ts for side 0, (1 (x) psi) ts for side 1, in A (x) A (x) A.
 
     table maps each side monomial already expanded to its coproduct and
-    gains the new ones.
+    gains the new ones; each monomial is looked up there by one `get`.
     """
     out: Dict[Tuple[gh.Monomial, gh.Monomial, gh.Monomial], int] = {}
     for pair, c in ts.items():
         mon = pair[side]
-        if mon not in table:
-            table[mon] = gh.coproduct(spec, {mon: 1}, p)
-        for split, d in table[mon].items():
+        splits = table.get(mon)
+        if splits is None:
+            splits = table[mon] = gh.coproduct(spec, {mon: 1}, p)
+        for split, d in splits.items():
             add_to(out, pair[:side] + split + pair[side + 1 :], c * d, p)
     return out
 

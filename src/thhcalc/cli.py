@@ -20,8 +20,10 @@ cost would run to hours: `--p` above `MAX_PRIME`, `relations` and
 `changebasis` when its page has more than `MAX_BASIS_MONOMIALS` monomials
 of degree <= 2p^k (the degrees its exchange map is certified over),
 `pterm` when its page has more than that many of degree <= max_degree + 1,
-and `cubes` when one pinch order over its monomials gives more than that
-many.
+`cubes` when one pinch order over its monomials gives more than that
+many, and `words` when it would list more than that many words (with or
+without `--monic`, whose filter runs after every word is walked), counted
+length by length before any word is built.
 
 Importing this module loads only what the `words`, `poincare`, `tor` and
 `tor-check` verbs read: `admissible_words`, `graded_hopf` and `bar_tor`,
@@ -54,7 +56,7 @@ SCHEMA = "thhcalc/1"
 MAX_PRIME = 2**31 - 1  # --p; trial division is exponential in its digit count
 MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
-MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches
+MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches, words listed
 
 
 class CLIError(Exception):
@@ -101,6 +103,10 @@ def _run_words(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
+    if aw.count_words(args.n, p, args.max_degree, MAX_BASIS_MONOMIALS) > MAX_BASIS_MONOMIALS:
+        raise CLIError(
+            f"--p {p} --n {args.n} --max-degree {args.max_degree} lists more than {MAX_BASIS_MONOMIALS} words"
+        )
     words = aw.enumerate_words(args.n, p, args.max_degree, monic_only=args.monic)
     rows = [
         [

@@ -63,7 +63,7 @@ _KINDS = (EXTERIOR, POLYNOMIAL, TRUNCATED, DIVIDED)
 Monomial = Tuple[Tuple[int, int], ...]
 Element = Dict[Monomial, int]
 TensorSquare = Dict[Tuple[Monomial, Monomial], int]
-# (m1, m2) -> mul_monomials(spec, m1, m2, p), for one spec and one p
+# (m1, m2) -> mul_monomials(spec, m1, m2, p), None for a zero product, for one spec and one p
 ProductTable = Dict[Tuple[Monomial, Monomial], Optional[Tuple[int, Monomial]]]
 
 ONE: Monomial = ()
@@ -246,7 +246,11 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Opti
 def multiply(
     spec: AlgebraSpec, a: Element, b: Element, p: int, products: Optional[ProductTable] = None
 ) -> Element:
-    """a * b; with `products`, each monomial product is looked up there first."""
+    """a * b; with `products`, each monomial product is looked up there first.
+
+    A lookup is one `get` with the default 0: the table stores None for a
+    zero product, so 0 can only mean a pair not yet multiplied.
+    """
     out: Element = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -254,9 +258,8 @@ def multiply(
                 r = mul_monomials(spec, m1, m2, p)
             else:
                 key = (m1, m2)
-                if key in products:
-                    r = products[key]
-                else:
+                r = products.get(key, 0)
+                if r == 0:
                     r = products[key] = mul_monomials(spec, m1, m2, p)
             if r is None:
                 continue
@@ -285,10 +288,16 @@ def extend_derivation(
 
     image(gi) is the image of generator gi (empty or None for zero); it is
     called once per factor, in monomial order, so it may raise on factors it
-    cannot map.  A group-like factor differentiates as d(g^e) = e g^{e-1} d(g);
-    a divided-power factor as d(gamma_e(g)) = gamma_{e-s}(g) d(g) with
+    cannot map, and it is only read, so it may return a shared element.  A
+    group-like factor differentiates as d(g^e) = e g^{e-1} d(g); a
+    divided-power factor as d(gamma_e(g)) = gamma_{e-s}(g) d(g) with
     s = divided_shift, and to zero when e < s.  Each term carries the Koszul
     sign of the factors to its left.
+
+    Each term is built from two monomial products, the head (the factors to
+    the left and what is left of the differentiated one) times one monomial
+    of the image, then times the tail.  Distinct image monomials give
+    distinct products, so no term needs the sum of the others first.
     """
     out: Element = {}
     for mon, coeff in elem.items():
@@ -302,10 +311,15 @@ def extend_derivation(
                 drop, factor = 1, e % p
             if img and factor:
                 head = mon[:j] + (((gi, e - drop),) if e > drop else ())
-                term = multiply(spec, multiply(spec, {head: 1}, img, p), {mon[j + 1 :]: 1}, p)
+                tail = mon[j + 1 :]
                 scale = -coeff * factor if prefix_degree % 2 else coeff * factor
-                for m, v in term.items():
-                    add_to(out, m, scale * v, p)
+                for m, v in img.items():
+                    left = mul_monomials(spec, head, m, p)
+                    if left is None:
+                        continue
+                    term = mul_monomials(spec, left[1], tail, p)
+                    if term is not None:
+                        add_to(out, term[1], scale * v * left[0] * term[0], p)
             prefix_degree += e * g.degree
     return out
 
@@ -320,7 +334,8 @@ def tensor_multiply(
 ) -> TensorSquare:
     """Multiply in A (x) A with the Koszul sign (-1)^{|b||c|} on (a(x)b)(c(x)d).
 
-    With `products`, each monomial product is looked up there first.
+    With `products`, each monomial product is looked up there first, by one
+    `get` as in `multiply`: a cached zero is None, a miss the default 0.
     """
     if products is None:
         products = {}  # the same pair recurs across terms even within one call
@@ -330,16 +345,14 @@ def tensor_multiply(
         b_odd = monomial_degree(spec, b) % 2
         for x, y, c2, x_odd in terms2:
             key = (a, x)
-            if key in products:
-                left = products[key]
-            else:
+            left = products.get(key, 0)
+            if left == 0:
                 left = products[key] = mul_monomials(spec, a, x, p)
             if left is None:
                 continue
             key = (b, y)
-            if key in products:
-                right = products[key]
-            else:
+            right = products.get(key, 0)
+            if right == 0:
                 right = products[key] = mul_monomials(spec, b, y, p)
             if right is None:
                 continue
@@ -365,35 +378,35 @@ def _monomial_coproduct(spec: AlgebraSpec, mon: Monomial, p: int) -> TensorSquar
     which is what multiplying the factors' coproducts in order gives.  A
     term with a side above the degree bound is dropped, which can only
     happen when the monomial itself lies above it.
+
+    The terms are built factor by factor: each partial term over the
+    factors so far is extended by every split of the next factor, and it
+    carries the number of odd parts it has kept on the right.
     """
     kinds = spec.table.kinds
-    over = monomial_degree(spec, mon) > spec.degree_bound
-    # per factor: (left part, right part, coefficient, odd part moved left, odd part kept right)
-    splits = []
+    # partial terms: (left, right, coefficient, odd parts kept right)
+    terms: List[Tuple[Monomial, Monomial, int, int]] = [(ONE, ONE, 1, 0)]
     for i, e in mon:
         odd = kinds[i] == EXTERIOR
-        options = []
+        divided = kinds[i] == DIVIDED
+        # (left part, right part, coefficient, odd part moved left, odd part kept right)
+        splits = []
         for a in range(e + 1):
-            c = 1 if kinds[i] == DIVIDED else comb(e, a) % p
+            c = 1 if divided else comb(e, a) % p
             if c:
-                options.append((_single(i, a), _single(i, e - a), c, odd and a % 2, odd and (e - a) % 2))
-        splits.append(options)
-    out: TensorSquare = {}
-    for terms in itertools.product(*splits):
-        left, right = ONE, ONE
-        coeff = 1
-        odd_right = 0  # odd parts kept right so far
-        for lf, rf, c, moved, kept in terms:
-            left += lf
-            right += rf
-            coeff *= c
-            if moved and odd_right % 2:
-                coeff = -coeff
-            odd_right += kept
-        if over and max(monomial_degree(spec, left), monomial_degree(spec, right)) > spec.degree_bound:
-            continue
-        out[(left, right)] = coeff % p
-    return out
+                splits.append((_single(i, a), _single(i, e - a), c, odd and a % 2, odd and (e - a) % 2))
+        terms = [
+            (left + lf, right + rf, -coeff * c if moved and kept_so_far % 2 else coeff * c, kept_so_far + kept)
+            for left, right, coeff, kept_so_far in terms
+            for lf, rf, c, moved, kept in splits
+        ]
+    bound = spec.degree_bound
+    over = monomial_degree(spec, mon) > bound
+    return {
+        (left, right): coeff % p
+        for left, right, coeff, _ in terms
+        if not over or max(monomial_degree(spec, left), monomial_degree(spec, right)) <= bound
+    }
 
 
 def coproduct(spec: AlgebraSpec, a: Element, p: int) -> TensorSquare:

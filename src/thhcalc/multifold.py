@@ -144,18 +144,19 @@ def relation_rows(N: int, p: int, binoms: Optional[Sequence[List[int]]] = None) 
 
 
 def _checked(
-    relations: Iterable[Relation], vectors: Sequence[Dict[int, int]], p: int, broken: List[Relation]
+    relations: Iterable[Relation], vectors: Sequence[List[int]], p: int, broken: List[Relation]
 ) -> Iterator[Relation]:
     """Pass the relations through, recording each one that some vector breaks.
 
-    Vectors are sparse {unknown: value} maps; the relations are evaluated on
-    them directly, so the claimed vectors are tested independently of
-    whatever solves the system.
+    Vectors are dense lists, entry i the value of unknown i, as
+    `closed_form_vectors` states them; the relations are evaluated on them
+    directly, so the claimed vectors are tested independently of whatever
+    solves the system.
     """
     for rel in relations:
         i, u, j, v = rel
         for vec in vectors:
-            if (u * vec.get(i, 0) - v * vec.get(j, 0)) % p:
+            if (u * vec[i] - v * vec[j]) % p:
                 broken.append(rel)
                 break
         yield rel
@@ -201,9 +202,8 @@ def relation_module(
     if N < 3:
         raise ValueError("weights below 3 carry no constraints worth solving")
     kind, claimed, normal = closed_form_vectors(N, p)
-    vectors = [{k: v for k, v in enumerate(vec) if v} for vec in claimed]
     broken: List[Relation] = []
-    kernel = two_term_kernel(N - 1, _checked(relation_rows(N, p, binoms), vectors, p, broken), p)
+    kernel = two_term_kernel(N - 1, _checked(relation_rows(N, p, binoms), claimed, p, broken), p)
     pivots = _pivots(kind, normal)
     pivot_form = all(vec[k - 1] == int(k == own) for own, vec in zip(pivots, claimed) for k in pivots)
     agrees = not broken and pivot_form and len(kernel) == len(claimed) == len(pivots)

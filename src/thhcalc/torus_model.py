@@ -12,7 +12,13 @@ rho^0-prefixed word (both picking up the new coordinate as their leading
 label), xi classes to zero and tau_j to the p^j-th power of the new
 coordinate class.  Divided powers suspend by index shift:
 sigma(gamma_k(z)) = gamma_{k-1}(z) sigma(z).  It is only defined when the
-new coordinate exceeds every label already present.
+new coordinate exceeds every label already present.  Each torus keeps the
+generator images it has computed in `images`, keyed by (coordinate,
+generator): a word's image needs its suspended label rendered and looked
+up, and the same few images recur across every element suspended on that
+torus.  An image that raises is not kept, so it raises again on each call.
+The table fills as `sigma` runs, so two tori compare equal only when they
+have cached the same images; nothing compares tori.
 
 The top-cell projection keeps only words carrying every label.  The
 augmentation-like ideal test `in_p_ideal` asks whether an element dies under
@@ -52,6 +58,7 @@ class TorusAlgebra(NamedTuple):
     spec: gh.AlgebraSpec
     info: Tuple[Tuple, ...]
     index: Dict[str, int]
+    images: Dict[Tuple[int, int], gh.Element]  # (v, gi) -> sigma image, filled by `sigma`
 
 
 def _subsets(n: int) -> List[Tuple[int, ...]]:
@@ -91,7 +98,7 @@ def build_torus(n: int, p: int, degree_bound: int, coaction: bool = False) -> To
             j += 1
     spec = gh.AlgebraSpec(tuple(gens), degree_bound)
     index = {g.label: i for i, g in enumerate(gens)}
-    return TorusAlgebra(n, p, degree_bound, spec, tuple(info), index)
+    return TorusAlgebra(n, p, degree_bound, spec, tuple(info), index, {})
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +142,20 @@ def sigma(t: TorusAlgebra, v: int, elem: gh.Element) -> gh.Element:
     Every word factor of the element must carry labels strictly below v, and
     v must be one of the torus coordinates.  Divided powers suspend as
     sigma(gamma_k(z)) = gamma_{k-1}(z) sigma(z); group-like powers as
-    e z^{e-1} sigma(z).
+    e z^{e-1} sigma(z).  Generator images are read from, and added to,
+    the torus's `images` table.
     """
     if not 1 <= v <= t.n:
         raise UnsupportedSigma(f"coordinate {v} is outside 1..{t.n}")
-    return gh.extend_derivation(t.spec, elem, t.p, lambda gi: _generator_image(t, v, gi), 1)
+    images = t.images
+
+    def image(gi: int) -> gh.Element:
+        img = images.get((v, gi))
+        if img is None:
+            img = images[v, gi] = _generator_image(t, v, gi)
+        return img
+
+    return gh.extend_derivation(t.spec, elem, t.p, image, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,31 @@ def test_enumeration_reaches_long_words():
     assert aw.degree(words[0], 3) == 1201
 
 
+def test_word_count_matches_the_enumeration():
+    # the count walks the same prune as the enumeration, one tally per
+    # (first letter kind, degree) instead of one entry per word
+    found = 0
+    for p in (3, 5, 7):
+        for length in range(0, 11):
+            for max_degree in (1, 2, 5, 10, 20, 30, 60, 100, 150, 400):
+                count = aw.count_words(length, p, max_degree, 10**9)
+                assert count == len(aw.enumerate_words(length, p, max_degree))
+                found += count
+    assert found > 2000
+    assert aw.count_words(1200, 3, 1201, 10) == 1
+
+
+def test_word_count_stops_once_a_length_passes_the_limit():
+    full = aw.count_words(10, 3, 5000, 10**9)
+    assert full == len(aw.enumerate_words(10, 3, 5000)) > 1000
+    stopped = aw.count_words(10, 3, 5000, 1000)
+    assert 1000 < stopped <= full
+    # 20 letters to degree 10^6 has far more words than could ever be listed
+    assert aw.count_words(20, 3, 10**6, 100_000) > 100_000
+    # a length no cap can reach ends as soon as no prefix survives
+    assert aw.count_words(10**12, 3, 10, 100_000) == 0
+
+
 def test_degree_floor_makes_caps_safe():
     # no admissible word of length n has degree below n + 1 (mu aside)
     assert aw.enumerate_words(6, 3, 6) == []

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thhcalc import admissible_words as aw
 from thhcalc import cli, multifold, spectral_engine
 from thhcalc.cli import build_parser, main
 from thhcalc.fp_linalg import ContractViolation
@@ -480,6 +481,32 @@ def test_pterm_with_hundreds_of_towers_runs(tmp_path):
     code, doc = _run_json(tmp_path, "pterm", "--towers", "600", "--max-degree", "2")
     assert code == 0
     assert doc["checks"][0]["verdict"] == "pass"
+
+
+def test_words_above_the_list_limit_are_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["words", "--n", "12", "--max-degree", "240092"]) == 2  # 100,001 words
+    assert main(["words", "--n", "20", "--max-degree", "1000000"]) == 2
+    assert main(["words", "--n", "20", "--max-degree", "1000000", "--monic"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--p 3 --n 20 --max-degree 1000000 lists more than 100000 words" in err
+    # the largest cap the limit admits at 12 letters lists exactly the limit
+    assert aw.count_words(12, 3, 240091, cli.MAX_BASIS_MONOMIALS) == cli.MAX_BASIS_MONOMIALS
+
+
+def test_words_argvs_in_use_pass_the_guard(tmp_path):
+    # the benchmark's verb-sweep grid (at most 15 words) and CI's long word
+    argvs = [
+        ["words", "--n", str(n), "--p", p, "--max-degree", cap, *monic]
+        for n in range(1, 7)
+        for p in ("3", "5")
+        for cap in ("30", "40", "60")
+        for monic in ((), ("--monic",))
+    ] + [["words", "--n", "1200", "--max-degree", "1201"]]
+    for argv in argvs:
+        assert _run(tmp_path, *argv)[0] == 0, argv
 
 
 def test_prime_above_the_trial_division_limit_is_refused_at_once(capsys):

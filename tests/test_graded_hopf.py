@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thhcalc import admissible_words as aw
+from thhcalc import checks
 from thhcalc import graded_hopf as gh
-from thhcalc.fp_linalg import FpSparseMatrix, rank
+from thhcalc import spectral_engine as se
+from thhcalc import torus_model as tm
+from thhcalc.fp_linalg import FpSparseMatrix, add_to, rank
 
 
 def gamma_spec(degree=2, bound=40):
@@ -195,6 +198,18 @@ def test_closed_form_coproduct_matches_generator_products(case):
     assert gh.coproduct(spec, {mon: 1}, p) == _coproduct_oracle(spec, mon, p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_closed_form_coproduct_matches_generator_products_on_the_core_basis(p):
+    # every basis monomial of the battery's algebra, up to its degree bound
+    spec = checks._core_config(p)
+    seen = 0
+    for t in range(spec.degree_bound + 1):
+        for mon in gh.basis(spec, t, p):
+            assert gh.coproduct(spec, {mon: 1}, p) == _coproduct_oracle(spec, mon, p), mon
+            seen += 1
+    assert seen == {3: 281, 5: 705, 7: 1393}[p]
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_product_table_gives_the_same_products(p):
     rng = random.Random(1000 + p)
@@ -207,6 +222,109 @@ def test_product_table_gives_the_same_products(p):
     assert products
     for (m1, m2), r in products.items():
         assert r == gh.mul_monomials(MIXED, m1, m2, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_a_warm_product_table_makes_no_monomial_product(monkeypatch, p):
+    rng = random.Random(1100 + p)
+    cases = []
+    for _ in range(60):
+        a, b, _, _ = random_pair(rng, p)
+        ta, tb = gh.coproduct(MIXED, a, p), gh.coproduct(MIXED, b, p)
+        cases.append((a, b, ta, tb, gh.multiply(MIXED, a, b, p), gh.tensor_multiply(MIXED, ta, tb, p)))
+    products = {}
+    for a, b, ta, tb, _, _ in cases:
+        gh.multiply(MIXED, a, b, p, products)
+        gh.tensor_multiply(MIXED, ta, tb, p, products)
+    # cached zeros are looked up too, not multiplied again
+    assert None in products.values()
+    calls = []
+    real = gh.mul_monomials
+    monkeypatch.setattr(gh, "mul_monomials", lambda *args: calls.append(args) or real(*args))
+    for a, b, ta, tb, ab, tab in cases:
+        assert gh.multiply(MIXED, a, b, p, products) == ab
+        assert gh.tensor_multiply(MIXED, ta, tb, p, products) == tab
+    assert calls == []
+
+
+# The Leibniz extension as it was built before its terms came from monomial
+# products: head times the image, then times the tail, by two `multiply`
+# calls per differentiated factor.  Kept as the oracle for the kernel.
+
+
+def _extend_derivation_oracle(spec, elem, p, image, divided_shift):
+    out = {}
+    for mon, coeff in elem.items():
+        prefix_degree = 0
+        for j, (gi, e) in enumerate(mon):
+            g = spec.generators[gi]
+            img = image(gi)
+            if g.kind == gh.DIVIDED:
+                drop, factor = divided_shift, int(e >= divided_shift)
+            else:
+                drop, factor = 1, e % p
+            if img and factor:
+                head = mon[:j] + (((gi, e - drop),) if e > drop else ())
+                term = gh.multiply(spec, gh.multiply(spec, {head: 1}, img, p), {mon[j + 1 :]: 1}, p)
+                scale = -coeff * factor if prefix_degree % 2 else coeff * factor
+                for m, v in term.items():
+                    add_to(out, m, scale * v, p)
+            prefix_degree += e * g.degree
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_sigma_matches_the_two_product_leibniz_oracle(p):
+    # the suspension on the battery's tori, with and without the coaction
+    # block, on random bounded elements whose word labels stay below v
+    rng = random.Random(1200 + p)
+    bound = 4 * p + 2
+    compared = nonzero = 0
+    for n in (2, 3, 4):
+        for coaction in (False, True):
+            torus = tm.build_torus(n, p, bound, coaction)
+            for t in range(1, bound // 2 + 3):
+                pool = [
+                    m
+                    for m in gh.basis(torus.spec, t, p)
+                    if m and all(torus.info[gi][0] != tm.WORD or max(torus.info[gi][1]) < n for gi, _ in m)
+                ]
+                for _ in range(8):
+                    elem = checks._random_bounded(pool, p, rng)
+                    want = _extend_derivation_oracle(
+                        torus.spec, elem, p, lambda gi: tm._generator_image(torus, n, gi), 1
+                    )
+                    assert tm.sigma(torus, n, elem) == want
+                    compared += 1
+                    nonzero += bool(want)
+    assert compared > 400 and nonzero > 300
+
+
+@pytest.mark.parametrize("p, k, r", [(3, 2, (1, 2)), (3, 1, (2, 1, 1)), (5, 1, (3, 4)), (5, 2, (1,))])
+def test_page_differentials_match_the_two_product_leibniz_oracle(p, k, r):
+    # the changebasis page: each x_i hits y_{i+1} and z hits the multi-term
+    # sum_l r_l y_{l+1}; images with unreduced coefficients give the same
+    spec = se.change_basis_spec(p, k, len(r))
+    labels = [g.label for g in spec.generators]
+    y = [{((labels.index(f"y{i + 1}"), 1),): 1} for i in range(len(r))]
+    values = {f"x{i}": y[i] for i in range(len(r))}
+    values["z"] = {mon: c for i, c in enumerate(r) for mon in y[i]}
+    raw = dict(values, z={mon: c + p for mon, c in values["z"].items()})
+    term = se.SSTerm(spec, p, {label: 1 for label in labels})
+    dspec = se.DifferentialSpec(p - 1, values)
+    rng = random.Random(1300 + p)
+    elems = list(se.change_basis_cycles(p, k, r)["replacements"].values())
+    for t in range(2 * p, 2 * p**k + 4 * p + 1, 2):
+        # monomials with a tower at index p or more, which the differential moves
+        pool = [m for m in gh.basis(spec, t, p) if any(e >= p for _, e in m)]
+        elems += [checks._random_bounded(pool, p, rng) for _ in range(4)]
+    nonzero = 0
+    for elem in elems:
+        want = _extend_derivation_oracle(spec, elem, p, lambda gi: values.get(labels[gi]), p)
+        assert se.apply_differential(term, dspec, elem) == want
+        assert gh.extend_derivation(spec, elem, p, lambda gi: raw.get(labels[gi]), p) == want
+        nonzero += bool(want)
+    assert nonzero > len(elems) // 2
 
 
 def test_reduced_coproduct_of_gamma_2():

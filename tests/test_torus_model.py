@@ -127,6 +127,57 @@ def test_sigma_rejects_stale_coordinates():
         tm.sigma(t, 3, mono(t, ("mu_1", 1)))
 
 
+def test_sigma_keeps_each_generator_image_once(monkeypatch):
+    calls = []
+    real = tm._generator_image
+
+    def counted(t, v, gi):
+        calls.append((v, gi))
+        return real(t, v, gi)
+
+    monkeypatch.setattr(tm, "_generator_image", counted)
+    rng = random.Random(23)
+    t = tm.build_torus(3, 3, 24, coaction=True)
+    for _ in range(200):
+        for v in (2, 3):
+            elem = _random_label_bounded(t, rng.randrange(1, 12), v, rng)
+            tm.sigma(t, v, elem)
+    assert len(calls) == len(set(calls)) == len(t.images) >= 10
+    assert set(calls) == set(t.images)
+
+
+def test_a_stale_image_raises_on_every_call_and_is_not_kept():
+    t = tm.build_torus(2, 3, 12)
+    stale = mono(t, ("rho_2 mu_1", 1))
+    (((gi, _),),) = stale
+    for _ in range(3):
+        with pytest.raises(tm.UnsupportedSigma):
+            tm.sigma(t, 2, stale)
+        assert (2, gi) not in t.images
+    # an element whose first factor maps keeps that image, and still raises
+    # on the stale factor after it
+    mixed = gh.multiply(t.spec, mono(t, ("mu_1", 1)), stale, 3)
+    for _ in range(2):
+        with pytest.raises(tm.UnsupportedSigma):
+            tm.sigma(t, 2, mixed)
+    assert (2, t.index["mu_1"]) in t.images and (2, gi) not in t.images
+
+
+def test_a_reused_torus_suspends_as_a_fresh_one():
+    rng = random.Random(29)
+    warm = tm.build_torus(4, 5, 22, coaction=True)
+    draws = []
+    for _ in range(150):
+        v = rng.choice((2, 3, 4))
+        draws.append((v, _random_label_bounded(warm, rng.randrange(1, 12), v, rng)))
+    first = [tm.sigma(warm, v, elem) for v, elem in draws]
+    assert warm.images
+    again = [tm.sigma(warm, v, elem) for v, elem in draws]
+    fresh = [tm.sigma(tm.build_torus(4, 5, 22, coaction=True), v, elem) for v, elem in draws]
+    assert first == again == fresh
+    assert sum(map(bool, first)) > 100
+
+
 def _random_label_bounded(t: tm.TorusAlgebra, degree: int, v: int, rng) -> gh.Element:
     """Random homogeneous element whose word labels stay below v."""
     pool = []
