@@ -407,11 +407,11 @@ def word_algebra(length: int, p: int, bound: int) -> gh.AlgebraSpec:
     odd-degree monic words tensor divided powers on even-degree ones.
     """
     if length == 1:
-        return gh.AlgebraSpec((gh.polynomial("mu", 2),), bound)
+        return gh.AlgebraSpec((gh.polynomial("mu", 2),), bound, p)
     gens = tuple(
         word_generator(w, p, render(w)) for w in enumerate_monic(length, p, bound)
     )
-    return gh.AlgebraSpec(gens, bound)
+    return gh.AlgebraSpec(gens, bound, p)
 
 
 def labeled_render(word: Word, labels: Sequence[int]) -> str:
@@ -434,10 +434,10 @@ def labeled_word_algebra(labels: Sequence[int], p: int, bound: int) -> gh.Algebr
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     if not labels:
-        return gh.AlgebraSpec((), bound)
+        return gh.AlgebraSpec((), bound, p)
     if len(labels) == 1:
-        return gh.AlgebraSpec((gh.polynomial(f"mu_{labels[0]}", 2),), bound)
+        return gh.AlgebraSpec((gh.polynomial(f"mu_{labels[0]}", 2),), bound, p)
     gens = tuple(
         word_generator(w, p, labeled_render(w, labels)) for w in enumerate_monic(len(labels), p, bound)
     )
-    return gh.AlgebraSpec(gens, bound)
+    return gh.AlgebraSpec(gens, bound, p)

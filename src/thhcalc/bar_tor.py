@@ -1,8 +1,9 @@
 """Tor of a graded algebra over F_p, from a minimal free resolution.
 
 For an augmented graded-commutative algebra A presented by an
-:class:`~thhcalc.graded_hopf.AlgebraSpec`, dim Tor^A_{s,t}(F_p, F_p) is the
-number of generators in bidegree (s, t) of a minimal free A-resolution
+:class:`~thhcalc.graded_hopf.AlgebraSpec`, with p the spec's prime,
+dim Tor^A_{s,t}(F_p, F_p) is the number of generators in bidegree (s, t)
+of a minimal free A-resolution
 
     ... -> F_2 -> F_1 -> F_0 = A -> F_p.
 
@@ -34,7 +35,8 @@ that grows like the compositions of t; it is kept as the independent
 reference that the tests compare the resolution with.
 
 `verify_tor_iso` compares the total-degree dimensions of Tor^A against the
-Poincare series of a proposed answer algebra and reports the first mismatch.
+Poincare series of a proposed answer algebra over the same prime, and
+reports the first mismatch.
 """
 
 from __future__ import annotations
@@ -52,13 +54,12 @@ BarTuple = Tuple[gh.Monomial, ...]
 class BarComplex:
     """Lazily-built reduced bar complex of an algebra, capped in degree."""
 
-    def __init__(self, spec: gh.AlgebraSpec, p: int, max_internal_degree: int):
+    def __init__(self, spec: gh.AlgebraSpec, max_internal_degree: int):
         if spec.degree_bound < max_internal_degree:
             raise ValueError(
                 "algebra degree bound is below the requested internal degree cap"
             )
         self.spec = spec
-        self.p = p
         self.max_internal_degree = max_internal_degree
         self._reduced: Dict[int, List[gh.Monomial]] = {}
         self._bases: Dict[Tuple[int, int], List[BarTuple]] = {}
@@ -74,7 +75,7 @@ class BarComplex:
         if t < 1 or t > self.max_internal_degree:
             return []
         if t not in self._reduced:
-            self._reduced[t] = gh.basis(self.spec, t, self.p)
+            self._reduced[t] = gh.basis(self.spec, t)
         return self._reduced[t]
 
     def basis(self, s: int, t: int) -> List[BarTuple]:
@@ -112,23 +113,24 @@ class BarComplex:
         source = self.basis(s, t)
         target = self.basis(s - 1, t) if s >= 1 else []
         index = self._index[(s - 1, t)] if s >= 1 else {}
+        p = self.spec.p
         entries: Dict[Tuple[int, int], int] = {}
         for j, word in enumerate(source):
             for i in range(s - 1):
-                merged = gh.mul_monomials(self.spec, word[i], word[i + 1], self.p)
+                merged = gh.mul_monomials(self.spec, word[i], word[i + 1])
                 if merged is None:
                     continue
                 coeff, mon = merged
                 tgt = word[:i] + (mon,) + word[i + 2 :]
                 r = index[tgt]
-                add_to(entries, (r, j), -coeff if (i + 1) % 2 else coeff, self.p)
+                add_to(entries, (r, j), -coeff if (i + 1) % 2 else coeff, p)
         mat = FpSparseMatrix(len(target), len(source), entries)
         self._diffs[(s, t)] = mat
         return mat
 
     def rank(self, s: int, t: int) -> int:
         if (s, t) not in self._ranks:
-            self._ranks[(s, t)] = fp_linalg.rank(self.differential(s, t), self.p)
+            self._ranks[(s, t)] = fp_linalg.rank(self.differential(s, t), self.spec.p)
         return self._ranks[(s, t)]
 
     def square_is_zero(self, s: int, t: int) -> bool:
@@ -137,8 +139,8 @@ class BarComplex:
             return True
         if (s, t) in self._square_checked:
             return True
-        composed = self.differential(s - 1, t).compose(self.differential(s, t), self.p)
-        if not composed.is_zero(self.p):
+        composed = self.differential(s - 1, t).compose(self.differential(s, t), self.spec.p)
+        if not composed.is_zero(self.spec.p):
             return False
         self._square_checked.add((s, t))
         return True
@@ -164,9 +166,7 @@ class BarComplex:
 FreeElement = Dict[Tuple[int, gh.Monomial], int]
 
 
-def _resolve(
-    spec: gh.AlgebraSpec, p: int, max_degree: int, top: Callable[[int], int]
-) -> List[List[Tuple[int, FreeElement]]]:
+def _resolve(spec: gh.AlgebraSpec, max_degree: int, top: Callable[[int], int]) -> List[List[Tuple[int, FreeElement]]]:
     """Generators of a minimal resolution of F_p, for s <= top(t), t <= max_degree.
 
     Entry s lists the (degree, image in F_{s-1}) of each generator of F_s,
@@ -176,7 +176,8 @@ def _resolve(
     """
     if spec.degree_bound < max_degree:
         raise ValueError("algebra degree bound is below the requested internal degree cap")
-    bases = [gh.basis(spec, t, p) for t in range(max_degree + 1)]
+    p = spec.p
+    bases = [gh.basis(spec, t) for t in range(max_degree + 1)]
     gens: List[List[Tuple[int, FreeElement]]] = [[(0, {})]]
     for t in range(1, max_degree + 1):
         # below: the basis pairs of F_{s-1} in degree t; below_images: d_{s-1}
@@ -198,7 +199,7 @@ def _resolve(
             for g, m in pairs:
                 image: Dict[int, int] = {}
                 for (h, m2), c in gens[s][g][1].items():
-                    product = gh.mul_monomials(spec, m, m2, p)
+                    product = gh.mul_monomials(spec, m, m2)
                     if product is not None:
                         add_to(image, index[(h, product[1])], c * product[0], p)
                 images.append(image)
@@ -236,30 +237,27 @@ def _dims(gens: List[List[Tuple[int, FreeElement]]]) -> Dict[Tuple[int, int], in
 # ---------------------------------------------------------------------------
 
 
-def tor_dims(spec: gh.AlgebraSpec, p: int, max_degree: int) -> Dict[Tuple[int, int], int]:
+def tor_dims(spec: gh.AlgebraSpec, max_degree: int) -> Dict[Tuple[int, int], int]:
     """Nonzero dims of Tor_{s,t}(F_p, F_p) for internal degree t <= max_degree.
 
     Homological degree runs to t, since a minimal resolution's generators
     in homological degree s have internal degree at least s.
     """
-    return _dims(_resolve(spec, p, max_degree, lambda t: t))
+    return _dims(_resolve(spec, max_degree, lambda t: t))
 
 
-def verify_tor_iso(
-    source: gh.AlgebraSpec,
-    answer: gh.AlgebraSpec,
-    p: int,
-    max_total_degree: int,
-) -> Dict[str, object]:
+def verify_tor_iso(source: gh.AlgebraSpec, answer: gh.AlgebraSpec, max_total_degree: int) -> Dict[str, object]:
     """Compare total-degree dims of Tor over `source` with `answer`'s series.
 
     Tor is graded by s + t; the check runs every total degree up to the cap
     and reports the first mismatch, if any.  The resolution is built only
-    where s + t stays within the cap.
+    where s + t stays within the cap.  Both specs must carry the same prime.
     """
+    if source.p != answer.p:
+        raise ValueError(f"source and answer specs differ in prime: {source.p} and {answer.p}")
     cap = max_total_degree
-    dims = _dims(_resolve(source, p, cap, lambda t: min(t, cap - t)))
-    expected = gh.poincare_series(answer, cap, p)
+    dims = _dims(_resolve(source, cap, lambda t: min(t, cap - t)))
+    expected = gh.poincare_series(answer, cap)
     got = [0] * (cap + 1)
     for (s, t), dim in dims.items():
         got[s + t] += dim

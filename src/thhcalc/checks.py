@@ -41,9 +41,7 @@ def tor_ladder(p: int) -> CheckResult:
     details = []
     passed = True
     for n, m, bound in rungs:
-        report = bar_tor.verify_tor_iso(
-            aw.word_algebra(n, p, bound), aw.word_algebra(m, p, bound), p, bound
-        )
+        report = bar_tor.verify_tor_iso(aw.word_algebra(n, p, bound), aw.word_algebra(m, p, bound), bound)
         details.append(
             {
                 "rung": f"{n}->{m}",
@@ -84,7 +82,7 @@ def primitive_routes(n: int, p: int, bound: int) -> List[Tuple[int, int, int]]:
     """
     spec = aw.word_algebra(n, p, bound)
     word_counts = Counter(aw.degree(w, p) for w in aw.enumerate_monic(n, p, bound))
-    return [(t, len(gh.primitive_basis(spec, t, p)), word_counts[t]) for t in range(1, bound + 1)]
+    return [(t, len(gh.primitive_basis(spec, t)), word_counts[t]) for t in range(1, bound + 1)]
 
 
 def primitive_gap(p: int) -> CheckResult:
@@ -323,9 +321,10 @@ def torus_poincare(p: int) -> CheckResult:
 
 
 def _word_labels_below(torus: tm.TorusAlgebra, mon: gh.Monomial, v: int) -> bool:
+    """Whether every word factor of `mon` carries labels below v; xi and tau factors carry none."""
     for gi, _ in mon:
-        tag, payload, _word = torus.info[gi]
-        if tag == tm.WORD and max(payload) >= v:
+        tag = torus.info[gi]
+        if tag[0] == tm.WORD and max(tag[1]) >= v:
             return False
     return True
 
@@ -355,7 +354,7 @@ def sigma_contract(p: int, seed: int) -> CheckResult:
         if (n, t) not in pools:
             torus = tori[n]
             pools[n, t] = [
-                m for m in gh.basis(torus.spec, t, p) if m and _word_labels_below(torus, m, n)
+                m for m in gh.basis(torus.spec, t) if m and _word_labels_below(torus, m, n)
             ]
         return pools[n, t]
 
@@ -370,12 +369,10 @@ def sigma_contract(p: int, seed: int) -> CheckResult:
         b = _random_bounded(pool(n, db), p, rng)
         if not a or not b:
             continue
-        lhs = tm.sigma(torus, n, gh.multiply(torus.spec, a, b, p))
+        lhs = tm.sigma(torus, n, gh.multiply(torus.spec, a, b))
         rhs = gh.add(
-            gh.multiply(torus.spec, tm.sigma(torus, n, a), b, p),
-            gh.scalar_mul(
-                (-1) ** da, gh.multiply(torus.spec, a, tm.sigma(torus, n, b), p), p
-            ),
+            gh.multiply(torus.spec, tm.sigma(torus, n, a), b),
+            gh.scalar_mul((-1) ** da, gh.multiply(torus.spec, a, tm.sigma(torus, n, b)), p),
             p,
         )
         if lhs != rhs:
@@ -443,7 +440,6 @@ def sigma_contract(p: int, seed: int) -> CheckResult:
 def _coproduct_on_side(
     spec: gh.AlgebraSpec,
     ts: gh.TensorSquare,
-    p: int,
     side: int,
     table: Dict[gh.Monomial, gh.TensorSquare],
 ):
@@ -452,12 +448,13 @@ def _coproduct_on_side(
     table maps each side monomial already expanded to its coproduct and
     gains the new ones; each monomial is looked up there by one `get`.
     """
+    p = spec.p
     out: Dict[Tuple[gh.Monomial, gh.Monomial, gh.Monomial], int] = {}
     for pair, c in ts.items():
         mon = pair[side]
         splits = table.get(mon)
         if splits is None:
-            splits = table[mon] = gh.coproduct(spec, {mon: 1}, p)
+            splits = table[mon] = gh.coproduct(spec, {mon: 1})
         for split, d in splits.items():
             add_to(out, pair[:side] + split + pair[side + 1 :], c * d, p)
     return out
@@ -472,6 +469,7 @@ def _core_config(p: int) -> gh.AlgebraSpec:
             gh.truncated("u", 4),
         ],
         4 * p + 10,
+        p,
     )
 
 
@@ -489,7 +487,7 @@ def core_properties(p: int, seed: int) -> CheckResult:
             t = rng.randrange(1, max_t + 1)
             if even:
                 t = 2 * ((t + 1) // 2)
-            e = gh.random_homogeneous(spec, t, p, rng)
+            e = gh.random_homogeneous(spec, t, rng)
             if e:
                 return t, e
 
@@ -502,7 +500,7 @@ def core_properties(p: int, seed: int) -> CheckResult:
     products: gh.ProductTable = {}
 
     def mul(x: gh.Element, y: gh.Element) -> gh.Element:
-        return gh.multiply(spec, x, y, p, products)
+        return gh.multiply(spec, x, y, products)
 
     third = bound // 3
     for _ in range(cases):
@@ -522,27 +520,22 @@ def core_properties(p: int, seed: int) -> CheckResult:
     sides: Dict[gh.Monomial, gh.TensorSquare] = {}
     for _ in range(cases):
         _, a = draw(bound // 2)
-        ts = gh.coproduct(spec, a, p)
-        tally(
-            "coassociativity",
-            _coproduct_on_side(spec, ts, p, 0, sides) == _coproduct_on_side(spec, ts, p, 1, sides),
-        )
+        ts = gh.coproduct(spec, a)
+        tally("coassociativity", _coproduct_on_side(spec, ts, 0, sides) == _coproduct_on_side(spec, ts, 1, sides))
 
     # the closed-form coproduct against products in A and in A (x) A
     for _ in range(cases):
         _, a = draw(bound // 2)
         _, b = draw(bound // 2)
-        lhs = gh.coproduct(spec, mul(a, b), p)
-        rhs = gh.tensor_multiply(
-            spec, gh.coproduct(spec, a, p), gh.coproduct(spec, b, p), p, products
-        )
+        lhs = gh.coproduct(spec, mul(a, b))
+        rhs = gh.tensor_multiply(spec, gh.coproduct(spec, a), gh.coproduct(spec, b), products)
         tally("comultiplication", lhs == rhs)
 
     for _ in range(cases):
         _, a = draw(bound // p, even=True)
         _, b = draw(bound // p, even=True)
-        lhs = gh.power(spec, gh.add(a, b, p), p, p, products)
-        rhs = gh.add(gh.power(spec, a, p, p, products), gh.power(spec, b, p, p, products), p)
+        lhs = gh.power(spec, gh.add(a, b, p), p, products)
+        rhs = gh.add(gh.power(spec, a, p, products), gh.power(spec, b, p, products), p)
         tally("frobenius", lhs == rhs)
 
     kinds = [
@@ -554,12 +547,8 @@ def core_properties(p: int, seed: int) -> CheckResult:
             rng.choice(kinds)(f"v{i}", rng.randrange(1, 4))
             for i in range(rng.randrange(1, 4))
         ]
-        small = gh.algebra(gens, 10)
-        tally(
-            "dualize-dimensions",
-            gh.poincare_series(gh.dualize(small), 10, p)
-            == gh.poincare_series(small, 10, p),
-        )
+        small = gh.algebra(gens, 10, p)
+        tally("dualize-dimensions", gh.poincare_series(gh.dualize(small), 10) == gh.poincare_series(small, 10))
 
     return CheckResult(
         "algebra.core",

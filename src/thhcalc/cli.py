@@ -127,7 +127,7 @@ def _run_poincare(args) -> Dict[str, object]:
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
     spec = aw.word_algebra(args.n, p, args.max_degree)
-    series = gh.poincare_series(spec, args.max_degree, p)
+    series = gh.poincare_series(spec, args.max_degree)
     rows = [[t, d] for t, d in enumerate(series)]
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     return _envelope("poincare", params, rows=rows, columns=["degree", "dimension"])
@@ -138,7 +138,7 @@ def _run_tor(args) -> Dict[str, object]:
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
     spec = aw.word_algebra(args.n, p, args.max_degree)
-    dims = bar_tor.tor_dims(spec, p, args.max_degree)
+    dims = bar_tor.tor_dims(spec, args.max_degree)
     rows = [[s, t, d] for (s, t), d in sorted(dims.items())]
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     return _envelope("tor", params, rows=rows, columns=["s", "t", "dim"])
@@ -160,7 +160,6 @@ def _run_tor_check(args) -> Dict[str, object]:
     report = bar_tor.verify_tor_iso(
         aw.word_algebra(src, p, args.max_degree),
         aw.word_algebra(dst, p, args.max_degree),
-        p,
         args.max_degree,
     )
     params = {"p": p, "from": f"b{src}", "to": f"b{dst}", "max_degree": args.max_degree, "seed": args.seed}
@@ -276,7 +275,7 @@ def _run_pterm(args) -> Dict[str, object]:
         f"--p {p} --towers {towers} --max-degree {cap}",
         "page",
         (comb((cap + 1) // 2 + k, k) for k in range(1, towers + 1)),
-        lambda: sum(gh.poincare_series(se.p_term_spec(p, [2] * towers, cap), cap + 1, p)),
+        lambda: sum(gh.poincare_series(se.p_term_spec(p, [2] * towers, cap), cap + 1)),
     )
     report = se.verify_p_term(p, [2] * towers, cap)
     params = {"p": p, "towers": args.towers, "max_degree": args.max_degree, "seed": args.seed}
@@ -318,7 +317,7 @@ def _run_changebasis(args) -> Dict[str, object]:
         f"--p {p} --k {depth} with {n} --r coefficient(s)",
         "exchange-basis",
         (comb(p**k + n + 1, n + 1) for k in range(1, depth + 1)),
-        lambda: sum(gh.poincare_series(se.change_basis_spec(p, depth, n), 2 * p**depth, p)),
+        lambda: sum(gh.poincare_series(se.change_basis_spec(p, depth, n), 2 * p**depth)),
     )
     report = se.change_basis_cycles(p, depth, coeffs)
     params = {"p": p, "k": depth, "r": list(coeffs), "seed": args.seed}

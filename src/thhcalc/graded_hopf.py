@@ -26,8 +26,11 @@ as x^h does, only when p divides every C(h, i) with 0 < i < h, that is when
 h is a power of p.  At p = 5 and height 3, psi(u u^2) = 0 while
 psi(u) psi(u^2) = 3 u^2 (x) u + 3 u (x) u^2.
 
-Specs are named tuples that check their fields on construction: two specs
-with equal fields are equal, and hash in C like the tuple of their fields.
+A spec is its generators, its degree bound and its prime p.  Every
+operation on a spec works over F_p for that p, so a spec cannot be used at
+another prime.  Specs are named tuples that check their fields on
+construction: two specs with equal fields are equal, and hash in C like the
+tuple of their fields.
 Monomial arithmetic reads a per-generator table instead of the generator
 specs: `AlgebraSpec.table`, tuples of degrees and kinds.  It is built on
 first use and kept in the spec's instance dict, outside the read-only
@@ -37,8 +40,8 @@ product degree and the Koszul sign as it goes; `monomial_degree` and,
 through it, `tensor_multiply` read the same degrees.
 
 `multiply`, `power` and `tensor_multiply` take an optional `ProductTable`,
-a (m1, m2) -> `mul_monomials` dict that a caller creates for one spec and
-one p, passes through its loops and then drops.  Nothing keeps one at
+a (m1, m2) -> `mul_monomials` dict that a caller creates for one spec,
+passes through its loops and then drops.  Nothing keeps one at
 module level or on the spec, whose bases can reach 100,000 monomials;
 `tensor_multiply` without one uses a table local to the call.
 """
@@ -63,7 +66,7 @@ _KINDS = (EXTERIOR, POLYNOMIAL, TRUNCATED, DIVIDED)
 Monomial = Tuple[Tuple[int, int], ...]
 Element = Dict[Monomial, int]
 TensorSquare = Dict[Tuple[Monomial, Monomial], int]
-# (m1, m2) -> mul_monomials(spec, m1, m2, p), None for a zero product, for one spec and one p
+# (m1, m2) -> mul_monomials(spec, m1, m2), None for a zero product, for one spec
 ProductTable = Dict[Tuple[Monomial, Monomial], Optional[Tuple[int, Monomial]]]
 
 ONE: Monomial = ()
@@ -87,7 +90,7 @@ class _GeneratorFields(NamedTuple):
 class GeneratorSpec(_GeneratorFields):
     """One generator: label, degree and kind, checked on construction.
 
-    A truncated generator x has x^p = 0 for the prime an operation receives.
+    A truncated generator x has x^p = 0 for the prime of its algebra spec.
     """
 
     __slots__ = ()
@@ -130,21 +133,25 @@ class GeneratorTable(NamedTuple):
 class _AlgebraFields(NamedTuple):
     generators: Tuple[GeneratorSpec, ...]
     degree_bound: int
+    p: int
 
 
 class AlgebraSpec(_AlgebraFields):
-    """A generator list and a degree bound above which terms are dropped.
+    """A generator list, a degree bound above which terms are dropped, and p.
 
-    The fields are read-only; the instance dict holds only `table`.
+    Coefficients lie in F_p and truncated generators stop below x^p.  The
+    fields are read-only; the instance dict holds only `table`.
     """
 
-    def __new__(cls, generators: Tuple[GeneratorSpec, ...], degree_bound: int) -> "AlgebraSpec":
+    def __new__(cls, generators: Tuple[GeneratorSpec, ...], degree_bound: int, p: int) -> "AlgebraSpec":
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
+        if p < 2:
+            raise ValueError("the prime must be at least 2")
         labels = [g.label for g in generators]
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be distinct")
-        return super().__new__(cls, generators, degree_bound)
+        return super().__new__(cls, generators, degree_bound, p)
 
     @cached_property
     def table(self) -> GeneratorTable:
@@ -153,8 +160,8 @@ class AlgebraSpec(_AlgebraFields):
         return GeneratorTable(tuple(g.degree for g in gens), tuple(g.kind for g in gens))
 
 
-def algebra(gens: Iterable[GeneratorSpec], degree_bound: int) -> AlgebraSpec:
-    return AlgebraSpec(tuple(gens), degree_bound)
+def algebra(gens: Iterable[GeneratorSpec], degree_bound: int, p: int) -> AlgebraSpec:
+    return AlgebraSpec(tuple(gens), degree_bound, p)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +188,7 @@ def scalar_mul(c: int, a: Element, p: int) -> Element:
     return {m: (c * v) % p for m, v in a.items() if (c * v) % p}
 
 
-def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Optional[Tuple[int, Monomial]]:
+def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial) -> Optional[Tuple[int, Monomial]]:
     """Product of two basis monomials: a coefficient and a monomial, or None.
 
     None covers genuine zeros (exterior squares, p-th truncated powers, divided
@@ -194,6 +201,7 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Opti
     ones, so the kind decides the parity.
     """
     degrees, kinds = spec.table
+    p = spec.p
     out: List[Tuple[int, int]] = []
     degree = 0
     coeff = 1
@@ -243,24 +251,23 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial, p: int) -> Opti
     return coeff, tuple(out)
 
 
-def multiply(
-    spec: AlgebraSpec, a: Element, b: Element, p: int, products: Optional[ProductTable] = None
-) -> Element:
+def multiply(spec: AlgebraSpec, a: Element, b: Element, products: Optional[ProductTable] = None) -> Element:
     """a * b; with `products`, each monomial product is looked up there first.
 
     A lookup is one `get` with the default 0: the table stores None for a
     zero product, so 0 can only mean a pair not yet multiplied.
     """
+    p = spec.p
     out: Element = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             if products is None:
-                r = mul_monomials(spec, m1, m2, p)
+                r = mul_monomials(spec, m1, m2)
             else:
                 key = (m1, m2)
                 r = products.get(key, 0)
                 if r == 0:
-                    r = products[key] = mul_monomials(spec, m1, m2, p)
+                    r = products[key] = mul_monomials(spec, m1, m2)
             if r is None:
                 continue
             coeff, mon = r
@@ -268,19 +275,16 @@ def multiply(
     return out
 
 
-def power(
-    spec: AlgebraSpec, a: Element, n: int, p: int, products: Optional[ProductTable] = None
-) -> Element:
+def power(spec: AlgebraSpec, a: Element, n: int, products: Optional[ProductTable] = None) -> Element:
     out: Element = {ONE: 1}
     for _ in range(n):
-        out = multiply(spec, out, a, p, products)
+        out = multiply(spec, out, a, products)
     return out
 
 
 def extend_derivation(
     spec: AlgebraSpec,
     elem: Element,
-    p: int,
     image: Callable[[int], Optional[Element]],
     divided_shift: int,
 ) -> Element:
@@ -299,6 +303,7 @@ def extend_derivation(
     of the image, then times the tail.  Distinct image monomials give
     distinct products, so no term needs the sum of the others first.
     """
+    p = spec.p
     out: Element = {}
     for mon, coeff in elem.items():
         prefix_degree = 0
@@ -314,10 +319,10 @@ def extend_derivation(
                 tail = mon[j + 1 :]
                 scale = -coeff * factor if prefix_degree % 2 else coeff * factor
                 for m, v in img.items():
-                    left = mul_monomials(spec, head, m, p)
+                    left = mul_monomials(spec, head, m)
                     if left is None:
                         continue
-                    term = mul_monomials(spec, left[1], tail, p)
+                    term = mul_monomials(spec, left[1], tail)
                     if term is not None:
                         add_to(out, term[1], scale * v * left[0] * term[0], p)
             prefix_degree += e * g.degree
@@ -330,7 +335,7 @@ def extend_derivation(
 
 
 def tensor_multiply(
-    spec: AlgebraSpec, t1: TensorSquare, t2: TensorSquare, p: int, products: Optional[ProductTable] = None
+    spec: AlgebraSpec, t1: TensorSquare, t2: TensorSquare, products: Optional[ProductTable] = None
 ) -> TensorSquare:
     """Multiply in A (x) A with the Koszul sign (-1)^{|b||c|} on (a(x)b)(c(x)d).
 
@@ -339,6 +344,7 @@ def tensor_multiply(
     """
     if products is None:
         products = {}  # the same pair recurs across terms even within one call
+    p = spec.p
     out: TensorSquare = {}
     terms2 = [(x, y, c2, monomial_degree(spec, x) % 2) for (x, y), c2 in t2.items()]
     for (a, b), c1 in t1.items():
@@ -347,13 +353,13 @@ def tensor_multiply(
             key = (a, x)
             left = products.get(key, 0)
             if left == 0:
-                left = products[key] = mul_monomials(spec, a, x, p)
+                left = products[key] = mul_monomials(spec, a, x)
             if left is None:
                 continue
             key = (b, y)
             right = products.get(key, 0)
             if right == 0:
-                right = products[key] = mul_monomials(spec, b, y, p)
+                right = products[key] = mul_monomials(spec, b, y)
             if right is None:
                 continue
             cl, ml = left
@@ -367,7 +373,7 @@ def _single(i: int, e: int) -> Monomial:
     return ((i, e),) if e else ONE
 
 
-def _monomial_coproduct(spec: AlgebraSpec, mon: Monomial, p: int) -> TensorSquare:
+def _monomial_coproduct(spec: AlgebraSpec, mon: Monomial) -> TensorSquare:
     """psi of one monomial in closed form.
 
     The generators of a monomial are distinct, so psi(prod g_i^{e_i}) is the
@@ -384,6 +390,7 @@ def _monomial_coproduct(spec: AlgebraSpec, mon: Monomial, p: int) -> TensorSquar
     carries the number of odd parts it has kept on the right.
     """
     kinds = spec.table.kinds
+    p = spec.p
     # partial terms: (left, right, coefficient, odd parts kept right)
     terms: List[Tuple[Monomial, Monomial, int, int]] = [(ONE, ONE, 1, 0)]
     for i, e in mon:
@@ -409,20 +416,21 @@ def _monomial_coproduct(spec: AlgebraSpec, mon: Monomial, p: int) -> TensorSquar
     }
 
 
-def coproduct(spec: AlgebraSpec, a: Element, p: int) -> TensorSquare:
+def coproduct(spec: AlgebraSpec, a: Element) -> TensorSquare:
+    p = spec.p
     out: TensorSquare = {}
     for mon, c in a.items():
-        for key, v in _monomial_coproduct(spec, mon, p).items():
+        for key, v in _monomial_coproduct(spec, mon).items():
             add_to(out, key, c * v, p)
     return out
 
 
-def reduced_coproduct(spec: AlgebraSpec, a: Element, p: int) -> TensorSquare:
+def reduced_coproduct(spec: AlgebraSpec, a: Element) -> TensorSquare:
     """psi(a) - a(x)1 - 1(x)a, the interesting part on positive degrees."""
-    out = coproduct(spec, a, p)
+    out = coproduct(spec, a)
     for mon, c in a.items():
         for key in ((mon, ONE), (ONE, mon)):
-            add_to(out, key, -c, p)
+            add_to(out, key, -c, spec.p)
     return out
 
 
@@ -432,7 +440,7 @@ def reduced_coproduct(spec: AlgebraSpec, a: Element, p: int) -> TensorSquare:
 
 
 @lru_cache(maxsize=None)
-def _basis_cached(spec: AlgebraSpec, t: int, p: int) -> Tuple[Monomial, ...]:
+def _basis_cached(spec: AlgebraSpec, t: int) -> Tuple[Monomial, ...]:
     """The degree-t monomials, in ascending lexicographic order of exponent vectors.
 
     Each recursion level picks the next nonzero factor, so the depth is the
@@ -442,7 +450,7 @@ def _basis_cached(spec: AlgebraSpec, t: int, p: int) -> Tuple[Monomial, ...]:
     if t < 0:
         return ()
     gens = spec.generators
-    tops = [{EXTERIOR: 1, TRUNCATED: p - 1}.get(g.kind, t) for g in gens]  # largest exponents
+    tops = [{EXTERIOR: 1, TRUNCATED: spec.p - 1}.get(g.kind, t) for g in gens]  # largest exponents
     out: List[Monomial] = []
 
     def rec(start: int, remaining: int, acc: List[Tuple[int, int]]) -> None:
@@ -460,9 +468,9 @@ def _basis_cached(spec: AlgebraSpec, t: int, p: int) -> Tuple[Monomial, ...]:
     return tuple(out)
 
 
-def basis(spec: AlgebraSpec, t: int, p: int) -> List[Monomial]:
+def basis(spec: AlgebraSpec, t: int) -> List[Monomial]:
     """All monomials of degree exactly t, in a fixed lexicographic order."""
-    return list(_basis_cached(spec, t, p))
+    return list(_basis_cached(spec, t))
 
 
 def compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
@@ -492,7 +500,7 @@ def convolve(a: List[int], b: List[int]) -> List[int]:
     return out
 
 
-def poincare_series(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
+def poincare_series(spec: AlgebraSpec, limit: int) -> List[int]:
     """Dimensions of the graded pieces in degrees 0..limit.
 
     Each generator of degree d multiplies the series in place, in O(limit):
@@ -505,7 +513,7 @@ def poincare_series(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
         # bottom up, so each out[i - d] already holds the quotient
         for i in range(d, limit + 1):
             out[i] += out[i - d]
-        height = {EXTERIOR: 2, TRUNCATED: p}.get(g.kind)
+        height = {EXTERIOR: 2, TRUNCATED: spec.p}.get(g.kind)
         if height:
             # top down, so each out[i - hd] is still the quotient
             hd = height * d
@@ -519,24 +527,24 @@ def poincare_series(spec: AlgebraSpec, limit: int, p: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def primitive_basis(spec: AlgebraSpec, t: int, p: int) -> List[Element]:
+def primitive_basis(spec: AlgebraSpec, t: int) -> List[Element]:
     """Basis of the primitives in degree t: kernel of the reduced coproduct."""
     if t <= 0:
         return []
-    cols = basis(spec, t, p)
+    cols = basis(spec, t)
     if not cols:
         return []
     row_index: Dict[Tuple[Monomial, Monomial], int] = {}
     for u in range(1, t):
-        for m1 in basis(spec, u, p):
-            for m2 in basis(spec, t - u, p):
+        for m1 in basis(spec, u):
+            for m2 in basis(spec, t - u):
                 row_index[(m1, m2)] = len(row_index)
     columns: List[Dict[int, int]] = []
     for mon in cols:
-        red = reduced_coproduct(spec, {mon: 1}, p)
+        red = reduced_coproduct(spec, {mon: 1})
         columns.append({row_index[key]: v for key, v in red.items()})
     matrix = FpSparseMatrix.from_columns(len(row_index), columns)
-    return [{cols[i]: v for i, v in vec.items()} for vec in kernel_basis(matrix, p)]
+    return [{cols[i]: v for i, v in vec.items()} for vec in kernel_basis(matrix, spec.p)]
 
 
 def dualize(spec: AlgebraSpec) -> AlgebraSpec:
@@ -549,7 +557,7 @@ def dualize(spec: AlgebraSpec) -> AlgebraSpec:
             gens.append(GeneratorSpec(g.label + "*", g.degree, POLYNOMIAL))
         else:
             raise DualizeError(f"no dual presentation for {g.kind} generator {g.label!r}")
-    return AlgebraSpec(tuple(gens), spec.degree_bound)
+    return AlgebraSpec(tuple(gens), spec.degree_bound, spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +565,13 @@ def dualize(spec: AlgebraSpec) -> AlgebraSpec:
 # ---------------------------------------------------------------------------
 
 
-def random_homogeneous(spec: AlgebraSpec, t: int, p: int, rng) -> Element:
+def random_homogeneous(spec: AlgebraSpec, t: int, rng) -> Element:
     """A random homogeneous element of degree t (possibly zero), of one to three terms."""
-    pool = basis(spec, t, p)
+    pool = basis(spec, t)
     if not pool:
         return {}
     out: Element = {}
     for _ in range(rng.randrange(1, 4)):
         mon = pool[rng.randrange(len(pool))]
-        add_to(out, mon, rng.randrange(1, p), p)
+        add_to(out, mon, rng.randrange(1, spec.p), spec.p)
     return out

@@ -1,7 +1,7 @@
 """Multiplicative spectral-sequence pages over F_p and their differentials.
 
-A page is an algebra (an :class:`~thhcalc.graded_hopf.AlgebraSpec`) together
-with a filtration weight per generator; a monomial sits in bidegree
+A page is an algebra (an :class:`~thhcalc.graded_hopf.AlgebraSpec`, which
+fixes p) together with a filtration weight per generator; a monomial sits in bidegree
 (s, t) with s the exponent-weighted filtration sum and t the complementary
 internal degree, so s + t is the algebra degree.  A differential on page r
 maps (s, t) to (s - r, t + r - 1), is a graded derivation, and is described
@@ -38,20 +38,19 @@ from .fp_linalg import ContractViolation, FpSparseMatrix
 
 class _SSTermFields(NamedTuple):
     spec: gh.AlgebraSpec
-    p: int
     filtration: Dict[str, int]
 
 
 class SSTerm(_SSTermFields):
-    """An algebra page with a filtration weight per generator."""
+    """An algebra page with a filtration weight per generator, over the spec's prime."""
 
     __slots__ = ()
 
-    def __new__(cls, spec: gh.AlgebraSpec, p: int, filtration: Dict[str, int]) -> "SSTerm":
+    def __new__(cls, spec: gh.AlgebraSpec, filtration: Dict[str, int]) -> "SSTerm":
         for g in spec.generators:
             if g.label not in filtration:
                 raise ValueError(f"generator {g.label!r} has no filtration weight")
-        return super().__new__(cls, spec, p, filtration)
+        return super().__new__(cls, spec, filtration)
 
     def weight(self, gi: int) -> int:
         return self.filtration[self.spec.generators[gi].label]
@@ -74,11 +73,9 @@ class DifferentialSpec(NamedTuple):
 
 
 def apply_differential(term: SSTerm, dspec: DifferentialSpec, elem: gh.Element) -> gh.Element:
-    """Extend the generator images over products as a graded derivation."""
+    """Extend the generator images over products; divided towers shift by p."""
     gens = term.spec.generators
-    return gh.extend_derivation(
-        term.spec, elem, term.p, lambda gi: dspec.values.get(gens[gi].label), term.p
-    )
+    return gh.extend_derivation(term.spec, elem, lambda gi: dspec.values.get(gens[gi].label), term.spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +88,7 @@ def _bidegree_buckets(
 ) -> Dict[Tuple[int, int], List[gh.Monomial]]:
     buckets: Dict[Tuple[int, int], List[gh.Monomial]] = {}
     for m in range(0, max_total + 1):
-        for mon in gh.basis(term.spec, m, term.p):
+        for mon in gh.basis(term.spec, m):
             buckets.setdefault(term.bidegree(mon), []).append(mon)
     return buckets
 
@@ -132,7 +129,7 @@ def page_homology(
         tgt = (src[0] - r, src[1] + r - 1)
         target_index = index.get(tgt, {})
         columns = (column(mon, tgt, target_index) for mon in buckets[src])
-        return fp_linalg.rank(FpSparseMatrix.from_columns(len(target_index), columns), term.p)
+        return fp_linalg.rank(FpSparseMatrix.from_columns(len(target_index), columns), term.spec.p)
 
     ranks = {key: rank_of(key) for key in buckets}
     out: Dict[Tuple[int, int], int] = {}
@@ -154,12 +151,12 @@ def page_homology(
 
 
 def p_term_spec(p: int, x_degrees: Sequence[int], max_total: int) -> gh.AlgebraSpec:
-    """The page algebra of `verify_p_term`: x_i and y_{i+1} per tower, bound max_total + 1."""
+    """The page algebra of `verify_p_term` over F_p: x_i and y_{i+1} per tower, bound max_total + 1."""
     gens: List[gh.GeneratorSpec] = []
     for i, d in enumerate(x_degrees):
         gens.append(gh.divided(f"x{i}", d))
         gens.append(gh.exterior(f"y{i + 1}", p * d - 1))
-    return gh.AlgebraSpec(tuple(gens), max_total + 1)
+    return gh.AlgebraSpec(tuple(gens), max_total + 1, p)
 
 
 def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str, object]:
@@ -175,7 +172,7 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
     spec = p_term_spec(p, x_degrees, max_total)
     values: Dict[str, gh.Element] = {}
     trunc_gens = [gh.truncated(f"x{i}", d) for i, d in enumerate(x_degrees)]
-    term = SSTerm(spec, p, {g.label: 1 for g in spec.generators})
+    term = SSTerm(spec, {g.label: 1 for g in spec.generators})
     for i in range(len(x_degrees)):
         yi = next(k for k, g in enumerate(spec.generators) if g.label == f"y{i + 1}")
         values[f"x{i}"] = {((yi, 1),): 1}
@@ -183,8 +180,8 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
 
     homology = page_homology(term, dspec, max_total)
 
-    closed_spec = gh.AlgebraSpec(tuple(trunc_gens), max_total + 1)
-    closed_term = SSTerm(closed_spec, p, {g.label: 1 for g in trunc_gens})
+    closed_spec = gh.AlgebraSpec(tuple(trunc_gens), max_total + 1, p)
+    closed_term = SSTerm(closed_spec, {g.label: 1 for g in trunc_gens})
     expected = {key: len(mons) for key, mons in _bidegree_buckets(closed_term, max_total).items()}
     return {"homology": homology, "expected": expected, "passed": homology == expected}
 
@@ -197,7 +194,7 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
 def change_basis_spec(p: int, k_max: int, n_coeffs: int) -> gh.AlgebraSpec:
     """The page algebra of `change_basis_cycles`: z, then `p_term_spec`'s degree-2 towers."""
     towers = p_term_spec(p, [2] * n_coeffs, 2 * p ** (k_max + 1) - 1)
-    return gh.AlgebraSpec((gh.divided("z", 2),) + towers.generators, towers.degree_bound)
+    return gh.AlgebraSpec((gh.divided("z", 2),) + towers.generators, towers.degree_bound, p)
 
 
 def change_basis_cycles(p: int, k_max: int, r_coeffs: Sequence[int]) -> Dict[str, object]:
@@ -224,7 +221,7 @@ def change_basis_cycles(p: int, k_max: int, r_coeffs: Sequence[int]) -> Dict[str
         raise ValueError("need at least one twisting coefficient")
     spec = change_basis_spec(p, k_max, L)
     gens = spec.generators
-    term = SSTerm(spec, p, {g.label: 1 for g in gens})
+    term = SSTerm(spec, {g.label: 1 for g in gens})
     label_index = {g.label: i for i, g in enumerate(gens)}
 
     def y_elem(i: int) -> gh.Element:
@@ -249,7 +246,7 @@ def change_basis_cycles(p: int, k_max: int, r_coeffs: Sequence[int]) -> Dict[str
                 coeff = (-1) ** j
                 for i, a in enumerate(alpha):
                     coeff *= pow(r_coeffs[i], a, p)
-                    piece = gh.multiply(spec, piece, gamma(f"x{i}", p * a), p)
+                    piece = gh.multiply(spec, piece, gamma(f"x{i}", p * a))
                 out = gh.add(out, gh.scalar_mul(coeff, piece, p), p)
         return out
 
@@ -260,7 +257,7 @@ def change_basis_cycles(p: int, k_max: int, r_coeffs: Sequence[int]) -> Dict[str
         zk = replacement(k)
         reps[k] = zk
         cycle_checks.append((k, apply_differential(term, dspec, zk) == {}))
-        power_checks.append((k, gh.power(spec, zk, p, p) == {}))
+        power_checks.append((k, gh.power(spec, zk, p) == {}))
 
     def replaced(a: int) -> gh.Element:
         # digits a = sum a_k p^k: gamma_a(z') = prod gamma_{p^k}(z')^{a_k},
@@ -272,7 +269,7 @@ def change_basis_cycles(p: int, k_max: int, r_coeffs: Sequence[int]) -> Dict[str
             rest, digit = divmod(rest, p)
             if digit:
                 base = gamma("z", 1) if k == 0 else reps[k]
-                out = gh.multiply(spec, out, gh.power(spec, base, digit, p), p)
+                out = gh.multiply(spec, out, gh.power(spec, base, digit))
             k += 1
         return out
 

@@ -50,11 +50,12 @@ TAU = "tau"
 
 
 class TorusAlgebra(NamedTuple):
-    """An n-torus word algebra with an optional coaction block."""
+    """An n-torus word algebra with an optional coaction block.
+
+    The prime and the degree bound are the spec's.
+    """
 
     n: int
-    p: int
-    degree_bound: int
     spec: gh.AlgebraSpec
     info: Tuple[Tuple, ...]
     index: Dict[str, int]
@@ -96,9 +97,9 @@ def build_torus(n: int, p: int, degree_bound: int, coaction: bool = False) -> To
             gens.append(gh.exterior(f"tau{j}", 2 * p**j - 1))
             info.append((TAU, j))
             j += 1
-    spec = gh.AlgebraSpec(tuple(gens), degree_bound)
+    spec = gh.AlgebraSpec(tuple(gens), degree_bound, p)
     index = {g.label: i for i, g in enumerate(gens)}
-    return TorusAlgebra(n, p, degree_bound, spec, tuple(info), index, {})
+    return TorusAlgebra(n, spec, tuple(info), index, {})
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +110,12 @@ def build_torus(n: int, p: int, degree_bound: int, coaction: bool = False) -> To
 def _generator_image(t: TorusAlgebra, v: int, gi: int) -> gh.Element:
     """Image of one generator under suspension along coordinate v."""
     tag = t.info[gi]
-    p = t.p
+    p, bound = t.spec.p, t.spec.degree_bound
     if tag[0] == XI:
         return {}
     if tag[0] == TAU:
         power = p ** tag[1]
-        if 2 * power > t.degree_bound:
+        if 2 * power > bound:
             return {}
         mu = t.index[f"mu_{v}"]
         return {((mu, power),): 1}
@@ -130,7 +131,7 @@ def _generator_image(t: TorusAlgebra, v: int, gi: int) -> gh.Element:
     new_labels = tuple(sorted(labels + (v,)))
     label = aw.labeled_render(new_word, new_labels)
     if label not in t.index:
-        if aw.degree(new_word, p) > t.degree_bound:
+        if aw.degree(new_word, p) > bound:
             return {}
         raise UnsupportedSigma(f"suspended word {label} is not a known generator")
     return {((t.index[label], 1),): 1}
@@ -155,7 +156,7 @@ def sigma(t: TorusAlgebra, v: int, elem: gh.Element) -> gh.Element:
             img = images[v, gi] = _generator_image(t, v, gi)
         return img
 
-    return gh.extend_derivation(t.spec, elem, t.p, image, 1)
+    return gh.extend_derivation(t.spec, elem, image, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +298,11 @@ def torus_poincare_report(n: int, p: int, max_degree: int) -> Dict[str, object]:
     the proper-subset skeleton's series times the top word algebra's series.
     """
     torus = build_torus(n, p, max_degree)
-    series = gh.poincare_series(torus.spec, max_degree, p)
+    series = gh.poincare_series(torus.spec, max_degree)
 
     product = [1] + [0] * max_degree
     for k in range(1, n + 1):
-        factor = gh.poincare_series(aw.word_algebra(k, p, max_degree), max_degree, p)
+        factor = gh.poincare_series(aw.word_algebra(k, p, max_degree), max_degree)
         for _ in range(comb(n, k)):
             product = gh.convolve(product, factor)
 
@@ -309,11 +310,9 @@ def torus_poincare_report(n: int, p: int, max_degree: int) -> Dict[str, object]:
     for u in _subsets(n):
         if len(u) == n:
             continue
-        factor = gh.poincare_series(
-            aw.labeled_word_algebra(u, p, max_degree), max_degree, p
-        )
+        factor = gh.poincare_series(aw.labeled_word_algebra(u, p, max_degree), max_degree)
         skeleton = gh.convolve(skeleton, factor)
-    top = gh.poincare_series(aw.word_algebra(n, p, max_degree), max_degree, p)
+    top = gh.poincare_series(aw.word_algebra(n, p, max_degree), max_degree)
     skeleton_product = gh.convolve(skeleton, top)
 
     return {"series": series, "passed": series == product == skeleton_product}

@@ -436,7 +436,7 @@ def test_word_algebra_length_two_is_exterior_line():
         spec = aw.word_algebra(2, p, 20)
         assert [g.kind for g in spec.generators] == [gh.EXTERIOR]
         assert spec.generators[0].degree == 3
-        series = gh.poincare_series(spec, 4, p)
+        series = gh.poincare_series(spec, 4)
         assert series == [1, 0, 0, 1, 0]
 
 

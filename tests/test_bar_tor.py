@@ -19,8 +19,8 @@ from thhcalc.fp_linalg import ContractViolation, FpSparseMatrix, _column_index, 
 from test_graded_hopf import indecomposable_dims
 
 
-def poly_mu(bound: int) -> gh.AlgebraSpec:
-    return gh.algebra([gh.polynomial("m", 2)], bound)
+def poly_mu(bound: int, p: int) -> gh.AlgebraSpec:
+    return gh.algebra([gh.polynomial("m", 2)], bound, p)
 
 
 def to_dense(m: FpSparseMatrix) -> list:
@@ -30,9 +30,9 @@ def to_dense(m: FpSparseMatrix) -> list:
     return out
 
 
-def bar_dims(spec: gh.AlgebraSpec, p: int, cap: int, top) -> dict:
+def bar_dims(spec: gh.AlgebraSpec, cap: int, top) -> dict:
     """Nonzero bar-complex homology dims for t <= cap and s <= top(t)."""
-    bar = BarComplex(spec, p, cap)
+    bar = BarComplex(spec, cap)
     table = {}
     for t in range(cap + 1):
         for s in range(top(t) + 1):
@@ -42,17 +42,17 @@ def bar_dims(spec: gh.AlgebraSpec, p: int, cap: int, top) -> dict:
     return table
 
 
-def assert_engines_agree(spec: gh.AlgebraSpec, p: int, cap: int, total: bool) -> None:
+def assert_engines_agree(spec: gh.AlgebraSpec, cap: int, total: bool) -> None:
     """The resolution and the bar complex agree at every bidegree of one range.
 
     total=True is the range of verify_tor_iso (s + t <= cap), otherwise the
     range of tor_dims (s <= t <= cap).
     """
     top = (lambda t: min(t, cap - t)) if total else (lambda t: t)
-    expected = bar_dims(spec, p, cap, top)
-    assert bar_tor._dims(bar_tor._resolve(spec, p, cap, top)) == expected
+    expected = bar_dims(spec, cap, top)
+    assert bar_tor._dims(bar_tor._resolve(spec, cap, top)) == expected
     if not total:
-        assert tor_dims(spec, p, cap) == expected
+        assert tor_dims(spec, cap) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def assert_engines_agree(spec: gh.AlgebraSpec, p: int, cap: int, total: bool) ->
 
 
 def test_bar_basis_counts_polynomial():
-    bar = BarComplex(poly_mu(12), 5, 12)
+    bar = BarComplex(poly_mu(12, 5), 12)
     # tuples of powers of the degree-2 generator: compositions of t/2
     assert len(bar.basis(0, 0)) == 1
     assert len(bar.basis(1, 6)) == 1
@@ -72,10 +72,8 @@ def test_bar_basis_counts_polynomial():
 
 
 def test_bar_differential_square_zero_everywhere():
-    spec = gh.algebra(
-        [gh.exterior("a", 3), gh.divided("g", 4), gh.polynomial("m", 2)], 14
-    )
-    bar = BarComplex(spec, 3, 14)
+    spec = gh.algebra([gh.exterior("a", 3), gh.divided("g", 4), gh.polynomial("m", 2)], 14, 3)
+    bar = BarComplex(spec, 14)
     for t in range(0, 15):
         for s in range(0, t + 1):
             assert bar.square_is_zero(s + 1, t)
@@ -83,7 +81,7 @@ def test_bar_differential_square_zero_everywhere():
 
 def test_bar_differential_example_by_hand():
     # d[m|m] = -[m^2]; d[m|m|m] = -[m^2|m] + [m|m^2]
-    bar = BarComplex(poly_mu(8), 5, 8)
+    bar = BarComplex(poly_mu(8, 5), 8)
     d2 = bar.differential(2, 4)
     assert to_dense(d2) == [[4]]
     d3 = bar.differential(3, 6)
@@ -101,8 +99,8 @@ def test_bar_differential_example_by_hand():
 
 def test_divided_power_merge_uses_binomials():
     # gamma_1 * gamma_2 = 3 gamma_3 = 0 mod 3, so d[g1|g2] = 0
-    spec = gh.algebra([gh.divided("g", 4)], 16)
-    bar = BarComplex(spec, 3, 16)
+    spec = gh.algebra([gh.divided("g", 4)], 16, 3)
+    bar = BarComplex(spec, 16)
     g1 = ((0, 1),)
     g2 = ((0, 2),)
     j = bar.basis(2, 12).index((g1, g2))
@@ -117,27 +115,27 @@ def test_divided_power_merge_uses_binomials():
 
 def test_tor_polynomial_generator():
     # Tor over P(m) is exterior on one class in bidegree (1, 2)
-    table = tor_dims(poly_mu(12), 5, 12)
+    table = tor_dims(poly_mu(12, 5), 12)
     assert table == {(0, 0): 1, (1, 2): 1}
 
 
 def test_tor_exterior_generator():
     # Tor over E(y), |y| = 3, is divided powers on (1, 3)
-    spec = gh.algebra([gh.exterior("y", 3)], 12)
-    table = tor_dims(spec, 5, 12)
+    spec = gh.algebra([gh.exterior("y", 3)], 12, 5)
+    table = tor_dims(spec, 12)
     assert table == {(s, 3 * s): 1 for s in range(0, 5)}
 
 
 def test_tor_trivial_algebra():
-    spec = gh.algebra([], 6)
-    assert tor_dims(spec, 3, 6) == {(0, 0): 1}
+    spec = gh.algebra([], 6, 3)
+    assert tor_dims(spec, 6) == {(0, 0): 1}
 
 
 def test_tor_truncated_generator():
     # Tor over P(x)/(x^p) is E(1, d) tensor Gamma(2, pd): dims 1 along a
     # lattice; spot-check the first few bidegrees at p = 3, |x| = 2
-    spec = gh.algebra([gh.truncated("x", 2)], 14)
-    table = tor_dims(spec, 3, 14)
+    spec = gh.algebra([gh.truncated("x", 2)], 14, 3)
+    table = tor_dims(spec, 14)
     assert table[(0, 0)] == 1
     assert table[(1, 2)] == 1
     assert table[(2, 6)] == 1  # gamma_1 of the transpotence class
@@ -147,21 +145,19 @@ def test_tor_truncated_generator():
 
 
 def test_tor_first_column_matches_indecomposables():
-    spec = gh.algebra(
-        [gh.exterior("a", 3), gh.divided("g", 4)], 12
-    )
-    table = tor_dims(spec, 3, 12)
-    indec = indecomposable_dims(spec, 12, 3)
+    spec = gh.algebra([gh.exterior("a", 3), gh.divided("g", 4)], 12, 3)
+    table = tor_dims(spec, 12)
+    indec = indecomposable_dims(spec, 12)
     for t in range(1, 13):
         assert table.get((1, t), 0) == indec[t]
 
 
 def test_tor_kunneth_spot_check():
     # Tor over E(y) tensor P(m) is the tensor of the two answers
-    spec = gh.algebra([gh.exterior("y", 3), gh.polynomial("m", 2)], 10)
-    table = tor_dims(spec, 3, 10)
-    ey = tor_dims(gh.algebra([gh.exterior("y", 3)], 10), 3, 10)
-    pm = tor_dims(poly_mu(10), 3, 10)
+    spec = gh.algebra([gh.exterior("y", 3), gh.polynomial("m", 2)], 10, 3)
+    table = tor_dims(spec, 10)
+    ey = tor_dims(gh.algebra([gh.exterior("y", 3)], 10, 3), 10)
+    pm = tor_dims(poly_mu(10, 3), 10)
     combined = {}
     for (s1, t1), d1 in ey.items():
         for (s2, t2), d2 in pm.items():
@@ -179,14 +175,14 @@ def test_tor_kunneth_spot_check():
 def test_ladder_length_two_to_three_p3():
     b2 = aw.word_algebra(2, 3, 24)
     b3 = aw.word_algebra(3, 3, 24)
-    report = verify_tor_iso(b2, b3, 3, 24)
+    report = verify_tor_iso(b2, b3, 24)
     assert report["passed"], report["first_mismatch"]
 
 
 def test_ladder_length_one_to_two_p3():
     b1 = aw.word_algebra(1, 3, 30)
     b2 = aw.word_algebra(2, 3, 30)
-    report = verify_tor_iso(b1, b2, 3, 30)
+    report = verify_tor_iso(b1, b2, 30)
     assert report["passed"], report["first_mismatch"]
 
 
@@ -195,14 +191,14 @@ def test_ladder_length_three_to_four_small():
     bound = 2 + 4 * p
     b3 = aw.word_algebra(3, p, bound)
     b4 = aw.word_algebra(4, p, bound)
-    report = verify_tor_iso(b3, b4, p, bound)
+    report = verify_tor_iso(b3, b4, bound)
     assert report["passed"], report["first_mismatch"]
 
 
 def test_negative_control_mismatch_located():
     # P(m) against itself: Tor is exterior on a class in total degree 3, so
     # the first disagreement is at degree 2, where the answer has m itself
-    report = verify_tor_iso(poly_mu(6), poly_mu(6), 3, 6)
+    report = verify_tor_iso(poly_mu(6, 3), poly_mu(6, 3), 6)
     assert not report["passed"]
     assert report["first_mismatch"] == {"total_degree": 2, "got": 0, "expected": 1}
     assert report["got"][3] == 1 and report["expected"][3] == 0
@@ -210,11 +206,17 @@ def test_negative_control_mismatch_located():
 
 def test_degree_cap_validation():
     with pytest.raises(ValueError):
-        BarComplex(poly_mu(6), 3, 10)
+        BarComplex(poly_mu(6, 3), 10)
     with pytest.raises(ValueError):
-        tor_dims(poly_mu(6), 3, 10)
+        tor_dims(poly_mu(6, 3), 10)
     with pytest.raises(ValueError):
-        verify_tor_iso(poly_mu(6), poly_mu(10), 3, 10)
+        verify_tor_iso(poly_mu(6, 3), poly_mu(10, 3), 10)
+
+
+def test_tor_iso_refuses_specs_of_two_primes():
+    # the answer's series depends on its prime, so a mixed pair compares nothing
+    with pytest.raises(ValueError, match="^source and answer specs differ in prime: 3 and 5$"):
+        verify_tor_iso(aw.word_algebra(1, 3, 30), aw.word_algebra(2, 5, 30), 30)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +230,15 @@ def test_resolution_matches_bar_on_ladder_rungs(p, n, cap):
     # the rungs and caps of the tor.iso check
     cap = 2 + 4 * p if cap is None else cap
     spec = aw.word_algebra(n, p, cap)
-    assert_engines_agree(spec, p, cap, total=True)
-    assert_engines_agree(spec, p, min(cap, 20), total=False)
+    assert_engines_agree(spec, cap, total=True)
+    assert_engines_agree(spec, min(cap, 20), total=False)
 
 
 @pytest.mark.parametrize("n, p, cap", [(1, 3, 30), (3, 5, 60)])
 def test_resolution_matches_bar_on_tor_check_configs(n, p, cap):
     # tor-check b1->b2 at p = 3 and b3->b4 at p = 5; the bar complex is
     # tractable at these caps (b1 at cap 36 already takes seconds)
-    assert_engines_agree(aw.word_algebra(n, p, cap), p, cap, total=True)
+    assert_engines_agree(aw.word_algebra(n, p, cap), cap, total=True)
 
 
 def _generator(draw, label: str) -> gh.GeneratorSpec:
@@ -257,14 +259,14 @@ def small_specs(draw):
     gens = [_generator(draw, f"g{i}") for i in range(count)]
     # generators of degree 1 make the bar complex grow like 2^t
     cap = draw(st.integers(2, 8 if any(g.degree == 1 for g in gens) else 12))
-    return gh.algebra(gens, cap), draw(st.sampled_from([3, 5])), cap
+    return gh.algebra(gens, cap, draw(st.sampled_from([3, 5]))), cap
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_specs(), st.booleans())
 def test_resolution_matches_bar_on_random_specs(case, total):
-    spec, p, cap = case
-    assert_engines_agree(spec, p, cap, total)
+    spec, cap = case
+    assert_engines_agree(spec, cap, total)
 
 
 def test_resolution_checks_each_generator_image_is_a_cycle(monkeypatch):
@@ -278,7 +280,7 @@ def test_resolution_checks_each_generator_image_is_a_cycle(monkeypatch):
 
     monkeypatch.setattr(fp_linalg, "kernel_basis", tampered)
     with pytest.raises(ContractViolation, match=r"not a cycle at \(2, 16\)"):
-        tor_dims(aw.word_algebra(3, 3, 30), 3, 30)
+        tor_dims(aw.word_algebra(3, 3, 30), 30)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +305,11 @@ def outside_span(span, candidates, p):
     return chosen
 
 
-def resolve_two_eliminations(spec, p, max_degree, top):
+def resolve_two_eliminations(spec, max_degree, top):
     """Oracle: the resolution that picked new generators with one elimination
     (`outside_span`) and found ker d_s with a second (`kernel_basis`)."""
-    bases = [gh.basis(spec, t, p) for t in range(max_degree + 1)]
+    p = spec.p
+    bases = [gh.basis(spec, t) for t in range(max_degree + 1)]
     gens = [[(0, {})]]
     for t in range(1, max_degree + 1):
         below = [(0, m) for m in bases[t]]
@@ -320,7 +323,7 @@ def resolve_two_eliminations(spec, p, max_degree, top):
             for g, m in pairs:
                 image = {}
                 for (h, m2), c in gens[s][g][1].items():
-                    product = gh.mul_monomials(spec, m, m2, p)
+                    product = gh.mul_monomials(spec, m, m2)
                     if product is not None:
                         add_to(image, index[(h, product[1])], c * product[0], p)
                 images.append(image)
@@ -340,7 +343,7 @@ def resolve_two_eliminations(spec, p, max_degree, top):
 def test_resolution_generators_match_two_elimination_route(p, n, cap):
     # every generator, its degree and its image alike, on the ladder rungs
     spec = aw.word_algebra(n, p, cap)
-    assert bar_tor._resolve(spec, p, cap, lambda t: t) == resolve_two_eliminations(spec, p, cap, lambda t: t)
+    assert bar_tor._resolve(spec, cap, lambda t: t) == resolve_two_eliminations(spec, cap, lambda t: t)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +354,7 @@ def test_resolution_generators_match_two_elimination_route(p, n, cap):
 def test_ladder_length_one_to_two_p3_to_cap_200():
     b1 = aw.word_algebra(1, 3, 200)
     b2 = aw.word_algebra(2, 3, 200)
-    report = verify_tor_iso(b1, b2, 3, 200)
+    report = verify_tor_iso(b1, b2, 200)
     assert report["first_mismatch"] is None
 
 
@@ -360,5 +363,5 @@ def test_ladder_length_one_to_two_p3_to_cap_200():
 )
 def test_deeper_ladder_rungs(p, n, cap):
     # rungs 4->5 through (2p+1)->(2p+2)
-    report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap), p, cap)
+    report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap), cap)
     assert report["first_mismatch"] is None

@@ -748,6 +748,27 @@ def test_every_defaulted_parameter_is_passed_by_a_library_call():
     assert unpassed == UNPASSED_DEFAULTS
 
 
+def test_no_function_takes_a_spec_and_a_separate_prime():
+    # the prime is a field of AlgebraSpec, so a parameter p next to a spec,
+    # a torus or a page could disagree with the spec's own p
+    carriers = {"AlgebraSpec", "TorusAlgebra", "SSTerm"}
+
+    def annotated(arg):
+        node = arg.annotation
+        name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "value", None)
+        return isinstance(name, str) and name.split(".")[-1] in carriers
+
+    offenders = set()
+    for module, top in _package_statements():
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(annotated(a) for a in params) and any(a.arg == "p" for a in params):
+                    offenders.add(f"{module}.{node.name}")
+    assert offenders == set()
+
+
 def test_runtime_imports_only_the_standard_library():
     # the package declares no runtime dependency: every absolute import in
     # src/thhcalc resolves to the package itself or to the standard library

@@ -17,12 +17,12 @@ from thhcalc import torus_model as tm
 from thhcalc.fp_linalg import FpSparseMatrix, add_to, rank
 
 
-def gamma_spec(degree=2, bound=40):
-    return gh.algebra([gh.divided("x", degree)], bound)
+def gamma_spec(degree=2, bound=40, p=5):
+    return gh.algebra([gh.divided("x", degree)], bound, p)
 
 
-def poly_spec(degree=2, bound=40):
-    return gh.algebra([gh.polynomial("mu", degree)], bound)
+def poly_spec(degree=2, bound=40, p=5):
+    return gh.algebra([gh.polynomial("mu", degree)], bound, p)
 
 
 # ---------------------------------------------------------------------------
@@ -34,35 +34,35 @@ def test_divided_power_product_rule():
     spec = gamma_spec()
     g = lambda k: {((0, k),): 1} if k else {(): 1}
     # gamma_1 * gamma_1 = 2 gamma_2
-    assert gh.multiply(spec, g(1), g(1), 5) == {((0, 2),): 2}
+    assert gh.multiply(spec, g(1), g(1)) == {((0, 2),): 2}
     # gamma_2 * gamma_3 = binom(5,2) gamma_5 = 10 gamma_5 = 0 mod 5
-    assert gh.multiply(spec, g(2), g(3), 5) == {}
-    assert gh.multiply(spec, g(2), g(3), 3) == {((0, 5),): 1}
+    assert gh.multiply(spec, g(2), g(3)) == {}
+    assert gh.multiply(gamma_spec(p=3), g(2), g(3)) == {((0, 5),): 1}
 
 
 def test_exterior_squares_vanish():
-    spec = gh.algebra([gh.exterior("y", 3)], 20)
+    spec = gh.algebra([gh.exterior("y", 3)], 20, 5)
     y = {((0, 1),): 1}
-    assert gh.multiply(spec, y, y, 5) == {}
+    assert gh.multiply(spec, y, y) == {}
 
 
 def test_truncated_height_is_p():
-    spec = gh.algebra([gh.truncated("u", 2)], 40)
+    specs = {p: gh.algebra([gh.truncated("u", 2)], 40, p) for p in (3, 5, 7)}
     u = lambda k: {((0, k),): 1}
     # u^2 * u = u^3 != 0 mod 5, = 0 mod 3
-    assert gh.multiply(spec, u(2), u(1), 3) == {}
-    assert gh.multiply(spec, u(2), u(1), 5) == {((0, 3),): 1}
+    assert gh.multiply(specs[3], u(2), u(1)) == {}
+    assert gh.multiply(specs[5], u(2), u(1)) == {((0, 3),): 1}
     # u^4 * u^2 = u^6 != 0 mod 7, u^4 * u^3 = 0 mod 7
-    assert gh.multiply(spec, u(4), u(2), 7) == {((0, 6),): 1}
-    assert gh.multiply(spec, u(4), u(3), 7) == {}
+    assert gh.multiply(specs[7], u(4), u(2)) == {((0, 6),): 1}
+    assert gh.multiply(specs[7], u(4), u(3)) == {}
 
 
 def test_koszul_sign_on_odd_swap():
-    spec = gh.algebra([gh.exterior("a", 1), gh.exterior("b", 3)], 20)
+    spec = gh.algebra([gh.exterior("a", 1), gh.exterior("b", 3)], 20, 5)
     a = {((0, 1),): 1}
     b = {((1, 1),): 1}
-    ab = gh.multiply(spec, a, b, 5)
-    ba = gh.multiply(spec, b, a, 5)
+    ab = gh.multiply(spec, a, b)
+    ba = gh.multiply(spec, b, a)
     assert ab == {((0, 1), (1, 1)): 1}
     assert ba == {((0, 1), (1, 1)): 4}
 
@@ -70,11 +70,11 @@ def test_koszul_sign_on_odd_swap():
 def test_overflowing_product_is_dropped():
     spec = gamma_spec(bound=6)
     g3 = {((0, 3),): 1}
-    assert gh.multiply(spec, g3, {((0, 1),): 1}, 5) == {}
-    assert gh.multiply(spec, g3, {(): 1}, 5) == g3
+    assert gh.multiply(spec, g3, {((0, 1),): 1}) == {}
+    assert gh.multiply(spec, g3, {(): 1}) == g3
     # a zero product is found before the degree check
-    ext = gh.algebra([gh.exterior("y", 3)], 4)
-    assert gh.mul_monomials(ext, ((0, 1),), ((0, 1),), 5) is None
+    ext = gh.algebra([gh.exterior("y", 3)], 4, 5)
+    assert gh.mul_monomials(ext, ((0, 1),), ((0, 1),)) is None
 
 
 # The product as it was before AlgebraSpec.table: a separate Koszul-sign
@@ -88,7 +88,8 @@ def _koszul_sign(spec, m1, m2):
     return -1 if inversions % 2 else 1
 
 
-def _mul_monomials_oracle(spec, m1, m2, p):
+def _mul_monomials_oracle(spec, m1, m2):
+    p = spec.p
     coeff = _koszul_sign(spec, m1, m2) % p
     exps = dict(m1)
     for i, e2 in m2:
@@ -127,7 +128,7 @@ _EXPONENTS = [1, 1, 1, 1, 2, 3]
 def _spec_and_monomials(draw):
     kinds = draw(st.lists(_generator, min_size=2, max_size=6))
     gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)]
-    spec = gh.algebra(gens, draw(st.integers(0, 60)))
+    spec = gh.algebra(gens, draw(st.integers(0, 60)), draw(st.sampled_from([3, 5, 7])))
     # each generator goes to neither, one or both factors; an exponent may
     # exceed its kind's range
     m1, m2 = [], []
@@ -141,10 +142,10 @@ def _spec_and_monomials(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_spec_and_monomials(), st.sampled_from([3, 5, 7]))
-def test_compiled_product_matches_oracle(case, p):
+@given(_spec_and_monomials())
+def test_compiled_product_matches_oracle(case):
     spec, m1, m2 = case
-    assert gh.mul_monomials(spec, m1, m2, p) == _mul_monomials_oracle(spec, m1, m2, p)
+    assert gh.mul_monomials(spec, m1, m2) == _mul_monomials_oracle(spec, m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +158,20 @@ def test_compiled_product_matches_oracle(case, p):
 # oracle for the closed form.
 
 
-def _gen_coproduct(spec, i, e, p):
+def _gen_coproduct(spec, i, e):
     single = lambda k: ((i, k),) if k else gh.ONE
     out = {}
     for a in range(e + 1):
-        c = 1 if spec.generators[i].kind == gh.DIVIDED else comb(e, a) % p
+        c = 1 if spec.generators[i].kind == gh.DIVIDED else comb(e, a) % spec.p
         if c:
             out[(single(a), single(e - a))] = c
     return out
 
 
-def _coproduct_oracle(spec, mon, p):
+def _coproduct_oracle(spec, mon):
     part = {(gh.ONE, gh.ONE): 1}
     for i, e in mon:
-        part = gh.tensor_multiply(spec, part, _gen_coproduct(spec, i, e, p), p)
+        part = gh.tensor_multiply(spec, part, _gen_coproduct(spec, i, e))
     return part
 
 
@@ -181,21 +182,21 @@ def _spec_and_basis_monomial(draw):
     p = draw(st.sampled_from([3, 5, 7]))
     kinds = draw(st.lists(_generator, min_size=1, max_size=6))
     gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)]
-    spec = gh.algebra(gens, draw(st.integers(0, 40)))
+    spec = gh.algebra(gens, draw(st.integers(0, 40)), p)
     mon = []
     for i, g in enumerate(gens):
         top = {gh.EXTERIOR: 1, gh.TRUNCATED: p - 1}.get(g.kind, 4)
         e = draw(st.integers(0, top))
         if e:
             mon.append((i, e))
-    return spec, tuple(mon), p
+    return spec, tuple(mon)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_spec_and_basis_monomial())
 def test_closed_form_coproduct_matches_generator_products(case):
-    spec, mon, p = case
-    assert gh.coproduct(spec, {mon: 1}, p) == _coproduct_oracle(spec, mon, p)
+    spec, mon = case
+    assert gh.coproduct(spec, {mon: 1}) == _coproduct_oracle(spec, mon)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -204,8 +205,8 @@ def test_closed_form_coproduct_matches_generator_products_on_the_core_basis(p):
     spec = checks._core_config(p)
     seen = 0
     for t in range(spec.degree_bound + 1):
-        for mon in gh.basis(spec, t, p):
-            assert gh.coproduct(spec, {mon: 1}, p) == _coproduct_oracle(spec, mon, p), mon
+        for mon in gh.basis(spec, t):
+            assert gh.coproduct(spec, {mon: 1}) == _coproduct_oracle(spec, mon), mon
             seen += 1
     assert seen == {3: 281, 5: 705, 7: 1393}[p]
 
@@ -213,37 +214,39 @@ def test_closed_form_coproduct_matches_generator_products_on_the_core_basis(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_product_table_gives_the_same_products(p):
     rng = random.Random(1000 + p)
+    spec = mixed(p)
     products = {}
     for _ in range(100):
-        a, b, _, _ = random_pair(rng, p)
-        assert gh.multiply(MIXED, a, b, p, products) == gh.multiply(MIXED, a, b, p)
-        ta, tb = gh.coproduct(MIXED, a, p), gh.coproduct(MIXED, b, p)
-        assert gh.tensor_multiply(MIXED, ta, tb, p, products) == gh.tensor_multiply(MIXED, ta, tb, p)
+        a, b, _, _ = random_pair(rng, spec)
+        assert gh.multiply(spec, a, b, products) == gh.multiply(spec, a, b)
+        ta, tb = gh.coproduct(spec, a), gh.coproduct(spec, b)
+        assert gh.tensor_multiply(spec, ta, tb, products) == gh.tensor_multiply(spec, ta, tb)
     assert products
     for (m1, m2), r in products.items():
-        assert r == gh.mul_monomials(MIXED, m1, m2, p)
+        assert r == gh.mul_monomials(spec, m1, m2)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_a_warm_product_table_makes_no_monomial_product(monkeypatch, p):
     rng = random.Random(1100 + p)
+    spec = mixed(p)
     cases = []
     for _ in range(60):
-        a, b, _, _ = random_pair(rng, p)
-        ta, tb = gh.coproduct(MIXED, a, p), gh.coproduct(MIXED, b, p)
-        cases.append((a, b, ta, tb, gh.multiply(MIXED, a, b, p), gh.tensor_multiply(MIXED, ta, tb, p)))
+        a, b, _, _ = random_pair(rng, spec)
+        ta, tb = gh.coproduct(spec, a), gh.coproduct(spec, b)
+        cases.append((a, b, ta, tb, gh.multiply(spec, a, b), gh.tensor_multiply(spec, ta, tb)))
     products = {}
     for a, b, ta, tb, _, _ in cases:
-        gh.multiply(MIXED, a, b, p, products)
-        gh.tensor_multiply(MIXED, ta, tb, p, products)
+        gh.multiply(spec, a, b, products)
+        gh.tensor_multiply(spec, ta, tb, products)
     # cached zeros are looked up too, not multiplied again
     assert None in products.values()
     calls = []
     real = gh.mul_monomials
     monkeypatch.setattr(gh, "mul_monomials", lambda *args: calls.append(args) or real(*args))
     for a, b, ta, tb, ab, tab in cases:
-        assert gh.multiply(MIXED, a, b, p, products) == ab
-        assert gh.tensor_multiply(MIXED, ta, tb, p, products) == tab
+        assert gh.multiply(spec, a, b, products) == ab
+        assert gh.tensor_multiply(spec, ta, tb, products) == tab
     assert calls == []
 
 
@@ -252,7 +255,8 @@ def test_a_warm_product_table_makes_no_monomial_product(monkeypatch, p):
 # calls per differentiated factor.  Kept as the oracle for the kernel.
 
 
-def _extend_derivation_oracle(spec, elem, p, image, divided_shift):
+def _extend_derivation_oracle(spec, elem, image, divided_shift):
+    p = spec.p
     out = {}
     for mon, coeff in elem.items():
         prefix_degree = 0
@@ -265,7 +269,7 @@ def _extend_derivation_oracle(spec, elem, p, image, divided_shift):
                 drop, factor = 1, e % p
             if img and factor:
                 head = mon[:j] + (((gi, e - drop),) if e > drop else ())
-                term = gh.multiply(spec, gh.multiply(spec, {head: 1}, img, p), {mon[j + 1 :]: 1}, p)
+                term = gh.multiply(spec, gh.multiply(spec, {head: 1}, img), {mon[j + 1 :]: 1})
                 scale = -coeff * factor if prefix_degree % 2 else coeff * factor
                 for m, v in term.items():
                     add_to(out, m, scale * v, p)
@@ -284,16 +288,10 @@ def test_sigma_matches_the_two_product_leibniz_oracle(p):
         for coaction in (False, True):
             torus = tm.build_torus(n, p, bound, coaction)
             for t in range(1, bound // 2 + 3):
-                pool = [
-                    m
-                    for m in gh.basis(torus.spec, t, p)
-                    if m and all(torus.info[gi][0] != tm.WORD or max(torus.info[gi][1]) < n for gi, _ in m)
-                ]
+                pool = [m for m in gh.basis(torus.spec, t) if m and checks._word_labels_below(torus, m, n)]
                 for _ in range(8):
                     elem = checks._random_bounded(pool, p, rng)
-                    want = _extend_derivation_oracle(
-                        torus.spec, elem, p, lambda gi: tm._generator_image(torus, n, gi), 1
-                    )
+                    want = _extend_derivation_oracle(torus.spec, elem, lambda gi: tm._generator_image(torus, n, gi), 1)
                     assert tm.sigma(torus, n, elem) == want
                     compared += 1
                     nonzero += bool(want)
@@ -310,79 +308,79 @@ def test_page_differentials_match_the_two_product_leibniz_oracle(p, k, r):
     values = {f"x{i}": y[i] for i in range(len(r))}
     values["z"] = {mon: c for i, c in enumerate(r) for mon in y[i]}
     raw = dict(values, z={mon: c + p for mon, c in values["z"].items()})
-    term = se.SSTerm(spec, p, {label: 1 for label in labels})
+    term = se.SSTerm(spec, {label: 1 for label in labels})
     dspec = se.DifferentialSpec(p - 1, values)
     rng = random.Random(1300 + p)
     elems = list(se.change_basis_cycles(p, k, r)["replacements"].values())
     for t in range(2 * p, 2 * p**k + 4 * p + 1, 2):
         # monomials with a tower at index p or more, which the differential moves
-        pool = [m for m in gh.basis(spec, t, p) if any(e >= p for _, e in m)]
+        pool = [m for m in gh.basis(spec, t) if any(e >= p for _, e in m)]
         elems += [checks._random_bounded(pool, p, rng) for _ in range(4)]
     nonzero = 0
     for elem in elems:
-        want = _extend_derivation_oracle(spec, elem, p, lambda gi: values.get(labels[gi]), p)
+        want = _extend_derivation_oracle(spec, elem, lambda gi: values.get(labels[gi]), p)
         assert se.apply_differential(term, dspec, elem) == want
-        assert gh.extend_derivation(spec, elem, p, lambda gi: raw.get(labels[gi]), p) == want
+        assert gh.extend_derivation(spec, elem, lambda gi: raw.get(labels[gi]), p) == want
         nonzero += bool(want)
     assert nonzero > len(elems) // 2
 
 
 def test_reduced_coproduct_of_gamma_2():
     spec = gamma_spec()
-    red = gh.reduced_coproduct(spec, {((0, 2),): 1}, 5)
+    red = gh.reduced_coproduct(spec, {((0, 2),): 1})
     assert red == {(((0, 1),), ((0, 1),)): 1}
 
 
 def test_polynomial_generator_is_primitive():
     spec = poly_spec()
-    red = gh.reduced_coproduct(spec, {((0, 1),): 1}, 5)
+    red = gh.reduced_coproduct(spec, {((0, 1),): 1})
     assert red == {}
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_polynomial_primitives_at_degree_2p(p):
-    spec = poly_spec(bound=6 * p)
-    prims = gh.primitive_basis(spec, 2 * p, p)
+    spec = poly_spec(bound=6 * p, p=p)
+    prims = gh.primitive_basis(spec, 2 * p)
     assert len(prims) == 1
     assert prims[0] == {((0, p),): 1}
     # nothing primitive in composite, non-p-power degrees
-    assert gh.primitive_basis(spec, 8 if p == 3 else 12, p) == []
+    assert gh.primitive_basis(spec, 8 if p == 3 else 12) == []
 
 
 def test_divided_power_primitives_only_gamma_1():
-    spec = gamma_spec(bound=30)
+    spec = gamma_spec(bound=30, p=3)
     for t in range(1, 30):
-        prims = gh.primitive_basis(spec, t, 3)
+        prims = gh.primitive_basis(spec, t)
         if t == 2:
             assert prims == [{((0, 1),): 1}]
         else:
             assert prims == []
 
 
-def indecomposable_dims(spec, limit, p):
+def indecomposable_dims(spec, limit):
     """dim of (positive-degree part / products) in degrees 0..limit."""
-    dims = gh.poincare_series(spec, limit, p)
+    dims = gh.poincare_series(spec, limit)
     out = [0] * (limit + 1)
     for t in range(1, limit + 1):
-        target = {m: i for i, m in enumerate(gh.basis(spec, t, p))}
+        target = {m: i for i, m in enumerate(gh.basis(spec, t))}
         if not target:
             continue
         columns = []
         for u in range(1, t):
-            for m1 in gh.basis(spec, u, p):
-                for m2 in gh.basis(spec, t - u, p):
-                    r = gh.mul_monomials(spec, m1, m2, p)
+            for m1 in gh.basis(spec, u):
+                for m2 in gh.basis(spec, t - u):
+                    r = gh.mul_monomials(spec, m1, m2)
                     if r is not None:
                         coeff, mon = r
                         columns.append({target[mon]: coeff})
-        decomposable = rank(FpSparseMatrix.from_columns(len(target), columns), p)
+        decomposable = rank(FpSparseMatrix.from_columns(len(target), columns), spec.p)
         out[t] = dims[t] - decomposable
     return out
 
 
 def test_indecomposables_of_divided_powers_mod_3():
-    spec = gamma_spec(bound=20)
-    dims = indecomposable_dims(spec, 20, 3)
+    spec = gamma_spec(bound=20, p=3)
+    dims = indecomposable_dims(spec, 20)
     hits = [t for t, d in enumerate(dims) if d]
     assert hits == [2, 6, 18]
     assert all(dims[t] == 1 for t in hits)
@@ -391,30 +389,28 @@ def test_indecomposables_of_divided_powers_mod_3():
 def test_divided_powers_match_tensor_of_truncated():
     # Gamma(x) has the dimensions of (x)_k P_p(gamma_{p^k} x), |x| = 2
     p, limit = 3, 50
-    spec = gamma_spec(bound=limit)
+    spec = gamma_spec(bound=limit, p=p)
     gens = []
     k = 0
     while 2 * p**k <= limit:
         gens.append(gh.truncated(f"g{k}", 2 * p**k))
         k += 1
-    trunc = gh.algebra(gens, limit)
-    assert gh.poincare_series(spec, limit, p) == gh.poincare_series(trunc, limit, p)
+    trunc = gh.algebra(gens, limit, p)
+    assert gh.poincare_series(spec, limit) == gh.poincare_series(trunc, limit)
 
 
 def test_basis_counts_agree_with_poincare_series():
-    spec = gh.algebra(
-        [gh.exterior("a", 3), gh.divided("x", 2), gh.truncated("u", 4)], 25
-    )
-    series = gh.poincare_series(spec, 25, 5)
+    spec = gh.algebra([gh.exterior("a", 3), gh.divided("x", 2), gh.truncated("u", 4)], 25, 5)
+    series = gh.poincare_series(spec, 25)
     for t in range(26):
-        assert len(gh.basis(spec, t, 5)) == series[t]
+        assert len(gh.basis(spec, t)) == series[t]
 
 
 # The basis enumeration as it was before it recursed once per factor: one
 # level per generator, exponent 0 first.  Kept as the oracle for the order.
 
 
-def _basis_oracle(spec, t, p):
+def _basis_oracle(spec, t):
     if t < 0:
         return []
     gens = spec.generators
@@ -431,7 +427,7 @@ def _basis_oracle(spec, t, p):
         if g.kind == gh.EXTERIOR:
             max_e = min(max_e, 1)
         elif g.kind == gh.TRUNCATED:
-            max_e = min(max_e, p - 1)
+            max_e = min(max_e, spec.p - 1)
         for e in range(0, max_e + 1):
             if e:
                 acc.append((idx, e))
@@ -447,19 +443,19 @@ def _basis_oracle(spec, t, p):
 @given(st.lists(_generator, max_size=6), st.sampled_from([3, 5, 7]))
 def test_basis_matches_per_generator_recursion(kinds, p):
     gens = [gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)]
-    spec = gh.algebra(gens, 18)
+    spec = gh.algebra(gens, 18, p)
     for t in range(-1, 19):
-        assert gh.basis(spec, t, p) == _basis_oracle(spec, t, p)
+        assert gh.basis(spec, t) == _basis_oracle(spec, t)
 
 
 # The dimension series as it was before each generator multiplied it in
 # place: one series per generator, convolved in.  Kept as the oracle.
 
 
-def _poincare_oracle(spec, limit, p):
+def _poincare_oracle(spec, limit):
     series = [1] + [0] * limit
     for g in spec.generators:
-        top = {gh.EXTERIOR: 1, gh.TRUNCATED: p - 1}.get(g.kind, limit)
+        top = {gh.EXTERIOR: 1, gh.TRUNCATED: spec.p - 1}.get(g.kind, limit)
         factor = [0] * (limit + 1)
         for k in range(min(top, limit // g.degree) + 1):
             factor[k * g.degree] = 1
@@ -470,14 +466,14 @@ def _poincare_oracle(spec, limit, p):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_generator, max_size=8), st.integers(0, 80), st.sampled_from([3, 5]))
 def test_poincare_series_matches_convolution_oracle(kinds, limit, p):
-    spec = gh.algebra([gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)], limit)
-    assert gh.poincare_series(spec, limit, p) == _poincare_oracle(spec, limit, p)
+    spec = gh.algebra([gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)], limit, p)
+    assert gh.poincare_series(spec, limit) == _poincare_oracle(spec, limit)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_poincare_series_of_word_algebras_matches_convolution_oracle(n):
     spec = aw.word_algebra(n, 3, 600)
-    assert gh.poincare_series(spec, 600, 3) == _poincare_oracle(spec, 600, 3)
+    assert gh.poincare_series(spec, 600) == _poincare_oracle(spec, 600)
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +481,20 @@ def test_poincare_series_of_word_algebras_matches_convolution_oracle(n):
 # ---------------------------------------------------------------------------
 
 
-MIXED = gh.algebra(
-    [gh.exterior("a", 1), gh.divided("x", 2), gh.exterior("b", 3), gh.polynomial("m", 2)],
-    24,
-)
+def mixed(p):
+    return gh.algebra(
+        [gh.exterior("a", 1), gh.divided("x", 2), gh.exterior("b", 3), gh.polynomial("m", 2)],
+        24,
+        p,
+    )
 
 
-def random_pair(rng, p):
+def random_pair(rng, spec):
     t1 = rng.randrange(1, 9)
     t2 = rng.randrange(1, 9)
     return (
-        gh.random_homogeneous(MIXED, t1, p, rng),
-        gh.random_homogeneous(MIXED, t2, p, rng),
+        gh.random_homogeneous(spec, t1, rng),
+        gh.random_homogeneous(spec, t2, rng),
         t1,
         t2,
     )
@@ -505,21 +503,23 @@ def random_pair(rng, p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_associativity_random(p):
     rng = random.Random(500 + p)
+    spec = mixed(p)
     for _ in range(300):
-        a, b, _, _ = random_pair(rng, p)
-        c = gh.random_homogeneous(MIXED, rng.randrange(1, 7), p, rng)
-        left = gh.multiply(MIXED, gh.multiply(MIXED, a, b, p), c, p)
-        right = gh.multiply(MIXED, a, gh.multiply(MIXED, b, c, p), p)
+        a, b, _, _ = random_pair(rng, spec)
+        c = gh.random_homogeneous(spec, rng.randrange(1, 7), rng)
+        left = gh.multiply(spec, gh.multiply(spec, a, b), c)
+        right = gh.multiply(spec, a, gh.multiply(spec, b, c))
         assert left == right
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_graded_commutativity_random(p):
     rng = random.Random(600 + p)
+    spec = mixed(p)
     for _ in range(300):
-        a, b, t1, t2 = random_pair(rng, p)
-        ab = gh.multiply(MIXED, a, b, p)
-        ba = gh.multiply(MIXED, b, a, p)
+        a, b, t1, t2 = random_pair(rng, spec)
+        ab = gh.multiply(spec, a, b)
+        ba = gh.multiply(spec, b, a)
         sign = -1 if (t1 * t2) % 2 else 1
         assert ab == gh.scalar_mul(sign, ba, p)
 
@@ -527,19 +527,19 @@ def test_graded_commutativity_random(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_coproduct_multiplicative_random(p):
     rng = random.Random(700 + p)
+    spec = mixed(p)
     for _ in range(150):
-        a, b, _, _ = random_pair(rng, p)
-        lhs = gh.coproduct(MIXED, gh.multiply(MIXED, a, b, p), p)
-        rhs = gh.tensor_multiply(
-            MIXED, gh.coproduct(MIXED, a, p), gh.coproduct(MIXED, b, p), p
-        )
+        a, b, _, _ = random_pair(rng, spec)
+        lhs = gh.coproduct(spec, gh.multiply(spec, a, b))
+        rhs = gh.tensor_multiply(spec, gh.coproduct(spec, a), gh.coproduct(spec, b))
         assert lhs == rhs
 
 
-def _triple_left(spec, ts, p):
+def _triple_left(spec, ts):
+    p = spec.p
     out = {}
     for (m1, m2), c in ts.items():
-        for (a, b), d in gh.coproduct(spec, {m1: 1}, p).items():
+        for (a, b), d in gh.coproduct(spec, {m1: 1}).items():
             key = (a, b, m2)
             v = (out.get(key, 0) + c * d) % p
             if v:
@@ -549,10 +549,11 @@ def _triple_left(spec, ts, p):
     return out
 
 
-def _triple_right(spec, ts, p):
+def _triple_right(spec, ts):
+    p = spec.p
     out = {}
     for (m1, m2), c in ts.items():
-        for (a, b), d in gh.coproduct(spec, {m2: 1}, p).items():
+        for (a, b), d in gh.coproduct(spec, {m2: 1}).items():
             key = (m1, a, b)
             v = (out.get(key, 0) + c * d) % p
             if v:
@@ -565,10 +566,11 @@ def _triple_right(spec, ts, p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_coassociativity_random(p):
     rng = random.Random(800 + p)
+    spec = mixed(p)
     for _ in range(150):
-        a = gh.random_homogeneous(MIXED, rng.randrange(1, 10), p, rng)
-        ts = gh.coproduct(MIXED, a, p)
-        assert _triple_left(MIXED, ts, p) == _triple_right(MIXED, ts, p)
+        a = gh.random_homogeneous(spec, rng.randrange(1, 10), rng)
+        ts = gh.coproduct(spec, a)
+        assert _triple_left(spec, ts) == _triple_right(spec, ts)
 
 
 @st.composite
@@ -577,11 +579,11 @@ def _spec_and_element_pair(draw):
     elements whose product degree stays within its bound."""
     p = draw(st.sampled_from([3, 5, 7]))
     kinds = draw(st.lists(_generator, min_size=1, max_size=4))
-    spec = gh.algebra([gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)], 30)
+    spec = gh.algebra([gh.GeneratorSpec(f"g{i}", g.degree, g.kind) for i, g in enumerate(kinds)], 30, p)
     t1 = draw(st.integers(1, 15))
     t2 = draw(st.integers(1, 30 - t1))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return spec, p, gh.random_homogeneous(spec, t1, p, rng), gh.random_homogeneous(spec, t2, p, rng)
+    return spec, gh.random_homogeneous(spec, t1, rng), gh.random_homogeneous(spec, t2, rng)
 
 
 @settings(max_examples=200, deadline=None)
@@ -589,25 +591,25 @@ def _spec_and_element_pair(draw):
 def test_every_spec_is_a_hopf_algebra(case):
     # truncation at p keeps psi multiplicative; truncated generators are
     # drawn here at p = 7 as well as 3 and 5
-    spec, p, a, b = case
-    lhs = gh.coproduct(spec, gh.multiply(spec, a, b, p), p)
-    rhs = gh.tensor_multiply(spec, gh.coproduct(spec, a, p), gh.coproduct(spec, b, p), p)
+    spec, a, b = case
+    lhs = gh.coproduct(spec, gh.multiply(spec, a, b))
+    rhs = gh.tensor_multiply(spec, gh.coproduct(spec, a), gh.coproduct(spec, b))
     assert lhs == rhs
-    ts = gh.coproduct(spec, a, p)
-    assert _triple_left(spec, ts, p) == _triple_right(spec, ts, p)
+    ts = gh.coproduct(spec, a)
+    assert _triple_left(spec, ts) == _triple_right(spec, ts)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_frobenius_additivity_random(p):
     # (a+b)^p = a^p + b^p on even homogeneous elements
     rng = random.Random(900 + p)
-    spec = gh.algebra([gh.divided("x", 2), gh.polynomial("m", 2), gh.truncated("u", 4)], 8 * p)
+    spec = gh.algebra([gh.divided("x", 2), gh.polynomial("m", 2), gh.truncated("u", 4)], 8 * p, p)
     for _ in range(60):
         t = 2 * rng.randrange(1, 4)
-        a = gh.random_homogeneous(spec, t, p, rng)
-        b = gh.random_homogeneous(spec, t, p, rng)
-        lhs = gh.power(spec, gh.add(a, b, p), p, p)
-        rhs = gh.add(gh.power(spec, a, p, p), gh.power(spec, b, p, p), p)
+        a = gh.random_homogeneous(spec, t, rng)
+        b = gh.random_homogeneous(spec, t, rng)
+        lhs = gh.power(spec, gh.add(a, b, p), p)
+        rhs = gh.add(gh.power(spec, a, p), gh.power(spec, b, p), p)
         assert lhs == rhs
 
 
@@ -615,14 +617,15 @@ def test_frobenius_additivity_random(p):
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10), st.sampled_from([3, 5]), st.integers())
 def test_monomial_products_graded_commute_hypothesis(t1, t2, p, seed):
     rng = random.Random(seed)
+    spec = mixed(p)
 
     def monomial(t):
-        pool = gh.basis(MIXED, t, p)
+        pool = gh.basis(spec, t)
         return {rng.choice(pool): rng.randrange(1, p)} if pool else {}
 
     a, b = monomial(t1), monomial(t2)
-    ab = gh.multiply(MIXED, a, b, p)
-    ba = gh.multiply(MIXED, b, a, p)
+    ab = gh.multiply(spec, a, b)
+    ba = gh.multiply(spec, b, a)
     sign = -1 if (t1 * t2) % 2 else 1
     assert ab == gh.scalar_mul(sign, ba, p)
 
@@ -633,11 +636,12 @@ def test_monomial_products_graded_commute_hypothesis(t1, t2, p, seed):
 
 
 def test_dualize_swaps_divided_for_polynomial():
-    spec = gh.algebra([gh.exterior("a", 3), gh.divided("x", 4)], 30)
+    spec = gh.algebra([gh.exterior("a", 3), gh.divided("x", 4)], 30, 5)
     dual = gh.dualize(spec)
     kinds = [g.kind for g in dual.generators]
     assert kinds == [gh.EXTERIOR, gh.POLYNOMIAL]
-    assert gh.poincare_series(spec, 30, 5) == gh.poincare_series(dual, 30, 5)
+    assert dual.p == 5
+    assert gh.poincare_series(spec, 30) == gh.poincare_series(dual, 30)
 
 
 def test_dualize_rejects_polynomial_input():

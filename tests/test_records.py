@@ -15,11 +15,33 @@ def test_equal_specs_hash_alike_and_share_the_basis_cache():
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert first.table is first.table  # built once, then kept on the spec
-    gh.basis(first, 24, 3)
+    gh.basis(first, 24)
     before = gh._basis_cached.cache_info()
-    gh.basis(second, 24, 3)
+    gh.basis(second, 24)
     after = gh._basis_cached.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_specs_of_two_primes_are_unequal_and_hash_apart():
+    gens = (gh.truncated("x", 2), gh.exterior("y", 3))
+    at3, at5 = gh.AlgebraSpec(gens, 20, 3), gh.AlgebraSpec(gens, 20, 5)
+    assert at3.generators == at5.generators and at3.degree_bound == at5.degree_bound
+    assert at3 != at5 and hash(at3) != hash(at5)
+    assert aw.word_algebra(4, 3, 40) != gh.AlgebraSpec(aw.word_algebra(4, 3, 40).generators, 40, 5)
+
+
+def test_a_truncated_basis_stops_below_the_spec_prime_through_one_cache():
+    # x of degree 2: degree 2k holds x^k while k < p, so x^2 is the top at
+    # p = 3 and x^4 at p = 5; both specs are read through one basis cache
+    at3, at5 = (gh.algebra([gh.truncated("x", 2)], 20, p) for p in (3, 5))
+    before = gh._basis_cached.cache_info()
+    tops = {spec.p: max(mon[0][1] for t in range(1, 21) for mon in gh.basis(spec, t)) for spec in (at3, at5)}
+    after = gh._basis_cached.cache_info()
+    assert tops == {3: 2, 5: 4}
+    # forty reads, each a hit or a miss of the one cache keyed on (spec, t)
+    assert after.hits + after.misses == before.hits + before.misses + 40
+    assert gh._basis_cached(at3, 4) == (((0, 2),),) and gh._basis_cached(at5, 8) == (((0, 4),),)
+    assert gh._basis_cached(at3, 6) == () and gh._basis_cached(at5, 6) == (((0, 3),),)
 
 
 @pytest.mark.parametrize(
@@ -29,16 +51,17 @@ def test_equal_specs_hash_alike_and_share_the_basis_cache():
         (lambda: gh.GeneratorSpec("x", 0, gh.POLYNOMIAL), "generator degree must be positive"),
         (lambda: gh.GeneratorSpec("x", 2, gh.EXTERIOR), "exterior generators must have odd degree"),
         (lambda: gh.GeneratorSpec("x", 3, gh.DIVIDED), "divided_power generators must have even degree"),
-        (lambda: gh.AlgebraSpec((), -1), "degree bound must be nonnegative"),
+        (lambda: gh.AlgebraSpec((), -1, 3), "degree bound must be nonnegative"),
+        (lambda: gh.AlgebraSpec((), 10, 1), "the prime must be at least 2"),
         (
-            lambda: gh.AlgebraSpec((gh.polynomial("x", 2), gh.exterior("x", 3)), 10),
+            lambda: gh.AlgebraSpec((gh.polynomial("x", 2), gh.exterior("x", 3)), 10, 3),
             "generator labels must be distinct",
         ),
         (lambda: aw.Letter("nu", -1), "unknown letter kind 'nu'"),
         (lambda: aw.Letter(aw.RHO_SUP, -1), "superscripted letters need a superscript >= 0"),
         (lambda: aw.Letter(aw.MU, 0), "mu and rho carry no superscript"),
         (
-            lambda: se.SSTerm(gh.AlgebraSpec((gh.exterior("a", 3),), 10), 3, {}),
+            lambda: se.SSTerm(gh.AlgebraSpec((gh.exterior("a", 3),), 10, 3), {}),
             "generator 'a' has no filtration weight",
         ),
     ],
@@ -48,6 +71,7 @@ def test_equal_specs_hash_alike_and_share_the_basis_cache():
         "exterior-parity",
         "even-parity",
         "degree-bound",
+        "prime",
         "labels",
         "letter-kind",
         "letter-superscript",
@@ -81,14 +105,15 @@ def test_letters_sort_by_kind_then_superscript():
     "build, field",
     [
         (lambda: gh.polynomial("x", 2), "degree"),
-        (lambda: gh.AlgebraSpec((), 4), "degree_bound"),
+        (lambda: gh.AlgebraSpec((), 4, 3), "degree_bound"),
+        (lambda: gh.AlgebraSpec((), 4, 3), "p"),
         (lambda: aw.L_MU, "sup"),
         (lambda: checks.CheckResult("id", {}, True, {}), "passed"),
-        (lambda: se.SSTerm(gh.AlgebraSpec((), 4), 3, {}), "p"),
+        (lambda: se.SSTerm(gh.AlgebraSpec((), 4, 3), {}), "filtration"),
         (lambda: se.DifferentialSpec(1, {}), "r"),
         (lambda: tm.build_torus(1, 3, 10, False), "n"),
     ],
-    ids=["GeneratorSpec", "AlgebraSpec", "Letter", "CheckResult", "SSTerm", "DifferentialSpec", "TorusAlgebra"],
+    ids=["GeneratorSpec", "AlgebraSpec", "AlgebraSpec-prime", "Letter", "CheckResult", "SSTerm", "DifferentialSpec", "TorusAlgebra"],
 )
 def test_record_fields_cannot_be_reassigned(build, field):
     record = build()

@@ -12,8 +12,8 @@ from thhcalc.fp_linalg import ContractViolation, FpSparseMatrix, rank
 
 
 def _term(p, gens, filt, bound):
-    spec = gh.AlgebraSpec(tuple(gens), bound)
-    return se.SSTerm(spec, p, filt)
+    spec = gh.AlgebraSpec(tuple(gens), bound, p)
+    return se.SSTerm(spec, filt)
 
 
 # ---------------------------------------------------------------------------
@@ -29,9 +29,9 @@ def test_bidegree_weights_exponents():
 
 
 def test_missing_filtration_rejected():
-    spec = gh.AlgebraSpec((gh.exterior("a", 3),), 10)
+    spec = gh.AlgebraSpec((gh.exterior("a", 3),), 10, 3)
     with pytest.raises(ValueError):
-        se.SSTerm(spec, 3, {})
+        se.SSTerm(spec, {})
 
 
 def _pterm_setup(p, d=2, bound=40):
@@ -67,7 +67,7 @@ def test_apply_differential_is_a_derivation():
 
     def draw(d):
         for _ in range(10):
-            e = gh.random_homogeneous(term.spec, d, 3, rng)
+            e = gh.random_homogeneous(term.spec, d, rng)
             if e:
                 return e
         return None
@@ -79,15 +79,11 @@ def test_apply_differential_is_a_derivation():
         b = draw(db)
         if a is None or b is None:
             continue
-        ab = gh.multiply(term.spec, a, b, 3)
+        ab = gh.multiply(term.spec, a, b)
         lhs = se.apply_differential(term, dspec, ab)
         rhs = gh.add(
-            gh.multiply(term.spec, se.apply_differential(term, dspec, a), b, 3),
-            gh.scalar_mul(
-                (-1) ** da,
-                gh.multiply(term.spec, a, se.apply_differential(term, dspec, b), 3),
-                3,
-            ),
+            gh.multiply(term.spec, se.apply_differential(term, dspec, a), b),
+            gh.scalar_mul((-1) ** da, gh.multiply(term.spec, a, se.apply_differential(term, dspec, b)), 3),
             3,
         )
         assert lhs == rhs
@@ -191,7 +187,7 @@ def test_change_basis_spec_is_z_then_the_p_term_towers(p, k_max, n):
     gens = [gh.divided("z", 2)]
     for i in range(n):
         gens += [gh.divided(f"x{i}", 2), gh.exterior(f"y{i + 1}", 2 * p - 1)]
-    assert se.change_basis_spec(p, k_max, n) == gh.AlgebraSpec(tuple(gens), 2 * p ** (k_max + 1))
+    assert se.change_basis_spec(p, k_max, n) == gh.AlgebraSpec(tuple(gens), 2 * p ** (k_max + 1), p)
 
 
 def _exchange_oracle(p, k_max, r_coeffs):
@@ -208,16 +204,16 @@ def _exchange_oracle(p, k_max, r_coeffs):
         out = {gh.ONE: 1}
         for k, digit in enumerate(mf.digits(a, p)):
             base = {((0, 1),): 1} if k == 0 else reps[k]
-            out = gh.multiply(spec, out, gh.power(spec, base, digit, p), p)
+            out = gh.multiply(spec, out, gh.power(spec, base, digit))
         return out
 
     for t in range(2 * p**k_max + 1):
-        basis = gh.basis(spec, t, p)
+        basis = gh.basis(spec, t)
         index = {mon: i for i, mon in enumerate(basis)}
         columns = []
         for mon in basis:
             if mon and mon[0][0] == 0:
-                image = gh.multiply(spec, replaced(mon[0][1]), {mon[1:]: 1}, p)
+                image = gh.multiply(spec, replaced(mon[0][1]), {mon[1:]: 1})
             else:
                 image = {mon: 1}
             columns.append({index[m2]: c for m2, c in image.items()})

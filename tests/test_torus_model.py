@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from thhcalc import checks
 from thhcalc import graded_hopf as gh
 from thhcalc import torus_model as tm
 
@@ -97,7 +98,7 @@ def test_sigma_on_tau_and_xi():
         assert tm.sigma(t, v, mono(t, ("tau0", 1))) == mono(t, (mu, 1))
         assert tm.sigma(t, v, mono(t, ("tau1", 1))) == mono(t, (mu, 3))
         # tau0 tau1: the odd degree of tau0 signs the second term
-        tau01 = gh.multiply(t.spec, mono(t, ("tau0", 1)), mono(t, ("tau1", 1)), 3)
+        tau01 = gh.multiply(t.spec, mono(t, ("tau0", 1)), mono(t, ("tau1", 1)))
         assert tm.sigma(t, v, tau01) == gh.add(
             mono(t, (mu, 1), ("tau1", 1)),
             gh.scalar_mul(-1, mono(t, ("tau0", 1), (mu, 3)), 3),
@@ -105,6 +106,23 @@ def test_sigma_on_tau_and_xi():
         )
     # tau2 would land at degree 18 as mu^9: present iff bound allows
     assert tm.sigma(t, 2, mono(t, ("tau2", 1))) == mono(t, ("mu_2", 9))
+
+
+def test_word_labels_below_reads_coaction_tags():
+    # xi and tau tags carry no labels, and no word labels either
+    t = tm.build_torus(2, 3, 12, coaction=True)
+    for label in ("xi1", "tau0", "tau1"):
+        (mon,) = mono(t, (label, 1))
+        assert checks._word_labels_below(t, mon, 2)
+    (mixed,) = mono(t, ("tau0", 1), ("mu_1", 2))
+    assert checks._word_labels_below(t, mixed, 2)
+    # a word carrying a label >= v is refused, with or without coaction factors
+    for v in (1, 2):
+        (stale,) = mono(t, ("tau0", 1), ("rho_2 mu_1", 1))
+        assert not checks._word_labels_below(t, stale, v)
+    (top,) = mono(t, ("mu_2", 1))
+    assert not checks._word_labels_below(t, top, 2)
+    assert checks._word_labels_below(t, top, 3)
 
 
 def test_sigma_truncates_or_raises_beyond_bound():
@@ -156,7 +174,7 @@ def test_a_stale_image_raises_on_every_call_and_is_not_kept():
         assert (2, gi) not in t.images
     # an element whose first factor maps keeps that image, and still raises
     # on the stale factor after it
-    mixed = gh.multiply(t.spec, mono(t, ("mu_1", 1)), stale, 3)
+    mixed = gh.multiply(t.spec, mono(t, ("mu_1", 1)), stale)
     for _ in range(2):
         with pytest.raises(tm.UnsupportedSigma):
             tm.sigma(t, 2, mixed)
@@ -180,8 +198,9 @@ def test_a_reused_torus_suspends_as_a_fresh_one():
 
 def _random_label_bounded(t: tm.TorusAlgebra, degree: int, v: int, rng) -> gh.Element:
     """Random homogeneous element whose word labels stay below v."""
+    p = t.spec.p
     pool = []
-    for mon in gh.basis(t.spec, degree, t.p):
+    for mon in gh.basis(t.spec, degree):
         ok = True
         for gi, _ in mon:
             tag = t.info[gi]
@@ -193,8 +212,8 @@ def _random_label_bounded(t: tm.TorusAlgebra, degree: int, v: int, rng) -> gh.El
     out: gh.Element = {}
     for _ in range(min(3, len(pool))):
         mon = rng.choice(pool)
-        c = rng.randrange(1, t.p)
-        v2 = (out.get(mon, 0) + c) % t.p
+        c = rng.randrange(1, p)
+        v2 = (out.get(mon, 0) + c) % p
         if v2:
             out[mon] = v2
         elif mon in out:
@@ -213,13 +232,11 @@ def test_sigma_is_a_derivation_randomized():
         b = _random_label_bounded(t, d2, v, rng)
         if not a or not b:
             continue
-        lhs = tm.sigma(t, v, gh.multiply(t.spec, a, b, t.p))
+        lhs = tm.sigma(t, v, gh.multiply(t.spec, a, b))
         rhs = gh.add(
-            gh.multiply(t.spec, tm.sigma(t, v, a), b, t.p),
-            gh.scalar_mul(
-                (-1) ** d1, gh.multiply(t.spec, a, tm.sigma(t, v, b), t.p), t.p
-            ),
-            t.p,
+            gh.multiply(t.spec, tm.sigma(t, v, a), b),
+            gh.scalar_mul((-1) ** d1, gh.multiply(t.spec, a, tm.sigma(t, v, b)), t.spec.p),
+            t.spec.p,
         )
         assert lhs == rhs
 
