@@ -22,6 +22,30 @@ eliminate, and is skipped before any index or matrix is built.
 Internal degree t only uses A in degrees up to t, so a degree cap on the
 algebra never corrupts a capped Tor table, and the cost is polynomial in t.
 
+Two exact bounds keep `_resolve` off cells that provably hold nothing.  Let
+g be the gcd and c the least of the generator degrees up to the cap.
+
+* Degree gcd: A, and every F_s, is zero in degrees not divisible by g, so
+  t steps over multiples of g.  Proof: A's monomials have degrees that are
+  sums of generator degrees (a generator above the cap reaches no degree
+  up to it), and each generator of F_s sits in a degree where F_{s-1} is
+  nonzero, a multiple of g by induction.
+* Vanishing line: every generator of F_s has degree at least s c, so s
+  stops at t // c.  Proof: A is zero in degrees 0 < i < c, and a minimal
+  resolution maps each generator of F_s into the augmentation ideal times
+  F_{s-1}, which starts in degree c + (s - 1) c by induction.
+
+`tor_dims` and `verify_tor_iso` do not resolve the whole algebra.  Every
+spec is a tensor product of one-generator algebras, and over a field
+Tor^{A (x) B} = Tor^A (x) Tor^B as bigraded spaces (Cartan-Eilenberg,
+ch. XI).  So `_kunneth` resolves each generator of degree up to the cap as
+a one-generator spec, once for each (degree, kind), and convolves the
+tables, adding homological and internal degrees.  A one-generator
+resolution is a few small eliminations per degree, so the ladder
+certificate reaches caps of several hundred, where the whole algebra's
+grows past reach near cap 200.  The resolution of the whole algebra
+remains the test oracle.
+
 `BarComplex` is the reduced bar complex: in homological degree s and
 internal degree t its basis is the s-tuples of positive-degree basis
 monomials whose degrees sum to t, and the differential merges adjacent
@@ -32,16 +56,20 @@ factors with alternating signs,
 the outer face maps vanishing because the augmentation kills positive
 degrees.  Its homology is the same Tor, but degree t holds a number of tuples
 that grows like the compositions of t; it is kept as the independent
-reference that the tests compare the resolution with.
+reference that the tests compare the resolution and the factor route with.
 
 `verify_tor_iso` compares the total-degree dimensions of Tor^A against the
 Poincare series of a proposed answer algebra over the same prime, and
-reports the first mismatch.
+reports the first mismatch.  The check still sets two independent routes
+against each other: the factors' resolutions, and the answer's generators,
+which for the word-algebra ladder come from the next rung's word
+enumeration.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import graded_hopf as gh
@@ -51,14 +79,16 @@ from .fp_linalg import ContractViolation, FpSparseMatrix, add_to
 BarTuple = Tuple[gh.Monomial, ...]
 
 
+def _require_degree_bound(spec: gh.AlgebraSpec, cap: int) -> None:
+    if spec.degree_bound < cap:
+        raise ValueError("algebra degree bound is below the requested internal degree cap")
+
+
 class BarComplex:
     """Lazily-built reduced bar complex of an algebra, capped in degree."""
 
     def __init__(self, spec: gh.AlgebraSpec, max_internal_degree: int):
-        if spec.degree_bound < max_internal_degree:
-            raise ValueError(
-                "algebra degree bound is below the requested internal degree cap"
-            )
+        _require_degree_bound(spec, max_internal_degree)
         self.spec = spec
         self.max_internal_degree = max_internal_degree
         self._reduced: Dict[int, List[gh.Monomial]] = {}
@@ -173,20 +203,27 @@ def _resolve(spec: gh.AlgebraSpec, max_degree: int, top: Callable[[int], int]) -
     in order.  Generators in (s, t) need F_{s-1} and F_{s-2} in degree t and
     F_s below degree t, so any range that is closed under those steps gives
     exact counts.  Each new generator's image is checked to be a cycle.
+    Cells off the degree gcd or above the vanishing line are never visited,
+    so a level that could only stay empty is not opened.
     """
-    if spec.degree_bound < max_degree:
-        raise ValueError("algebra degree bound is below the requested internal degree cap")
+    _require_degree_bound(spec, max_degree)
     p = spec.p
-    bases = [gh.basis(spec, t) for t in range(max_degree + 1)]
     gens: List[List[Tuple[int, FreeElement]]] = [[(0, {})]]
-    for t in range(1, max_degree + 1):
+    degrees = [g.degree for g in spec.generators if g.degree <= max_degree]
+    if not degrees:
+        return gens
+    # A and every F_s live in degrees divisible by step, and F_s starts in
+    # degree s * least: the two bounds of the module docstring
+    step, least = gcd(*degrees), min(degrees)
+    bases = {t: gh.basis(spec, t) for t in range(0, max_degree + 1, step)}
+    for t in range(step, max_degree + 1, step):
         # below: the basis pairs of F_{s-1} in degree t; below_images: d_{s-1}
         # of each; cycles: a basis of ker d_{s-1}.  F_0 = A, and the
         # augmentation kills all of it in positive degree.
         below = [(0, m) for m in bases[t]]
         below_images: List[Dict[int, int]] = [{} for _ in below]
         cycles: List[Dict[int, int]] = [{i: 1} for i in range(len(below))]
-        for s in range(1, top(t) + 1):
+        for s in range(1, min(top(t), t // least) + 1):
             if len(gens) == s:
                 gens.append([])
             pairs = [(g, m) for g, (deg, _) in enumerate(gens[s]) if deg < t for m in bases[t - deg]]
@@ -237,26 +274,56 @@ def _dims(gens: List[List[Tuple[int, FreeElement]]]) -> Dict[Tuple[int, int], in
 # ---------------------------------------------------------------------------
 
 
+def _kunneth(spec: gh.AlgebraSpec, cap: int, top: Callable[[int], int]) -> Dict[Tuple[int, int], int]:
+    """Nonzero dims of Tor_{s,t} for t <= cap and s <= top(t), one generator at a time.
+
+    Each generator of degree <= cap is resolved alone, as a one-generator
+    spec at the spec's degree bound and prime, once for each (degree, kind);
+    the tables are then convolved, adding s and t, keeping only the range.
+    Both ranges in use, s <= t and s + t <= cap, hold at every factor cell
+    that feeds a kept cell (Tor_{s,t} = 0 for s > t), so each factor is
+    resolved over the same range.
+    """
+    _require_degree_bound(spec, cap)
+    tops = [top(t) for t in range(cap + 1)]
+    factors: Dict[Tuple[int, str], Dict[Tuple[int, int], int]] = {}
+    table = {(0, 0): 1}
+    for g in spec.generators:
+        if g.degree > cap:
+            continue
+        key = (g.degree, g.kind)
+        if key not in factors:
+            factors[key] = _dims(_resolve(gh.AlgebraSpec((g,), spec.degree_bound, spec.p), cap, top))
+        product: Dict[Tuple[int, int], int] = {}
+        for (s1, t1), d1 in table.items():
+            for (s2, t2), d2 in factors[key].items():
+                t = t1 + t2
+                if t <= cap and s1 + s2 <= tops[t]:
+                    product[(s1 + s2, t)] = product.get((s1 + s2, t), 0) + d1 * d2
+        table = product
+    return table
+
+
 def tor_dims(spec: gh.AlgebraSpec, max_degree: int) -> Dict[Tuple[int, int], int]:
     """Nonzero dims of Tor_{s,t}(F_p, F_p) for internal degree t <= max_degree.
 
     Homological degree runs to t, since a minimal resolution's generators
     in homological degree s have internal degree at least s.
     """
-    return _dims(_resolve(spec, max_degree, lambda t: t))
+    return _kunneth(spec, max_degree, lambda t: t)
 
 
 def verify_tor_iso(source: gh.AlgebraSpec, answer: gh.AlgebraSpec, max_total_degree: int) -> Dict[str, object]:
     """Compare total-degree dims of Tor over `source` with `answer`'s series.
 
     Tor is graded by s + t; the check runs every total degree up to the cap
-    and reports the first mismatch, if any.  The resolution is built only
-    where s + t stays within the cap.  Both specs must carry the same prime.
+    and reports the first mismatch, if any.  Tor is computed only where
+    s + t stays within the cap.  Both specs must carry the same prime.
     """
     if source.p != answer.p:
         raise ValueError(f"source and answer specs differ in prime: {source.p} and {answer.p}")
     cap = max_total_degree
-    dims = _dims(_resolve(source, cap, lambda t: min(t, cap - t)))
+    dims = _kunneth(source, cap, lambda t: min(t, cap - t))
     expected = gh.poincare_series(answer, cap)
     got = [0] * (cap + 1)
     for (s, t), dim in dims.items():

@@ -23,7 +23,8 @@ of degree <= 2p^k (the degrees its exchange map is certified over),
 `cubes` when one pinch order over its monomials gives more than that
 many, and `words` when it would list more than that many words (with or
 without `--monic`, whose filter runs after every word is walked), counted
-length by length before any word is built.
+length by length before any word is built, or when `--n` is above that
+many letters, since the count and the walk are linear in the length.
 
 Importing this module loads only what the `words`, `poincare`, `tor` and
 `tor-check` verbs read: `admissible_words`, `graded_hopf` and `bar_tor`,
@@ -49,6 +50,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 from . import admissible_words as aw
 from . import bar_tor
 from . import graded_hopf as gh
+from .fp_linalg import is_prime
 
 SCHEMA = "thhcalc/1"
 
@@ -56,7 +58,7 @@ SCHEMA = "thhcalc/1"
 MAX_PRIME = 2**31 - 1  # --p; trial division is exponential in its digit count
 MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
-MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches, words listed
+MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches, words listed and their length
 
 
 class CLIError(Exception):
@@ -66,7 +68,7 @@ class CLIError(Exception):
 def _require_odd_prime(p: int) -> int:
     if p > MAX_PRIME:
         raise CLIError(f"--p must be at most {MAX_PRIME}, got {p}")
-    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
+    if p < 3 or not is_prime(p):
         raise CLIError(f"--p must be an odd prime, got {p}")
     return p
 
@@ -103,6 +105,9 @@ def _run_words(args) -> Dict[str, object]:
     p = _require_odd_prime(args.p)
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
+    # counting and listing are linear in the length, even when one word survives
+    if args.n > MAX_BASIS_MONOMIALS:
+        raise CLIError(f"--n must be at most {MAX_BASIS_MONOMIALS}, got {args.n}")
     if aw.count_words(args.n, p, args.max_degree, MAX_BASIS_MONOMIALS) > MAX_BASIS_MONOMIALS:
         raise CLIError(
             f"--p {p} --n {args.n} --max-degree {args.max_degree} lists more than {MAX_BASIS_MONOMIALS} words"

@@ -24,7 +24,8 @@ the same contract read once more: append b as the last column; m x = b has
 a solution exactly when some vector ends on that column, and that vector
 is (-x, 1) for the solution x whose free variables are all 0.  `add_to`
 is the package's one "add mod p, drop the key on zero" step for sparse
-accumulators.
+accumulators, and `is_prime` its one primality test, read by
+`AlgebraSpec` and by the CLI's `--p`.
 
 `two_term_kernel` is not an elimination rule.  A system whose every
 relation reads u x_i = v x_j needs none: it is a graph whose edges carry
@@ -35,6 +36,8 @@ systems; `kernel_basis` on the same relations is its test oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import isqrt
 from typing import Dict, Iterable, List, Set, Tuple
 
 
@@ -54,6 +57,18 @@ def add_to(acc: Dict, key, value: int, p: int) -> None:
         acc[key] = v
     elif key in acc:
         del acc[key]
+
+
+@lru_cache(maxsize=None)
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division by 2 and the odd numbers to sqrt(n).
+
+    The cost grows like sqrt(n), which is why the CLI caps `--p` before
+    calling it.
+    """
+    if n < 4:
+        return n >= 2
+    return n % 2 != 0 and all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for the minimal-resolution Tor engine, the bar complex and Tor comparisons.
 
 The bar complex is the reference: the resolution must give the same
-dimension at every bidegree it computes.
+dimension at every bidegree it computes.  The public functions take Tor
+one generator at a time and convolve the tables; the resolution of the
+whole algebra is their oracle wherever the bar complex is out of reach.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ def assert_engines_agree(spec: gh.AlgebraSpec, cap: int, total: bool) -> None:
     top = (lambda t: min(t, cap - t)) if total else (lambda t: t)
     expected = bar_dims(spec, cap, top)
     assert bar_tor._dims(bar_tor._resolve(spec, cap, top)) == expected
+    assert bar_tor._kunneth(spec, cap, top) == expected
     if not total:
         assert tor_dims(spec, cap) == expected
 
@@ -153,9 +156,10 @@ def test_tor_first_column_matches_indecomposables():
 
 
 def test_tor_kunneth_spot_check():
-    # Tor over E(y) tensor P(m) is the tensor of the two answers
+    # Tor over E(y) tensor P(m), resolved whole, is the tensor of the two
+    # answers: the theorem the factor route rests on
     spec = gh.algebra([gh.exterior("y", 3), gh.polynomial("m", 2)], 10, 3)
-    table = tor_dims(spec, 10)
+    table = bar_tor._dims(bar_tor._resolve(spec, 10, lambda t: t))
     ey = tor_dims(gh.algebra([gh.exterior("y", 3)], 10, 3), 10)
     pm = tor_dims(poly_mu(10, 3), 10)
     combined = {}
@@ -337,13 +341,159 @@ def resolve_two_eliminations(spec, max_degree, top):
     return gens
 
 
+def levels(gens):
+    """The resolution's levels without the empty ones at the end.
+
+    The bounded resolution stops each degree at the vanishing line, so it
+    opens fewer levels that never receive a generator."""
+    gens = list(gens)
+    while gens and not gens[-1]:
+        gens.pop()
+    return gens
+
+
 @pytest.mark.parametrize(
     "p, n, cap", [(3, n, 120) for n in range(1, 5)] + [(3, 5, 100)] + [(5, n, 150) for n in (2, 3)] + [(5, 4, 120)]
 )
 def test_resolution_generators_match_two_elimination_route(p, n, cap):
     # every generator, its degree and its image alike, on the ladder rungs
     spec = aw.word_algebra(n, p, cap)
-    assert bar_tor._resolve(spec, cap, lambda t: t) == resolve_two_eliminations(spec, cap, lambda t: t)
+    assert levels(bar_tor._resolve(spec, cap, lambda t: t)) == levels(resolve_two_eliminations(spec, cap, lambda t: t))
+
+
+# ---------------------------------------------------------------------------
+# the bounded resolution against the loop over every cell
+# ---------------------------------------------------------------------------
+
+
+def resolve_every_cell(spec, max_degree, top):
+    """Oracle: the resolution before the degree-gcd and vanishing-line bounds,
+    which visits every t <= max_degree and every s <= top(t)."""
+    p = spec.p
+    bases = [gh.basis(spec, t) for t in range(max_degree + 1)]
+    gens = [[(0, {})]]
+    for t in range(1, max_degree + 1):
+        below = [(0, m) for m in bases[t]]
+        below_images = [{} for _ in below]
+        cycles = [{i: 1} for i in range(len(below))]
+        for s in range(1, top(t) + 1):
+            if len(gens) == s:
+                gens.append([])
+            pairs = [(g, m) for g, (deg, _) in enumerate(gens[s]) if deg < t for m in bases[t - deg]]
+            if not pairs and not below:
+                cycles, below_images = [], []
+                continue
+            index = {pair: i for i, pair in enumerate(below)}
+            images = []
+            for g, m in pairs:
+                image = {}
+                for (h, m2), c in gens[s][g][1].items():
+                    product = gh.mul_monomials(spec, m, m2)
+                    if product is not None:
+                        add_to(image, index[(h, product[1])], c * product[0], p)
+                images.append(image)
+            kernel = []
+            if images or cycles:
+                kernel = fp_linalg.kernel_basis(FpSparseMatrix.from_columns(len(below), images + cycles), p)
+            free = {next(reversed(vec)) for vec in kernel}
+            new = [z for i, z in enumerate(cycles, len(images)) if i not in free]
+            for z in new:
+                gens[s].append((t, {below[j]: v for j, v in z.items()}))
+            cycles = [vec for vec in kernel if next(reversed(vec)) < len(images)]
+            below = pairs + [(g, gh.ONE) for g in range(len(gens[s]) - len(new), len(gens[s]))]
+            below_images = images + new
+    return gens
+
+
+def both_ranges(cap):
+    return [lambda t: t, lambda t: min(t, cap - t)]
+
+
+@pytest.mark.parametrize(
+    "p, n, cap", [(3, n, 100) for n in range(1, 5)] + [(5, n, 120) for n in range(1, 5)] + [(7, 3, 150)]
+)
+def test_bounded_resolution_keeps_every_generator_of_the_every_cell_loop(p, n, cap):
+    # skipping degrees off the gcd and cells above the vanishing line loses no
+    # generator, and leaves each one's degree and image alone
+    spec = aw.word_algebra(n, p, cap)
+    for top in both_ranges(cap):
+        assert levels(bar_tor._resolve(spec, cap, top)) == levels(resolve_every_cell(spec, cap, top))
+
+
+def test_bounds_skip_cells_on_a_spec_with_gcd_and_vanishing_line_above_one():
+    # E(y), |y| = 3: Tor is Gamma on (1, 3), one class in each (s, 3s), so
+    # with s <= t // 3 every class still sits on the vanishing line
+    spec = gh.algebra([gh.exterior("y", 3)], 30, 5)
+    gens = bar_tor._resolve(spec, 30, lambda t: t)
+    assert [[t for t, _ in level] for level in gens] == [[0]] + [[3 * s] for s in range(1, 11)]
+    assert levels(gens) == levels(resolve_every_cell(spec, 30, lambda t: t))
+
+
+@st.composite
+def mixed_specs(draw):
+    """A generator of each kind, up to two more, in a drawn order, at p = 3, 5 or 7."""
+    gens = [
+        gh.exterior("e", draw(st.sampled_from([1, 3, 5]))),
+        gh.polynomial("m", draw(st.sampled_from([2, 4, 6]))),
+        gh.truncated("x", draw(st.sampled_from([2, 4, 6]))),
+        gh.divided("d", draw(st.sampled_from([2, 4, 6]))),
+    ]
+    gens += [_generator(draw, f"g{i}") for i in range(draw(st.integers(0, 2)))]
+    cap = draw(st.integers(2, 14 if any(g.degree == 1 for g in gens) else 24))
+    return gh.algebra(draw(st.permutations(gens)), cap, draw(st.sampled_from([3, 5, 7]))), cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_specs())
+def test_factor_route_matches_full_resolution_on_specs_of_all_four_kinds(case):
+    spec, cap = case
+    for top in both_ranges(cap):
+        full = bar_tor._resolve(spec, cap, top)
+        assert bar_tor._kunneth(spec, cap, top) == bar_tor._dims(full)
+        assert levels(full) == levels(resolve_every_cell(spec, cap, top))
+
+
+# ---------------------------------------------------------------------------
+# Tor one generator at a time against the resolution of the whole algebra
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)] + [(7, 2), (7, 3)])
+def test_factor_route_matches_full_resolution_on_ladder_rungs(p, n):
+    # every bidegree, in the range of tor_dims and in that of verify_tor_iso
+    cap = 150
+    spec = aw.word_algebra(n, p, cap)
+    for top in both_ranges(cap):
+        assert bar_tor._kunneth(spec, cap, top) == bar_tor._dims(bar_tor._resolve(spec, cap, top))
+
+
+def test_each_degree_and_kind_is_resolved_once(monkeypatch):
+    resolved = []
+    resolve = bar_tor._resolve
+
+    def counting(spec, max_degree, top):
+        resolved.append(spec.generators)
+        return resolve(spec, max_degree, top)
+
+    monkeypatch.setattr(bar_tor, "_resolve", counting)
+    gens = [gh.polynomial("a", 2), gh.exterior("b", 3), gh.polynomial("c", 2), gh.divided("d", 2), gh.exterior("e", 13)]
+    table = tor_dims(gh.algebra(gens, 12, 3), 12)
+    # a and c share one resolution; e lies above the cap and is not resolved
+    assert resolved == [(gens[0],), (gens[1],), (gens[3],)]
+    assert table == bar_tor._dims(resolve(gh.algebra(gens, 12, 3), 12, lambda t: t))
+
+
+def test_degree_bound_is_checked_before_any_factor_is_resolved(monkeypatch):
+    def unreachable(spec, max_degree, top):
+        raise AssertionError("a factor was resolved")
+
+    monkeypatch.setattr(bar_tor, "_resolve", unreachable)
+    # one spec with a generator under the cap, one with none
+    for spec in (poly_mu(6, 3), gh.algebra([gh.polynomial("m", 20)], 6, 3)):
+        with pytest.raises(ValueError, match="^algebra degree bound is below the requested internal degree cap$"):
+            tor_dims(spec, 10)
+        with pytest.raises(ValueError, match="^algebra degree bound is below the requested internal degree cap$"):
+            verify_tor_iso(spec, poly_mu(10, 3), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +515,11 @@ def test_deeper_ladder_rungs(p, n, cap):
     # rungs 4->5 through (2p+1)->(2p+2)
     report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap), cap)
     assert report["first_mismatch"] is None
+
+
+@pytest.mark.parametrize("p, n, cap", [(3, 5, 200), (3, 6, 400), (5, 9, 600)])
+def test_deep_ladder_rungs_at_caps_of_hundreds(p, n, cap):
+    # rungs whose whole-algebra resolution took seconds to minutes
+    report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap), cap)
+    assert report["first_mismatch"] is None
+    assert report["passed"]

@@ -496,6 +496,16 @@ def test_words_above_the_list_limit_are_refused_at_once(capsys):
     assert aw.count_words(12, 3, 240091, cli.MAX_BASIS_MONOMIALS) == cli.MAX_BASIS_MONOMIALS
 
 
+def test_words_longer_than_the_list_limit_are_refused_at_once(capsys):
+    # one word survives, yet counting it walks all million letters
+    start = time.perf_counter()
+    assert main(["words", "--n", "1000000", "--max-degree", "1000001"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--n must be at most {cli.MAX_BASIS_MONOMIALS}, got 1000000" in err
+
+
 def test_words_argvs_in_use_pass_the_guard(tmp_path):
     # the benchmark's verb-sweep grid (at most 15 words) and CI's long word
     argvs = [

@@ -19,6 +19,7 @@ from thhcalc.fp_linalg import (
     _rref,
     _sparse_rows,
     add_to,
+    is_prime,
     kernel_basis,
     rank,
     two_term_kernel,
@@ -70,6 +71,16 @@ def solve_by_kernel(m, b, p):
 # ---------------------------------------------------------------------------
 # frozen examples
 # ---------------------------------------------------------------------------
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 2000
+    sieve = [n >= 2 for n in range(limit)]
+    for n in range(2, limit):
+        if sieve[n]:
+            sieve[n * n :: n] = [False] * len(sieve[n * n :: n])
+    assert [n for n in range(-3, limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    assert is_prime(2**31 - 1) and not is_prime(46337 * 46349)  # a prime and a product of two near sqrt
 
 
 def test_rank_identity_3x3_mod_5():

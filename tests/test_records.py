@@ -3,6 +3,7 @@
 import pytest
 
 from thhcalc import admissible_words as aw
+from thhcalc import bar_tor
 from thhcalc import checks
 from thhcalc import graded_hopf as gh
 from thhcalc import spectral_engine as se
@@ -53,6 +54,7 @@ def test_a_truncated_basis_stops_below_the_spec_prime_through_one_cache():
         (lambda: gh.GeneratorSpec("x", 3, gh.DIVIDED), "divided_power generators must have even degree"),
         (lambda: gh.AlgebraSpec((), -1, 3), "degree bound must be nonnegative"),
         (lambda: gh.AlgebraSpec((), 10, 1), "the prime must be at least 2"),
+        (lambda: gh.AlgebraSpec((), 10, 9), "p must be prime, got 9"),
         (
             lambda: gh.AlgebraSpec((gh.polynomial("x", 2), gh.exterior("x", 3)), 10, 3),
             "generator labels must be distinct",
@@ -72,6 +74,7 @@ def test_a_truncated_basis_stops_below_the_spec_prime_through_one_cache():
         "even-parity",
         "degree-bound",
         "prime",
+        "composite",
         "labels",
         "letter-kind",
         "letter-superscript",
@@ -82,6 +85,22 @@ def test_a_truncated_basis_stops_below_the_spec_prime_through_one_cache():
 def test_records_reject_bad_fields(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bar_tor.tor_dims(gh.algebra([gh.divided("x", 2)], 12, 4), 12),
+        lambda: gh.basis(gh.algebra([gh.truncated("x", 2)], 12, 4), 4),
+    ],
+    ids=["tor_dims", "basis"],
+)
+def test_a_composite_p_is_refused_by_the_spec_itself(build):
+    # truncated and divided generators need F_p to be a field; at p = 4 the
+    # spec refuses before any Tor table or basis is built
+    with pytest.raises(ValueError, match="^p must be prime, got 4$") as info:
+        build()
+    assert info.traceback[-1].name == "__new__"
 
 
 def test_letters_sort_by_kind_then_superscript():
