@@ -19,15 +19,15 @@ columns that are pivots are the new generators, and the kernel vectors on
 the image columns alone are a basis of ker d_s, the next step's cycles.
 A step where F_s and F_{s-1} are both zero in degree t has nothing to
 eliminate, and is skipped before any index or matrix is built.
-Internal degree t only uses A in degrees up to t, so a degree cap on the
-algebra never corrupts a capped Tor table, and the cost is polynomial in t.
+Internal degree t only uses A in degrees up to t: every routine here takes Tor
+through the spec's `degree_bound`, exactly, at a cost polynomial in t.
 
 Two exact bounds keep `_resolve` off cells that provably hold nothing.  Let
-g be the gcd and c the least of the generator degrees up to the cap.
+g be the gcd and c the least of the generator degrees up to the bound.
 
 * Degree gcd: A, and every F_s, is zero in degrees not divisible by g, so
   t steps over multiples of g.  Proof: A's monomials have degrees that are
-  sums of generator degrees (a generator above the cap reaches no degree
+  sums of generator degrees (a generator above the bound reaches no degree
   up to it), and each generator of F_s sits in a degree where F_{s-1} is
   nonzero, a multiple of g by induction.
 * Vanishing line: every generator of F_s has degree at least s c, so s
@@ -38,7 +38,7 @@ g be the gcd and c the least of the generator degrees up to the cap.
 `tor_dims` and `verify_tor_iso` do not resolve the whole algebra.  Every
 spec is a tensor product of one-generator algebras, and over a field
 Tor^{A (x) B} = Tor^A (x) Tor^B as bigraded spaces (Cartan-Eilenberg,
-ch. XI).  So `_kunneth` resolves each generator of degree up to the cap as
+ch. XI).  So `_kunneth` resolves each generator of degree up to the bound as
 a one-generator spec, once for each (degree, kind), and convolves the
 tables, adding homological and internal degrees.  A one-generator
 resolution is a few small eliminations per degree, so the ladder
@@ -79,18 +79,11 @@ from .fp_linalg import ContractViolation, FpSparseMatrix, add_to
 BarTuple = Tuple[gh.Monomial, ...]
 
 
-def _require_degree_bound(spec: gh.AlgebraSpec, cap: int) -> None:
-    if spec.degree_bound < cap:
-        raise ValueError("algebra degree bound is below the requested internal degree cap")
-
-
 class BarComplex:
-    """Lazily-built reduced bar complex of an algebra, capped in degree."""
+    """Lazily-built reduced bar complex of an algebra, through its degree bound."""
 
-    def __init__(self, spec: gh.AlgebraSpec, max_internal_degree: int):
-        _require_degree_bound(spec, max_internal_degree)
+    def __init__(self, spec: gh.AlgebraSpec):
         self.spec = spec
-        self.max_internal_degree = max_internal_degree
         self._reduced: Dict[int, List[gh.Monomial]] = {}
         self._bases: Dict[Tuple[int, int], List[BarTuple]] = {}
         self._index: Dict[Tuple[int, int], Dict[BarTuple, int]] = {}
@@ -102,7 +95,7 @@ class BarComplex:
 
     def reduced_basis(self, t: int) -> List[gh.Monomial]:
         """Basis monomials of positive internal degree t."""
-        if t < 1 or t > self.max_internal_degree:
+        if t < 1 or t > self.spec.degree_bound:
             return []
         if t not in self._reduced:
             self._reduced[t] = gh.basis(self.spec, t)
@@ -115,7 +108,7 @@ class BarComplex:
         if s == 0:
             if t == 0:
                 out.append(())
-        elif t >= s:
+        elif s <= t <= self.spec.degree_bound:
             acc: List[gh.Monomial] = []
 
             def rec(slots: int, remaining: int) -> None:
@@ -196,8 +189,8 @@ class BarComplex:
 FreeElement = Dict[Tuple[int, gh.Monomial], int]
 
 
-def _resolve(spec: gh.AlgebraSpec, max_degree: int, top: Callable[[int], int]) -> List[List[Tuple[int, FreeElement]]]:
-    """Generators of a minimal resolution of F_p, for s <= top(t), t <= max_degree.
+def _resolve(spec: gh.AlgebraSpec, top: Callable[[int], int]) -> List[List[Tuple[int, FreeElement]]]:
+    """Generators of a minimal resolution of F_p, for s <= top(t), t <= the degree bound.
 
     Entry s lists the (degree, image in F_{s-1}) of each generator of F_s,
     in order.  Generators in (s, t) need F_{s-1} and F_{s-2} in degree t and
@@ -206,17 +199,16 @@ def _resolve(spec: gh.AlgebraSpec, max_degree: int, top: Callable[[int], int]) -
     Cells off the degree gcd or above the vanishing line are never visited,
     so a level that could only stay empty is not opened.
     """
-    _require_degree_bound(spec, max_degree)
-    p = spec.p
+    p, bound = spec.p, spec.degree_bound
     gens: List[List[Tuple[int, FreeElement]]] = [[(0, {})]]
-    degrees = [g.degree for g in spec.generators if g.degree <= max_degree]
+    degrees = [g.degree for g in spec.generators if g.degree <= bound]
     if not degrees:
         return gens
     # A and every F_s live in degrees divisible by step, and F_s starts in
     # degree s * least: the two bounds of the module docstring
     step, least = gcd(*degrees), min(degrees)
-    bases = {t: gh.basis(spec, t) for t in range(0, max_degree + 1, step)}
-    for t in range(step, max_degree + 1, step):
+    bases = {t: gh.basis(spec, t) for t in range(0, bound + 1, step)}
+    for t in range(step, bound + 1, step):
         # below: the basis pairs of F_{s-1} in degree t; below_images: d_{s-1}
         # of each; cycles: a basis of ker d_{s-1}.  F_0 = A, and the
         # augmentation kills all of it in positive degree.
@@ -274,62 +266,65 @@ def _dims(gens: List[List[Tuple[int, FreeElement]]]) -> Dict[Tuple[int, int], in
 # ---------------------------------------------------------------------------
 
 
-def _kunneth(spec: gh.AlgebraSpec, cap: int, top: Callable[[int], int]) -> Dict[Tuple[int, int], int]:
-    """Nonzero dims of Tor_{s,t} for t <= cap and s <= top(t), one generator at a time.
+def _kunneth(spec: gh.AlgebraSpec, top: Callable[[int], int]) -> Dict[Tuple[int, int], int]:
+    """Nonzero dims of Tor_{s,t} for t <= the degree bound and s <= top(t), one generator at a time.
 
-    Each generator of degree <= cap is resolved alone, as a one-generator
-    spec at the spec's degree bound and prime, once for each (degree, kind);
-    the tables are then convolved, adding s and t, keeping only the range.
-    Both ranges in use, s <= t and s + t <= cap, hold at every factor cell
-    that feeds a kept cell (Tor_{s,t} = 0 for s > t), so each factor is
-    resolved over the same range.
+    Each generator of degree <= the bound is resolved alone, as a
+    one-generator spec at the spec's degree bound and prime, once for each
+    (degree, kind); the tables are then convolved, adding s and t, keeping
+    only the range.  Both ranges in use, s <= t and s + t <= bound, hold at
+    every factor cell that feeds a kept cell (Tor_{s,t} = 0 for s > t), so
+    each factor is resolved over the same range.
     """
-    _require_degree_bound(spec, cap)
-    tops = [top(t) for t in range(cap + 1)]
+    bound = spec.degree_bound
+    tops = [top(t) for t in range(bound + 1)]
     factors: Dict[Tuple[int, str], Dict[Tuple[int, int], int]] = {}
     table = {(0, 0): 1}
     for g in spec.generators:
-        if g.degree > cap:
+        if g.degree > bound:
             continue
         key = (g.degree, g.kind)
         if key not in factors:
-            factors[key] = _dims(_resolve(gh.AlgebraSpec((g,), spec.degree_bound, spec.p), cap, top))
+            factors[key] = _dims(_resolve(gh.AlgebraSpec((g,), bound, spec.p), top))
         product: Dict[Tuple[int, int], int] = {}
         for (s1, t1), d1 in table.items():
             for (s2, t2), d2 in factors[key].items():
                 t = t1 + t2
-                if t <= cap and s1 + s2 <= tops[t]:
+                if t <= bound and s1 + s2 <= tops[t]:
                     product[(s1 + s2, t)] = product.get((s1 + s2, t), 0) + d1 * d2
         table = product
     return table
 
 
-def tor_dims(spec: gh.AlgebraSpec, max_degree: int) -> Dict[Tuple[int, int], int]:
-    """Nonzero dims of Tor_{s,t}(F_p, F_p) for internal degree t <= max_degree.
+def tor_dims(spec: gh.AlgebraSpec) -> Dict[Tuple[int, int], int]:
+    """Nonzero dims of Tor_{s,t}(F_p, F_p) for internal degree t <= the spec's degree bound.
 
     Homological degree runs to t, since a minimal resolution's generators
     in homological degree s have internal degree at least s.
     """
-    return _kunneth(spec, max_degree, lambda t: t)
+    return _kunneth(spec, lambda t: t)
 
 
-def verify_tor_iso(source: gh.AlgebraSpec, answer: gh.AlgebraSpec, max_total_degree: int) -> Dict[str, object]:
+def verify_tor_iso(source: gh.AlgebraSpec, answer: gh.AlgebraSpec) -> Dict[str, object]:
     """Compare total-degree dims of Tor over `source` with `answer`'s series.
 
-    Tor is graded by s + t; the check runs every total degree up to the cap
-    and reports the first mismatch, if any.  Tor is computed only where
-    s + t stays within the cap.  Both specs must carry the same prime.
+    Tor is graded by s + t; the check runs every total degree up to the
+    degree bound and reports the first mismatch, if any.  Tor is computed
+    only where s + t stays within the bound.  Both specs must carry the
+    same prime and the same degree bound.
     """
     if source.p != answer.p:
         raise ValueError(f"source and answer specs differ in prime: {source.p} and {answer.p}")
-    cap = max_total_degree
-    dims = _kunneth(source, cap, lambda t: min(t, cap - t))
-    expected = gh.poincare_series(answer, cap)
-    got = [0] * (cap + 1)
+    bound = source.degree_bound
+    if answer.degree_bound != bound:
+        raise ValueError(f"source and answer specs differ in degree bound: {bound} and {answer.degree_bound}")
+    dims = _kunneth(source, lambda t: min(t, bound - t))
+    expected = gh.poincare_series(answer, bound)
+    got = [0] * (bound + 1)
     for (s, t), dim in dims.items():
         got[s + t] += dim
     first_mismatch: Optional[Dict[str, int]] = None
-    for m in range(cap + 1):
+    for m in range(bound + 1):
         if got[m] != expected[m]:
             first_mismatch = {"total_degree": m, "got": got[m], "expected": expected[m]}
             break

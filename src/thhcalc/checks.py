@@ -41,7 +41,7 @@ def tor_ladder(p: int) -> CheckResult:
     details = []
     passed = True
     for n, m, bound in rungs:
-        report = bar_tor.verify_tor_iso(aw.word_algebra(n, p, bound), aw.word_algebra(m, p, bound), bound)
+        report = bar_tor.verify_tor_iso(aw.word_algebra(n, p, bound), aw.word_algebra(m, p, bound))
         details.append(
             {
                 "rung": f"{n}->{m}",
@@ -78,10 +78,11 @@ def primitive_routes(n: int, p: int, bound: int) -> List[Tuple[int, int, int]]:
     """(degree, coproduct-kernel dimension, monic-word count) for degrees 1..bound.
 
     The two counts are independent routes to the primitives of the length-n
-    word algebra and must agree in every degree.
+    word algebra and must agree in every degree.  The words are enumerated
+    once: the algebra's generators are the monic words (for n = 1, mu).
     """
     spec = aw.word_algebra(n, p, bound)
-    word_counts = Counter(aw.degree(w, p) for w in aw.enumerate_monic(n, p, bound))
+    word_counts = Counter(g.degree for g in spec.generators)
     return [(t, len(gh.primitive_basis(spec, t)), word_counts[t]) for t in range(1, bound + 1)]
 
 

@@ -50,12 +50,11 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 from . import admissible_words as aw
 from . import bar_tor
 from . import graded_hopf as gh
-from .fp_linalg import is_prime
+from .fp_linalg import MAX_PRIME, is_prime
 
 SCHEMA = "thhcalc/1"
 
 # Cost guards: larger inputs are refused at once with exit 2.
-MAX_PRIME = 2**31 - 1  # --p; trial division is exponential in its digit count
 MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
 MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches, words listed and their length
@@ -143,7 +142,7 @@ def _run_tor(args) -> Dict[str, object]:
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
     spec = aw.word_algebra(args.n, p, args.max_degree)
-    dims = bar_tor.tor_dims(spec, args.max_degree)
+    dims = bar_tor.tor_dims(spec)
     rows = [[s, t, d] for (s, t), d in sorted(dims.items())]
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     return _envelope("tor", params, rows=rows, columns=["s", "t", "dim"])
@@ -162,11 +161,7 @@ def _run_tor_check(args) -> Dict[str, object]:
     dst = _parse_rung(args.target)
     if args.max_degree < 2:
         raise CLIError("--max-degree must be >= 2")
-    report = bar_tor.verify_tor_iso(
-        aw.word_algebra(src, p, args.max_degree),
-        aw.word_algebra(dst, p, args.max_degree),
-        args.max_degree,
-    )
+    report = bar_tor.verify_tor_iso(aw.word_algebra(src, p, args.max_degree), aw.word_algebra(dst, p, args.max_degree))
     params = {"p": p, "from": f"b{src}", "to": f"b{dst}", "max_degree": args.max_degree, "seed": args.seed}
     details = {key: report[key] for key in ("got", "expected", "first_mismatch")}
     check = _check_dict("tor.iso", params, report["passed"], details)

@@ -59,12 +59,15 @@ def add_to(acc: Dict, key, value: int, p: int) -> None:
         del acc[key]
 
 
+MAX_PRIME = 2**31 - 1  # the largest prime a spec or `--p` takes; is_prime there costs ms
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Whether n is prime, by trial division by 2 and the odd numbers to sqrt(n).
 
-    The cost grows like sqrt(n), which is why the CLI caps `--p` before
-    calling it.
+    The cost grows like sqrt(n), which is why `AlgebraSpec` and the CLI's
+    `--p` refuse a p above `MAX_PRIME` before calling it.
     """
     if n < 4:
         return n >= 2

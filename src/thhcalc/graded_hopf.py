@@ -53,7 +53,7 @@ from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .fp_linalg import FpSparseMatrix, add_to, is_prime, kernel_basis
+from .fp_linalg import MAX_PRIME, FpSparseMatrix, add_to, is_prime, kernel_basis
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
@@ -139,8 +139,9 @@ class _AlgebraFields(NamedTuple):
 class AlgebraSpec(_AlgebraFields):
     """A generator list, a degree bound above which terms are dropped, and p.
 
-    Coefficients lie in F_p, so p must be prime, and truncated generators
-    stop below x^p.  The fields are read-only; the instance dict holds only `table`.
+    Coefficients lie in F_p, so p must be prime, and at most `MAX_PRIME` to
+    keep the primality test fast; truncated generators stop below x^p.  The
+    fields are read-only; the instance dict holds only `table`.
     """
 
     def __new__(cls, generators: Tuple[GeneratorSpec, ...], degree_bound: int, p: int) -> "AlgebraSpec":
@@ -148,6 +149,8 @@ class AlgebraSpec(_AlgebraFields):
             raise ValueError("degree bound must be nonnegative")
         if p < 2:
             raise ValueError("the prime must be at least 2")
+        if p > MAX_PRIME:
+            raise ValueError(f"the prime must be at most {MAX_PRIME}, got {p}")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         labels = [g.label for g in generators]

@@ -42,7 +42,11 @@ class _SSTermFields(NamedTuple):
 
 
 class SSTerm(_SSTermFields):
-    """An algebra page with a filtration weight per generator, over the spec's prime."""
+    """An algebra page with a filtration weight per generator, over the spec's prime.
+
+    The spec's degree bound is the page's window: `page_homology` reports total
+    degrees through bound - 1, since a class there is hit from one degree higher.
+    """
 
     __slots__ = ()
 
@@ -83,29 +87,25 @@ def apply_differential(term: SSTerm, dspec: DifferentialSpec, elem: gh.Element) 
 # ---------------------------------------------------------------------------
 
 
-def _bidegree_buckets(
-    term: SSTerm, max_total: int
-) -> Dict[Tuple[int, int], List[gh.Monomial]]:
+def _bidegree_buckets(term: SSTerm) -> Dict[Tuple[int, int], List[gh.Monomial]]:
     buckets: Dict[Tuple[int, int], List[gh.Monomial]] = {}
-    for m in range(0, max_total + 1):
+    for m in range(0, term.spec.degree_bound + 1):
         for mon in gh.basis(term.spec, m):
             buckets.setdefault(term.bidegree(mon), []).append(mon)
     return buckets
 
 
-def page_homology(
-    term: SSTerm, dspec: DifferentialSpec, max_total: int
-) -> Dict[Tuple[int, int], int]:
-    """Nonzero homology dimensions per bidegree, up to total degree max_total.
+def page_homology(term: SSTerm, dspec: DifferentialSpec) -> Dict[Tuple[int, int], int]:
+    """Nonzero homology dimensions per bidegree, through total degree degree_bound - 1.
 
-    Bases extend one degree past the cap so that incoming differentials at
-    the boundary are counted.  Every monomial of the extended bases is
-    checked against the page contract as its differential is ranked: an
-    image monomial outside the target bidegree (s - r, t + r - 1), or an
-    image whose own differential is nonzero (d o d != 0), trips a contract
-    violation.
+    Bases run to the spec's degree bound, one past that range, so incoming
+    differentials at its top are counted, and every image lies below the
+    bound, where the spec's products are exact.  Every monomial is checked
+    against the page contract as its differential is ranked: an image
+    monomial outside the target bidegree (s - r, t + r - 1), or an image
+    whose own differential is nonzero (d o d != 0), trips a contract violation.
     """
-    buckets = _bidegree_buckets(term, max_total + 1)
+    buckets = _bidegree_buckets(term)
     index = {
         key: {mon: i for i, mon in enumerate(mons)} for key, mons in buckets.items()
     }
@@ -134,7 +134,7 @@ def page_homology(
     ranks = {key: rank_of(key) for key in buckets}
     out: Dict[Tuple[int, int], int] = {}
     for key, mons in buckets.items():
-        if key[0] + key[1] > max_total:
+        if key[0] + key[1] >= term.spec.degree_bound:
             continue
         incoming = (key[0] + r, key[1] - r + 1)
         dim = len(mons) - ranks[key] - ranks.get(incoming, 0)
@@ -165,7 +165,7 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
     Each even generator x_i carries a divided tower whose index-p shift hits
     the exterior class y_{i+1} of degree p |x_i| - 1; everything sits in
     filtration 1.  The homology must match the truncated-height-p polynomial
-    algebra on the x_i, bidegree by bidegree.
+    algebra on the x_i, bidegree by bidegree through total degree max_total.
     """
     if any(d % 2 for d in x_degrees):
         raise ValueError("tower generators must have even degree")
@@ -178,11 +178,11 @@ def verify_p_term(p: int, x_degrees: Sequence[int], max_total: int) -> Dict[str,
         values[f"x{i}"] = {((yi, 1),): 1}
     dspec = DifferentialSpec(p - 1, values)
 
-    homology = page_homology(term, dspec, max_total)
+    homology = page_homology(term, dspec)
 
-    closed_spec = gh.AlgebraSpec(tuple(trunc_gens), max_total + 1, p)
+    closed_spec = gh.AlgebraSpec(tuple(trunc_gens), max_total, p)
     closed_term = SSTerm(closed_spec, {g.label: 1 for g in trunc_gens})
-    expected = {key: len(mons) for key, mons in _bidegree_buckets(closed_term, max_total).items()}
+    expected = {key: len(mons) for key, mons in _bidegree_buckets(closed_term).items()}
     return {"homology": homology, "expected": expected, "passed": homology == expected}
 
 

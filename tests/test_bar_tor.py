@@ -32,11 +32,11 @@ def to_dense(m: FpSparseMatrix) -> list:
     return out
 
 
-def bar_dims(spec: gh.AlgebraSpec, cap: int, top) -> dict:
-    """Nonzero bar-complex homology dims for t <= cap and s <= top(t)."""
-    bar = BarComplex(spec, cap)
+def bar_dims(spec: gh.AlgebraSpec, top) -> dict:
+    """Nonzero bar-complex homology dims for t <= the degree bound and s <= top(t)."""
+    bar = BarComplex(spec)
     table = {}
-    for t in range(cap + 1):
+    for t in range(spec.degree_bound + 1):
         for s in range(top(t) + 1):
             dim = bar.homology_dim(s, t)
             if dim:
@@ -44,18 +44,19 @@ def bar_dims(spec: gh.AlgebraSpec, cap: int, top) -> dict:
     return table
 
 
-def assert_engines_agree(spec: gh.AlgebraSpec, cap: int, total: bool) -> None:
+def assert_engines_agree(spec: gh.AlgebraSpec, total: bool) -> None:
     """The resolution and the bar complex agree at every bidegree of one range.
 
-    total=True is the range of verify_tor_iso (s + t <= cap), otherwise the
-    range of tor_dims (s <= t <= cap).
+    total=True is the range of verify_tor_iso (s + t <= bound), otherwise the
+    range of tor_dims (s <= t <= bound), for the spec's degree bound.
     """
-    top = (lambda t: min(t, cap - t)) if total else (lambda t: t)
-    expected = bar_dims(spec, cap, top)
-    assert bar_tor._dims(bar_tor._resolve(spec, cap, top)) == expected
-    assert bar_tor._kunneth(spec, cap, top) == expected
+    bound = spec.degree_bound
+    top = (lambda t: min(t, bound - t)) if total else (lambda t: t)
+    expected = bar_dims(spec, top)
+    assert bar_tor._dims(bar_tor._resolve(spec, top)) == expected
+    assert bar_tor._kunneth(spec, top) == expected
     if not total:
-        assert tor_dims(spec, cap) == expected
+        assert tor_dims(spec) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ def assert_engines_agree(spec: gh.AlgebraSpec, cap: int, total: bool) -> None:
 
 
 def test_bar_basis_counts_polynomial():
-    bar = BarComplex(poly_mu(12, 5), 12)
+    bar = BarComplex(poly_mu(12, 5))
     # tuples of powers of the degree-2 generator: compositions of t/2
     assert len(bar.basis(0, 0)) == 1
     assert len(bar.basis(1, 6)) == 1
@@ -76,7 +77,7 @@ def test_bar_basis_counts_polynomial():
 
 def test_bar_differential_square_zero_everywhere():
     spec = gh.algebra([gh.exterior("a", 3), gh.divided("g", 4), gh.polynomial("m", 2)], 14, 3)
-    bar = BarComplex(spec, 14)
+    bar = BarComplex(spec)
     for t in range(0, 15):
         for s in range(0, t + 1):
             assert bar.square_is_zero(s + 1, t)
@@ -84,7 +85,7 @@ def test_bar_differential_square_zero_everywhere():
 
 def test_bar_differential_example_by_hand():
     # d[m|m] = -[m^2]; d[m|m|m] = -[m^2|m] + [m|m^2]
-    bar = BarComplex(poly_mu(8, 5), 8)
+    bar = BarComplex(poly_mu(8, 5))
     d2 = bar.differential(2, 4)
     assert to_dense(d2) == [[4]]
     d3 = bar.differential(3, 6)
@@ -103,7 +104,7 @@ def test_bar_differential_example_by_hand():
 def test_divided_power_merge_uses_binomials():
     # gamma_1 * gamma_2 = 3 gamma_3 = 0 mod 3, so d[g1|g2] = 0
     spec = gh.algebra([gh.divided("g", 4)], 16, 3)
-    bar = BarComplex(spec, 16)
+    bar = BarComplex(spec)
     g1 = ((0, 1),)
     g2 = ((0, 2),)
     j = bar.basis(2, 12).index((g1, g2))
@@ -118,27 +119,27 @@ def test_divided_power_merge_uses_binomials():
 
 def test_tor_polynomial_generator():
     # Tor over P(m) is exterior on one class in bidegree (1, 2)
-    table = tor_dims(poly_mu(12, 5), 12)
+    table = tor_dims(poly_mu(12, 5))
     assert table == {(0, 0): 1, (1, 2): 1}
 
 
 def test_tor_exterior_generator():
     # Tor over E(y), |y| = 3, is divided powers on (1, 3)
     spec = gh.algebra([gh.exterior("y", 3)], 12, 5)
-    table = tor_dims(spec, 12)
+    table = tor_dims(spec)
     assert table == {(s, 3 * s): 1 for s in range(0, 5)}
 
 
 def test_tor_trivial_algebra():
     spec = gh.algebra([], 6, 3)
-    assert tor_dims(spec, 6) == {(0, 0): 1}
+    assert tor_dims(spec) == {(0, 0): 1}
 
 
 def test_tor_truncated_generator():
     # Tor over P(x)/(x^p) is E(1, d) tensor Gamma(2, pd): dims 1 along a
     # lattice; spot-check the first few bidegrees at p = 3, |x| = 2
     spec = gh.algebra([gh.truncated("x", 2)], 14, 3)
-    table = tor_dims(spec, 14)
+    table = tor_dims(spec)
     assert table[(0, 0)] == 1
     assert table[(1, 2)] == 1
     assert table[(2, 6)] == 1  # gamma_1 of the transpotence class
@@ -149,7 +150,7 @@ def test_tor_truncated_generator():
 
 def test_tor_first_column_matches_indecomposables():
     spec = gh.algebra([gh.exterior("a", 3), gh.divided("g", 4)], 12, 3)
-    table = tor_dims(spec, 12)
+    table = tor_dims(spec)
     indec = indecomposable_dims(spec, 12)
     for t in range(1, 13):
         assert table.get((1, t), 0) == indec[t]
@@ -159,9 +160,9 @@ def test_tor_kunneth_spot_check():
     # Tor over E(y) tensor P(m), resolved whole, is the tensor of the two
     # answers: the theorem the factor route rests on
     spec = gh.algebra([gh.exterior("y", 3), gh.polynomial("m", 2)], 10, 3)
-    table = bar_tor._dims(bar_tor._resolve(spec, 10, lambda t: t))
-    ey = tor_dims(gh.algebra([gh.exterior("y", 3)], 10, 3), 10)
-    pm = tor_dims(poly_mu(10, 3), 10)
+    table = bar_tor._dims(bar_tor._resolve(spec, lambda t: t))
+    ey = tor_dims(gh.algebra([gh.exterior("y", 3)], 10, 3))
+    pm = tor_dims(poly_mu(10, 3))
     combined = {}
     for (s1, t1), d1 in ey.items():
         for (s2, t2), d2 in pm.items():
@@ -179,14 +180,14 @@ def test_tor_kunneth_spot_check():
 def test_ladder_length_two_to_three_p3():
     b2 = aw.word_algebra(2, 3, 24)
     b3 = aw.word_algebra(3, 3, 24)
-    report = verify_tor_iso(b2, b3, 24)
+    report = verify_tor_iso(b2, b3)
     assert report["passed"], report["first_mismatch"]
 
 
 def test_ladder_length_one_to_two_p3():
     b1 = aw.word_algebra(1, 3, 30)
     b2 = aw.word_algebra(2, 3, 30)
-    report = verify_tor_iso(b1, b2, 30)
+    report = verify_tor_iso(b1, b2)
     assert report["passed"], report["first_mismatch"]
 
 
@@ -195,32 +196,43 @@ def test_ladder_length_three_to_four_small():
     bound = 2 + 4 * p
     b3 = aw.word_algebra(3, p, bound)
     b4 = aw.word_algebra(4, p, bound)
-    report = verify_tor_iso(b3, b4, bound)
+    report = verify_tor_iso(b3, b4)
     assert report["passed"], report["first_mismatch"]
 
 
 def test_negative_control_mismatch_located():
     # P(m) against itself: Tor is exterior on a class in total degree 3, so
     # the first disagreement is at degree 2, where the answer has m itself
-    report = verify_tor_iso(poly_mu(6, 3), poly_mu(6, 3), 6)
+    report = verify_tor_iso(poly_mu(6, 3), poly_mu(6, 3))
     assert not report["passed"]
     assert report["first_mismatch"] == {"total_degree": 2, "got": 0, "expected": 1}
     assert report["got"][3] == 1 and report["expected"][3] == 0
 
 
 def test_degree_cap_validation():
-    with pytest.raises(ValueError):
-        BarComplex(poly_mu(6, 3), 10)
-    with pytest.raises(ValueError):
-        tor_dims(poly_mu(6, 3), 10)
-    with pytest.raises(ValueError):
-        verify_tor_iso(poly_mu(6, 3), poly_mu(10, 3), 10)
+    # the spec's degree bound is the one window: two bounds are refused, and
+    # no table reaches past the bound
+    with pytest.raises(ValueError, match="differ in degree bound"):
+        verify_tor_iso(poly_mu(6, 3), poly_mu(10, 3))
+    spec = gh.algebra([gh.exterior("y", 1), gh.polynomial("m", 2)], 6, 3)
+    assert max(t for _, t in tor_dims(spec)) == 6
+    bar = BarComplex(spec)
+    assert bar.reduced_basis(6) and bar.reduced_basis(7) == []
+    assert bar.basis(1, 7) == [] and bar.basis(2, 7) == []
+    assert all(bar.homology_dim(s, 7) == 0 for s in range(8))
 
 
 def test_tor_iso_refuses_specs_of_two_primes():
     # the answer's series depends on its prime, so a mixed pair compares nothing
     with pytest.raises(ValueError, match="^source and answer specs differ in prime: 3 and 5$"):
-        verify_tor_iso(aw.word_algebra(1, 3, 30), aw.word_algebra(2, 5, 30), 30)
+        verify_tor_iso(aw.word_algebra(1, 3, 30), aw.word_algebra(2, 5, 30))
+
+
+def test_tor_iso_refuses_specs_of_two_degree_bounds():
+    # the check's window is the source's bound; an answer at another bound
+    # would be compared over degrees where one side was not computed
+    with pytest.raises(ValueError, match="^source and answer specs differ in degree bound: 6 and 10$"):
+        verify_tor_iso(poly_mu(6, 3), poly_mu(10, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +245,15 @@ def test_tor_iso_refuses_specs_of_two_primes():
 def test_resolution_matches_bar_on_ladder_rungs(p, n, cap):
     # the rungs and caps of the tor.iso check
     cap = 2 + 4 * p if cap is None else cap
-    spec = aw.word_algebra(n, p, cap)
-    assert_engines_agree(spec, cap, total=True)
-    assert_engines_agree(spec, min(cap, 20), total=False)
+    assert_engines_agree(aw.word_algebra(n, p, cap), total=True)
+    assert_engines_agree(aw.word_algebra(n, p, min(cap, 20)), total=False)
 
 
 @pytest.mark.parametrize("n, p, cap", [(1, 3, 30), (3, 5, 60)])
 def test_resolution_matches_bar_on_tor_check_configs(n, p, cap):
     # tor-check b1->b2 at p = 3 and b3->b4 at p = 5; the bar complex is
     # tractable at these caps (b1 at cap 36 already takes seconds)
-    assert_engines_agree(aw.word_algebra(n, p, cap), cap, total=True)
+    assert_engines_agree(aw.word_algebra(n, p, cap), total=True)
 
 
 def _generator(draw, label: str) -> gh.GeneratorSpec:
@@ -263,14 +274,13 @@ def small_specs(draw):
     gens = [_generator(draw, f"g{i}") for i in range(count)]
     # generators of degree 1 make the bar complex grow like 2^t
     cap = draw(st.integers(2, 8 if any(g.degree == 1 for g in gens) else 12))
-    return gh.algebra(gens, cap, draw(st.sampled_from([3, 5]))), cap
+    return gh.algebra(gens, cap, draw(st.sampled_from([3, 5])))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_specs(), st.booleans())
-def test_resolution_matches_bar_on_random_specs(case, total):
-    spec, cap = case
-    assert_engines_agree(spec, cap, total)
+def test_resolution_matches_bar_on_random_specs(spec, total):
+    assert_engines_agree(spec, total)
 
 
 def test_resolution_checks_each_generator_image_is_a_cycle(monkeypatch):
@@ -284,7 +294,7 @@ def test_resolution_checks_each_generator_image_is_a_cycle(monkeypatch):
 
     monkeypatch.setattr(fp_linalg, "kernel_basis", tampered)
     with pytest.raises(ContractViolation, match=r"not a cycle at \(2, 16\)"):
-        tor_dims(aw.word_algebra(3, 3, 30), 30)
+        tor_dims(aw.word_algebra(3, 3, 30))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +319,10 @@ def outside_span(span, candidates, p):
     return chosen
 
 
-def resolve_two_eliminations(spec, max_degree, top):
+def resolve_two_eliminations(spec, top):
     """Oracle: the resolution that picked new generators with one elimination
     (`outside_span`) and found ker d_s with a second (`kernel_basis`)."""
-    p = spec.p
+    p, max_degree = spec.p, spec.degree_bound
     bases = [gh.basis(spec, t) for t in range(max_degree + 1)]
     gens = [[(0, {})]]
     for t in range(1, max_degree + 1):
@@ -358,7 +368,7 @@ def levels(gens):
 def test_resolution_generators_match_two_elimination_route(p, n, cap):
     # every generator, its degree and its image alike, on the ladder rungs
     spec = aw.word_algebra(n, p, cap)
-    assert levels(bar_tor._resolve(spec, cap, lambda t: t)) == levels(resolve_two_eliminations(spec, cap, lambda t: t))
+    assert levels(bar_tor._resolve(spec, lambda t: t)) == levels(resolve_two_eliminations(spec, lambda t: t))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +376,10 @@ def test_resolution_generators_match_two_elimination_route(p, n, cap):
 # ---------------------------------------------------------------------------
 
 
-def resolve_every_cell(spec, max_degree, top):
+def resolve_every_cell(spec, top):
     """Oracle: the resolution before the degree-gcd and vanishing-line bounds,
-    which visits every t <= max_degree and every s <= top(t)."""
-    p = spec.p
+    which visits every t <= the degree bound and every s <= top(t)."""
+    p, max_degree = spec.p, spec.degree_bound
     bases = [gh.basis(spec, t) for t in range(max_degree + 1)]
     gens = [[(0, {})]]
     for t in range(1, max_degree + 1):
@@ -417,16 +427,16 @@ def test_bounded_resolution_keeps_every_generator_of_the_every_cell_loop(p, n, c
     # generator, and leaves each one's degree and image alone
     spec = aw.word_algebra(n, p, cap)
     for top in both_ranges(cap):
-        assert levels(bar_tor._resolve(spec, cap, top)) == levels(resolve_every_cell(spec, cap, top))
+        assert levels(bar_tor._resolve(spec, top)) == levels(resolve_every_cell(spec, top))
 
 
 def test_bounds_skip_cells_on_a_spec_with_gcd_and_vanishing_line_above_one():
     # E(y), |y| = 3: Tor is Gamma on (1, 3), one class in each (s, 3s), so
     # with s <= t // 3 every class still sits on the vanishing line
     spec = gh.algebra([gh.exterior("y", 3)], 30, 5)
-    gens = bar_tor._resolve(spec, 30, lambda t: t)
+    gens = bar_tor._resolve(spec, lambda t: t)
     assert [[t for t, _ in level] for level in gens] == [[0]] + [[3 * s] for s in range(1, 11)]
-    assert levels(gens) == levels(resolve_every_cell(spec, 30, lambda t: t))
+    assert levels(gens) == levels(resolve_every_cell(spec, lambda t: t))
 
 
 @st.composite
@@ -440,17 +450,16 @@ def mixed_specs(draw):
     ]
     gens += [_generator(draw, f"g{i}") for i in range(draw(st.integers(0, 2)))]
     cap = draw(st.integers(2, 14 if any(g.degree == 1 for g in gens) else 24))
-    return gh.algebra(draw(st.permutations(gens)), cap, draw(st.sampled_from([3, 5, 7]))), cap
+    return gh.algebra(draw(st.permutations(gens)), cap, draw(st.sampled_from([3, 5, 7])))
 
 
 @settings(max_examples=60, deadline=None)
 @given(mixed_specs())
-def test_factor_route_matches_full_resolution_on_specs_of_all_four_kinds(case):
-    spec, cap = case
-    for top in both_ranges(cap):
-        full = bar_tor._resolve(spec, cap, top)
-        assert bar_tor._kunneth(spec, cap, top) == bar_tor._dims(full)
-        assert levels(full) == levels(resolve_every_cell(spec, cap, top))
+def test_factor_route_matches_full_resolution_on_specs_of_all_four_kinds(spec):
+    for top in both_ranges(spec.degree_bound):
+        full = bar_tor._resolve(spec, top)
+        assert bar_tor._kunneth(spec, top) == bar_tor._dims(full)
+        assert levels(full) == levels(resolve_every_cell(spec, top))
 
 
 # ---------------------------------------------------------------------------
@@ -464,36 +473,34 @@ def test_factor_route_matches_full_resolution_on_ladder_rungs(p, n):
     cap = 150
     spec = aw.word_algebra(n, p, cap)
     for top in both_ranges(cap):
-        assert bar_tor._kunneth(spec, cap, top) == bar_tor._dims(bar_tor._resolve(spec, cap, top))
+        assert bar_tor._kunneth(spec, top) == bar_tor._dims(bar_tor._resolve(spec, top))
 
 
 def test_each_degree_and_kind_is_resolved_once(monkeypatch):
     resolved = []
     resolve = bar_tor._resolve
 
-    def counting(spec, max_degree, top):
+    def counting(spec, top):
         resolved.append(spec.generators)
-        return resolve(spec, max_degree, top)
+        return resolve(spec, top)
 
     monkeypatch.setattr(bar_tor, "_resolve", counting)
     gens = [gh.polynomial("a", 2), gh.exterior("b", 3), gh.polynomial("c", 2), gh.divided("d", 2), gh.exterior("e", 13)]
-    table = tor_dims(gh.algebra(gens, 12, 3), 12)
-    # a and c share one resolution; e lies above the cap and is not resolved
+    table = tor_dims(gh.algebra(gens, 12, 3))
+    # a and c share one resolution; e lies above the bound and is not resolved
     assert resolved == [(gens[0],), (gens[1],), (gens[3],)]
-    assert table == bar_tor._dims(resolve(gh.algebra(gens, 12, 3), 12, lambda t: t))
+    assert table == bar_tor._dims(resolve(gh.algebra(gens, 12, 3), lambda t: t))
 
 
 def test_degree_bound_is_checked_before_any_factor_is_resolved(monkeypatch):
-    def unreachable(spec, max_degree, top):
+    def unreachable(spec, top):
         raise AssertionError("a factor was resolved")
 
     monkeypatch.setattr(bar_tor, "_resolve", unreachable)
-    # one spec with a generator under the cap, one with none
+    # one spec with a generator under its bound, one with none
     for spec in (poly_mu(6, 3), gh.algebra([gh.polynomial("m", 20)], 6, 3)):
-        with pytest.raises(ValueError, match="^algebra degree bound is below the requested internal degree cap$"):
-            tor_dims(spec, 10)
-        with pytest.raises(ValueError, match="^algebra degree bound is below the requested internal degree cap$"):
-            verify_tor_iso(spec, poly_mu(10, 3), 10)
+        with pytest.raises(ValueError, match="^source and answer specs differ in degree bound: 6 and 10$"):
+            verify_tor_iso(spec, poly_mu(10, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +511,7 @@ def test_degree_bound_is_checked_before_any_factor_is_resolved(monkeypatch):
 def test_ladder_length_one_to_two_p3_to_cap_200():
     b1 = aw.word_algebra(1, 3, 200)
     b2 = aw.word_algebra(2, 3, 200)
-    report = verify_tor_iso(b1, b2, 200)
+    report = verify_tor_iso(b1, b2)
     assert report["first_mismatch"] is None
 
 
@@ -513,13 +520,13 @@ def test_ladder_length_one_to_two_p3_to_cap_200():
 )
 def test_deeper_ladder_rungs(p, n, cap):
     # rungs 4->5 through (2p+1)->(2p+2)
-    report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap), cap)
+    report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap))
     assert report["first_mismatch"] is None
 
 
 @pytest.mark.parametrize("p, n, cap", [(3, 5, 200), (3, 6, 400), (5, 9, 600)])
 def test_deep_ladder_rungs_at_caps_of_hundreds(p, n, cap):
     # rungs whose whole-algebra resolution took seconds to minutes
-    report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap), cap)
+    report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap))
     assert report["first_mismatch"] is None
     assert report["passed"]

@@ -758,9 +758,9 @@ def test_every_defaulted_parameter_is_passed_by_a_library_call():
     assert unpassed == UNPASSED_DEFAULTS
 
 
-def test_no_function_takes_a_spec_and_a_separate_prime():
-    # the prime is a field of AlgebraSpec, so a parameter p next to a spec,
-    # a torus or a page could disagree with the spec's own p
+def _functions_taking_a_spec():
+    """(module.function, parameter names) of each function of src/thhcalc
+    with a parameter annotated as an AlgebraSpec, a TorusAlgebra or an SSTerm."""
     carriers = {"AlgebraSpec", "TorusAlgebra", "SSTerm"}
 
     def annotated(arg):
@@ -768,15 +768,29 @@ def test_no_function_takes_a_spec_and_a_separate_prime():
         name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "value", None)
         return isinstance(name, str) and name.split(".")[-1] in carriers
 
-    offenders = set()
+    out = []
     for module, top in _package_statements():
         for node in ast.walk(top):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 params = args.posonlyargs + args.args + args.kwonlyargs
-                if any(annotated(a) for a in params) and any(a.arg == "p" for a in params):
-                    offenders.add(f"{module}.{node.name}")
-    assert offenders == set()
+                if any(annotated(a) for a in params):
+                    out.append((f"{module}.{node.name}", {a.arg for a in params}))
+    return out
+
+
+def test_no_function_takes_a_spec_and_a_separate_prime():
+    # the prime is a field of AlgebraSpec, so a parameter p next to a spec,
+    # a torus or a page could disagree with the spec's own p
+    assert {name for name, params in _functions_taking_a_spec() if "p" in params} == set()
+
+
+def test_no_function_takes_a_spec_and_a_separate_degree_cap():
+    # the degree window is the spec's degree_bound, so a cap next to a spec,
+    # a torus or a page could reach past the degrees where its products are
+    # kept, and report a wrong answer there
+    caps = {"max_degree", "max_total", "max_total_degree", "max_internal_degree", "cap"}
+    assert {name for name, params in _functions_taking_a_spec() if params & caps} == set()
 
 
 def test_runtime_imports_only_the_standard_library():

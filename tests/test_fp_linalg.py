@@ -446,7 +446,7 @@ def test_rref_matches_back_substitution_oracle_on_resolution_matrices(monkeypatc
         return real_kernel_basis(m, p)
 
     monkeypatch.setattr(fp_linalg, "kernel_basis", recording_kernel_basis)
-    bar_tor.tor_dims(aw.word_algebra(5, 3, 120), 120)
+    bar_tor.tor_dims(aw.word_algebra(5, 3, 120))
     assert len(seen) > 100
     for m, p in seen:
         assert_same_rref(m, p)

@@ -1,10 +1,14 @@
 """The record types: named tuples that check their fields and cannot be reassigned."""
 
+import time
+
 import pytest
 
 from thhcalc import admissible_words as aw
 from thhcalc import bar_tor
 from thhcalc import checks
+from thhcalc import cli
+from thhcalc import fp_linalg
 from thhcalc import graded_hopf as gh
 from thhcalc import spectral_engine as se
 from thhcalc import torus_model as tm
@@ -90,7 +94,7 @@ def test_records_reject_bad_fields(build, message):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: bar_tor.tor_dims(gh.algebra([gh.divided("x", 2)], 12, 4), 12),
+        lambda: bar_tor.tor_dims(gh.algebra([gh.divided("x", 2)], 12, 4)),
         lambda: gh.basis(gh.algebra([gh.truncated("x", 2)], 12, 4), 4),
     ],
     ids=["tor_dims", "basis"],
@@ -101,6 +105,20 @@ def test_a_composite_p_is_refused_by_the_spec_itself(build):
     with pytest.raises(ValueError, match="^p must be prime, got 4$") as info:
         build()
     assert info.traceback[-1].name == "__new__"
+
+
+def test_a_prime_above_max_prime_is_refused_before_any_division(monkeypatch):
+    # trial division of 2^61 - 1 runs for hours; the spec refuses it first
+    def bounded_is_prime(n):
+        assert n <= fp_linalg.MAX_PRIME, "trial division above MAX_PRIME"
+        return fp_linalg.is_prime(n)
+
+    monkeypatch.setattr(gh, "is_prime", bounded_is_prime)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^the prime must be at most {2**31 - 1}, got {2**61 - 1}$"):
+        gh.AlgebraSpec((), 10, 2**61 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert gh.AlgebraSpec((), 10, 2**31 - 1).p == fp_linalg.MAX_PRIME == cli.MAX_PRIME
 
 
 def test_letters_sort_by_kind_then_superscript():

@@ -98,9 +98,9 @@ def test_apply_differential_is_a_derivation():
 
 def test_page_homology_polynomial_times_exterior():
     gens = [gh.polynomial("m", 2), gh.exterior("e", 1)]
-    term = _term(3, gens, {"m": 2, "e": 1}, 14)
+    term = _term(3, gens, {"m": 2, "e": 1}, 13)
     dspec = se.DifferentialSpec(1, {"m": {((1, 1),): 1}})
-    hom = se.page_homology(term, dspec, 12)
+    hom = se.page_homology(term, dspec)
     # survivors: 1, m^p and m^{2p}, and m^{p-1}e and m^{2p-1}e
     assert hom == {(0, 0): 1, (5, 0): 1, (6, 0): 1, (11, 0): 1, (12, 0): 1}
 
@@ -108,14 +108,14 @@ def test_page_homology_polynomial_times_exterior():
 def test_page_homology_accepts_height_p_rule():
     term, dspec = _pterm_setup(3, bound=30)
     # 1, x, gamma_2(x): the height-3 truncation, one class per total degree
-    assert se.page_homology(term, dspec, 29) == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+    assert se.page_homology(term, dspec) == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
 
 
 def test_page_homology_rejects_wrong_page_index():
     term, dspec = _pterm_setup(3, bound=30)
     wrong = se.DifferentialSpec(dspec.r + 1, dspec.values)
     with pytest.raises(ContractViolation, match="differential image"):
-        se.page_homology(term, wrong, 29)
+        se.page_homology(term, wrong)
 
 
 def test_page_homology_rejects_nonzero_square():
@@ -125,15 +125,15 @@ def test_page_homology_rejects_nonzero_square():
     dspec = se.DifferentialSpec(1, {"a": {((1, 1),): 1}, "b": {((2, 1),): 1}})
     # a sits at bidegree (2, 2)
     with pytest.raises(ContractViolation, match=r"d o d is nonzero at \(2, 2\)"):
-        se.page_homology(term, dspec, 9)
+        se.page_homology(term, dspec)
 
 
 def test_page_homology_rejects_off_target_images():
     gens = [gh.polynomial("m", 2), gh.exterior("e", 1)]
-    term = _term(3, gens, {"m": 2, "e": 1}, 14)
+    term = _term(3, gens, {"m": 2, "e": 1}, 9)
     wrong = se.DifferentialSpec(2, {"m": {((1, 1),): 1}})
     with pytest.raises(ContractViolation):
-        se.page_homology(term, wrong, 8)
+        se.page_homology(term, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,29 @@ def test_p_term_mixed_degrees():
 def test_p_term_rejects_odd_degree():
     with pytest.raises(ValueError):
         se.verify_p_term(3, [3], 12)
+
+
+def _p_term_page(p, x_degrees, bound):
+    """Homology of `verify_p_term`'s page built at degree bound `bound`."""
+    spec = se.p_term_spec(p, x_degrees, bound - 1)
+    index = {g.label: i for i, g in enumerate(spec.generators)}
+    values = {f"x{i}": {((index[f"y{i + 1}"], 1),): 1} for i in range(len(x_degrees))}
+    term = se.SSTerm(spec, {g.label: 1 for g in spec.generators})
+    return se.page_homology(term, se.DifferentialSpec(p - 1, values))
+
+
+@pytest.mark.parametrize(
+    "p, x_degrees, bound",
+    # checks.p_term's configurations (max_total + 1), then the pages that once
+    # reported classes above their window: dim 6 at (7, 13) at bound 19, and
+    # classes at (13, 16) and (15, 15) at bound 27
+    [(3, [2], 31), (3, [2, 2], 31), (5, [2], 51), (3, [2, 2], 19), (3, [2], 27)],
+)
+def test_page_homology_is_exact_through_one_below_the_degree_bound(p, x_degrees, bound):
+    page = _p_term_page(p, x_degrees, bound)
+    wider = _p_term_page(p, x_degrees, bound + 3)
+    assert max(s + t for s, t in page) <= bound - 1
+    assert page == {key: dim for key, dim in wider.items() if sum(key) <= bound - 1}
 
 
 # ---------------------------------------------------------------------------
