@@ -74,16 +74,16 @@ def word_laws(p: int) -> CheckResult:
     )
 
 
-def primitive_routes(n: int, p: int, bound: int) -> List[Tuple[int, int, int]]:
-    """(degree, coproduct-kernel dimension, monic-word count) for degrees 1..bound.
+def primitive_routes(spec: gh.AlgebraSpec) -> List[Tuple[int, int, int]]:
+    """(degree, coproduct-kernel dimension, monic-word count) for degrees 1..degree_bound.
 
-    The two counts are independent routes to the primitives of the length-n
-    word algebra and must agree in every degree.  The words are enumerated
-    once: the algebra's generators are the monic words (for n = 1, mu).
+    spec is a word algebra, from `aw.word_algebra`.  The two counts are
+    independent routes to its primitives and must agree in every degree.
+    The words are enumerated once, when the spec is built: its generators
+    are the monic words (for length 1, mu).
     """
-    spec = aw.word_algebra(n, p, bound)
     word_counts = Counter(g.degree for g in spec.generators)
-    return [(t, len(gh.primitive_basis(spec, t)), word_counts[t]) for t in range(1, bound + 1)]
+    return [(t, len(gh.primitive_basis(spec, t)), word_counts[t]) for t in range(1, spec.degree_bound + 1)]
 
 
 def primitive_gap(p: int) -> CheckResult:
@@ -101,7 +101,7 @@ def primitive_gap(p: int) -> CheckResult:
     per_n = []
     passed = True
     for n in range(2, 2 * p + 1):
-        routes = primitive_routes(n, p, bound)
+        routes = primitive_routes(aw.word_algebra(n, p, bound))
         agree = all(kdim == wcount for _, kdim, wcount in routes)
         gap_ok = all(not kdim and not wcount for t, kdim, wcount in routes if t in gap_degrees)
         per_n.append(
@@ -498,7 +498,7 @@ def core_properties(p: int, seed: int) -> CheckResult:
             failures[law] = failures.get(law, 0) + 1
 
     # monomial products recur across draws; the table lives for this call only
-    products: gh.ProductTable = {}
+    products = gh.ProductTable()
 
     def mul(x: gh.Element, y: gh.Element) -> gh.Element:
         return gh.multiply(spec, x, y, products)
@@ -517,12 +517,13 @@ def core_properties(p: int, seed: int) -> CheckResult:
         tally("graded-commutativity", mul(a, b) == gh.scalar_mul(sign, mul(b, a), p))
 
     # the side monomials of the coassociativity law recur across draws;
-    # their coproducts are kept for this call only
+    # their coproducts are kept for this law only
     sides: Dict[gh.Monomial, gh.TensorSquare] = {}
     for _ in range(cases):
         _, a = draw(bound // 2)
         ts = gh.coproduct(spec, a)
         tally("coassociativity", _coproduct_on_side(spec, ts, 0, sides) == _coproduct_on_side(spec, ts, 1, sides))
+    del sides
 
     # the closed-form coproduct against products in A and in A (x) A
     for _ in range(cases):

@@ -17,8 +17,10 @@ Cost guards refuse, with exit 2 and before anything is built, an input whose
 cost would run to hours: `--p` above `MAX_PRIME`, `relations` and
 `decompose` above weight `MAX_WEIGHT`, `rognes` above
 `MAX_ROGNES_COMPOSITIONS` compositions of p^(n-1) into n parts,
-`changebasis` when its page has more than `MAX_BASIS_MONOMIALS` monomials
-of degree <= 2p^k (the degrees its exchange map is certified over),
+`changebasis` when its replacements are built in more than
+`MAX_BASIS_MONOMIALS` monomials or its p-th-power check makes more than
+`MAX_POWER_PRODUCTS` monomial products, `primitives` when its coproduct
+kernels have more than `MAX_BASIS_MONOMIALS` rows in all,
 `pterm` when its page has more than that many of degree <= max_degree + 1,
 `cubes` when one pinch order over its monomials gives more than that
 many, and `words` when it would list more than that many words (with or
@@ -57,7 +59,8 @@ SCHEMA = "thhcalc/1"
 # Cost guards: larger inputs are refused at once with exit 2.
 MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
-MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches, words listed and their length
+MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches, words, primitives kernel rows
+MAX_POWER_PRODUCTS = 500_000  # changebasis p-th-power check; about 1 s
 
 
 class CLIError(Exception):
@@ -168,13 +171,47 @@ def _run_tor_check(args) -> Dict[str, object]:
     return _envelope("tor-check", params, check_list=[check])
 
 
+def _tensor_square_size(series: Sequence[int]) -> int:
+    """Pairs (m1, m2) of positive degrees summing to a degree t that has monomials.
+
+    series is an algebra's dimension series up to its top degree; the pairs
+    are the rows of `gh.primitive_basis` in every degree up to there.  The
+    count stops soon after it passes `MAX_BASIS_MONOMIALS`.
+    """
+    top = len(series) - 1
+    pieces = [(t, d) for t, d in enumerate(series) if t and d]
+    total = 0
+    for u, du in pieces:
+        for v, dv in pieces:
+            if u + v > top:
+                break
+            if series[u + v]:
+                total += du * dv
+        if total > MAX_BASIS_MONOMIALS:
+            break
+    return total
+
+
 def _run_primitives(args) -> Dict[str, object]:
     from . import checks
 
     p = _require_odd_prime(args.p)
     if args.n < 1 or args.max_degree < 2:
         raise CLIError("--n must be >= 1 and --max-degree >= 2")
-    routes = checks.primitive_routes(args.n, p, args.max_degree)
+    spec = aw.word_algebra(args.n, p, args.max_degree)
+    # the coproduct kernel in degree t has a row per pair (m1, m2) of positive
+    # degrees summing to t: the tensor square's basis, which sets the cost.
+    # Two distinct generators of degree at most half the cap multiply to a
+    # monomial, so they give two rows; counting them first stops an algebra
+    # of many generators before its series, generators times cap, is summed
+    half = sum(2 * g.degree <= args.max_degree for g in spec.generators)
+    _require_small_basis(
+        f"--p {p} --n {args.n} --max-degree {args.max_degree}",
+        "tensor-square",
+        (half * (half - 1),),
+        lambda: _tensor_square_size(gh.poincare_series(spec, args.max_degree)),
+    )
+    routes = checks.primitive_routes(spec)
     rows = [[t, kdim, wcount] for t, kdim, wcount in routes if kdim or wcount]
     agree = all(kdim == wcount for _, kdim, wcount in routes)
     params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
@@ -299,6 +336,26 @@ def _require_small_basis(what: str, basis: str, lower_bounds: Iterable[int], cou
         raise CLIError(f"{what} needs more than {MAX_BASIS_MONOMIALS} {basis} monomials")
 
 
+def _power_check_products(p: int, depth: int, n: int) -> int:
+    """Monomial products of the check that the top replacement's p-th power vanishes.
+
+    The replacement gamma_{p^k}(z') has C(p^(k-1) + n, n) terms for n
+    coefficients, and its i-th power at most C(i p^(k-1) + n, n); the check
+    multiplies each power by the replacement once.  Measured, the checks at
+    every depth up to k make within 15 % of this many products, and they
+    take most of the verb's time whenever there are two coefficients or
+    more.  The sum stops once it passes `MAX_POWER_PRODUCTS`.
+    """
+    q = p ** (depth - 1)
+    terms = comb(q + n, n)
+    total = terms
+    for i in range(1, p):
+        total += terms * comb(i * q + n, n)
+        if total > MAX_POWER_PRODUCTS:
+            break
+    return total
+
+
 def _run_changebasis(args) -> Dict[str, object]:
     from . import spectral_engine as se
 
@@ -310,15 +367,20 @@ def _run_changebasis(args) -> Dict[str, object]:
         raise CLIError(f"--r must be comma-separated integers, got {args.r!r}") from exc
     if depth < 1:
         raise CLIError("--k must be >= 1")
-    # the page's monomials of degree <= 2p^k, where the exchange map is
-    # certified; z, x_0 .. x_{L-1} of degree 2 alone give C(p^k + L + 1, L + 1) of them
+    # the exchange certificate builds gamma_a(z') for every a <= p^k out of
+    # z, x_0 .. x_{L-1}, all of degree 2: C(p^k + L + 1, L + 1) monomials of
+    # degree <= 2p^k; checking the smaller depths first stops a large --k
+    # before p^k is formed
     n = len(coeffs)
+    what = f"--p {p} --k {depth} with {n} --r coefficient(s)"
     _require_small_basis(
-        f"--p {p} --k {depth} with {n} --r coefficient(s)",
+        what,
         "exchange-basis",
-        (comb(p**k + n + 1, n + 1) for k in range(1, depth + 1)),
-        lambda: sum(gh.poincare_series(se.change_basis_spec(p, depth, n), 2 * p**depth)),
+        (comb(p**k + n + 1, n + 1) for k in range(1, depth)),
+        lambda: comb(p**depth + n + 1, n + 1),
     )
+    if _power_check_products(p, depth, n) > MAX_POWER_PRODUCTS:
+        raise CLIError(f"{what} needs more than {MAX_POWER_PRODUCTS} monomial products in its p-th-power check")
     report = se.change_basis_cycles(p, depth, coeffs)
     params = {"p": p, "k": depth, "r": list(coeffs), "seed": args.seed}
     details = {

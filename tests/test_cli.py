@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thhcalc import admissible_words as aw
-from thhcalc import cli, multifold, spectral_engine
+from thhcalc import checks, cli, multifold, spectral_engine
+from thhcalc import graded_hopf as gh
 from thhcalc.cli import build_parser, main
-from thhcalc.fp_linalg import ContractViolation
+from thhcalc.fp_linalg import ContractViolation, FpSparseMatrix
 
 
 def _run(tmp_path, *argv):
@@ -519,6 +520,52 @@ def test_words_argvs_in_use_pass_the_guard(tmp_path):
         assert _run(tmp_path, *argv)[0] == 0, argv
 
 
+def test_primitives_above_the_tensor_square_limit_are_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["primitives", "--n", "6", "--max-degree", "300"]) == 2  # 52,573,685 pairs
+    assert main(["primitives", "--n", "6", "--max-degree", "150"]) == 2  # 105,528 pairs, about 0.7 s of work
+    assert main(["primitives", "--n", "1", "--max-degree", "1000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--p 3 --n 6 --max-degree 300 needs more than 100000 tensor-square monomials" in err
+
+
+def test_primitives_counts_generator_pairs_before_the_series(monkeypatch):
+    # 561 generators of degree at most 500 give at least 561 * 560 rows
+    monkeypatch.setattr(gh, "poincare_series", lambda *args: pytest.fail("the series was summed"))
+    assert main(["primitives", "--n", "12", "--max-degree", "1000"]) == 2
+
+
+def test_the_tensor_square_count_is_the_rows_of_the_coproduct_kernels(monkeypatch):
+    rows = []
+    real = FpSparseMatrix.from_columns
+
+    def from_columns(n_rows, columns):
+        rows.append(n_rows)
+        return real(n_rows, columns)
+
+    monkeypatch.setattr(FpSparseMatrix, "from_columns", staticmethod(from_columns))
+    for n, p, cap in ((6, 3, 100), (4, 3, 60), (3, 5, 40), (1, 3, 80)):
+        rows.clear()
+        spec = aw.word_algebra(n, p, cap)
+        checks.primitive_routes(spec)
+        assert cli._tensor_square_size(gh.poincare_series(spec, cap)) == sum(rows) > 0, (n, p, cap)
+
+
+def test_primitives_argvs_in_use_pass_the_guard(tmp_path):
+    # the benchmark's verb-sweep grid, the tests' argvs, and the largest cap
+    # the limit admits at 6 letters (99,685 pairs)
+    argvs = [
+        ["primitives", "--n", n, "--p", p, "--max-degree", cap]
+        for n in ("1", "2", "3")
+        for p in ("3", "5")
+        for cap in ("16", "20", "24", "30")
+    ] + [["primitives", "--n", "4", "--max-degree", "20"], ["primitives", "--n", "6", "--max-degree", "149"]]
+    for argv in argvs:
+        assert _run(tmp_path, *argv)[0] == 0, argv
+
+
 def test_prime_above_the_trial_division_limit_is_refused_at_once(capsys):
     start = time.perf_counter()
     assert main(["words", "--p", "2305843009213693951"]) == 2  # the Mersenne prime 2^61 - 1
@@ -529,16 +576,64 @@ def test_prime_above_the_trial_division_limit_is_refused_at_once(capsys):
     assert cli._require_odd_prime(cli.MAX_PRIME) == cli.MAX_PRIME  # 2^31 - 1 is prime
 
 
-def test_changebasis_above_the_exchange_basis_limit_is_refused_at_once():
+def test_changebasis_above_the_exchange_basis_limit_is_refused_at_once(capsys):
     start = time.perf_counter()
-    assert main(["changebasis", "--p", "3", "--k", "3", "--r", "1,2,3"]) == 2  # 146,595 monomials
+    assert main(["changebasis", "--p", "5", "--k", "3", "--r", "1,2"]) == 2  # 341,376 monomials, 12 s
+    assert main(["changebasis", "--p", "3", "--k", "6"]) == 2  # 266,815 monomials, 22 s
     assert main(["changebasis", "--k", "1000"]) == 2
     assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--p 5 --k 3 with 2 --r coefficient(s) needs more than 100000 exchange-basis monomials" in err
+
+
+def test_changebasis_above_the_power_check_limit_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["changebasis", "--p", "3", "--k", "4", "--r", "1,2"]) == 2  # 790,482 products, 1.4 s
+    assert main(["changebasis", "--p", "3", "--k", "2", "--r", "1,2,1,2,1,2,1,2"]) == 2  # 522,885 products
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    limit = cli.MAX_POWER_PRODUCTS
+    assert f"--p 3 --k 4 with 2 --r coefficient(s) needs more than {limit} monomial products" in err
+    # both pass the exchange-basis count: 95,284 and 48,620 monomials
+    assert cli._power_check_products(3, 4, 2) == 790_482
+    assert cli._power_check_products(3, 2, 8) == 522_885
+
+
+def test_the_power_check_count_bounds_the_products_it_makes(monkeypatch):
+    # every p-th-power check of change_basis_cycles, one per depth, against
+    # the counts of those depths; the certificate's powers are below p
+    real_power, real_mul = gh.power, gh.mul_monomials
+    checking = []
+    made = []
+
+    def power(spec, a, n, products=None):
+        checking.append(n == spec.p)
+        try:
+            return real_power(spec, a, n, products)
+        finally:
+            checking.pop()
+
+    def mul(*args):
+        if checking[-1:] == [True]:
+            made.append(1)
+        return real_mul(*args)
+
+    monkeypatch.setattr(gh, "power", power)
+    monkeypatch.setattr(gh, "mul_monomials", mul)
+    for p, k, r in ((3, 3, (1, 2)), (5, 2, (1, 2, 3)), (7, 2, (1, 2)), (3, 4, (1,))):
+        made.clear()
+        assert spectral_engine.change_basis_cycles(p, k, r)["passed"]
+        bound = sum(cli._power_check_products(p, depth, len(r)) for depth in range(1, k + 1))
+        assert 0.9 * bound <= len(made) <= bound, (p, k, r, len(made), bound)
 
 
 # every valid changebasis argv of the tests, the fuzz (--k at most 1) and the
-# benchmark's verb-sweep, and two of the largest the limit admits (71,529 and
-# 59,619 monomials); each passes the guard and then every check
+# benchmark's verb-sweep, and the largest that CI runs: --p 5 --k 2 --r 3,4,5
+# and --p 7 --k 2 --r 1,2, and --p 3 --k 3 --r 1,2,3 (164,080, 88,452 and
+# 387,420 products in the p-th-power check); each passes the guard and
+# then every check
 CHANGEBASIS_IN_USE = (
     [
         ["changebasis", "--p", p, *k, *r]
@@ -555,6 +650,7 @@ CHANGEBASIS_IN_USE = (
     + [
         ["changebasis", "--p", "5", "--k", "2", "--r", "3,4,5"],
         ["changebasis", "--p", "7", "--k", "2", "--r", "1,2"],
+        ["changebasis", "--p", "3", "--k", "3", "--r", "1,2,3"],
     ]
 )
 
