@@ -10,8 +10,13 @@ above a cost guard), and 3 when the program itself failed: any exception
 other than a configuration error, such as a `ContractViolation`, is printed
 as one ``internal error:`` line on stderr, without a traceback.
 
-Each verb registers only the flags its handler reads, so a flag that would
-do nothing is a usage error (argparse, exit 2).
+Each verb is declared once, in `build_parser`: its entry binds the handler
+and registers only the flags that handler reads, so a flag that would do
+nothing is a usage error (argparse, exit 2).  A report's ``params`` are the
+verb's parsed flags less ``--format`` and ``--out``, with three normalized:
+`tor-check`'s ``from`` and ``to`` as ``bN``, `decompose`'s ``table`` as
+sorted (position, coefficient) pairs, and `changebasis`'s ``k`` and ``r``
+as the depth and the list of coefficients it ran.
 
 Cost guards refuse, with exit 2 and before anything is built, an input whose
 cost would run to hours: `--p` above `MAX_PRIME`, `relations` and
@@ -35,7 +40,9 @@ these verbs compute for milliseconds, so loading the rest would cost them
 more than their work.  The other handlers import what they read on first
 use: `checks` (`primitives`, `rognes`, `verify-all`), `multifold`
 (`relations`, `decompose`, `cubes`) and `spectral_engine` (`pterm`,
-`changebasis`, `rognes`), with `torus_model` behind the last two.
+`changebasis`, `rognes`), with `torus_model` behind the last two.  `main`
+checks `--p` before any handler runs, so a bad prime is refused before any
+module of a check family loads.
 """
 
 from __future__ import annotations
@@ -75,6 +82,17 @@ def _require_odd_prime(p: int) -> int:
     return p
 
 
+def _require_word_window(args) -> None:
+    """The window of the word-length verbs: `words`, `poincare`, `tor` and `primitives`."""
+    if args.n < 1 or args.max_degree < 2:
+        raise CLIError("--n must be >= 1 and --max-degree >= 2")
+
+
+def _params(args) -> Dict[str, object]:
+    """A report's params: the flags its verb registered, less --format and --out."""
+    return {flag: value for flag, value in vars(args).items() if flag not in ("verb", "run", "format", "out")}
+
+
 def _check_dict(
     check_id: str, params: Dict[str, object], passed: bool, details: Dict[str, object]
 ) -> Dict[str, object]:
@@ -90,12 +108,12 @@ def _stringify_keys(table: Dict) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _envelope(verb: str, params: Dict[str, object], *, rows=None, columns=None, check_list=None) -> Dict[str, object]:
+def _envelope(args, *, rows=None, columns=None, check_list=None) -> Dict[str, object]:
     check_list = check_list or []
     return {
         "schema": SCHEMA,
-        "verb": verb,
-        "params": params,
+        "verb": args.verb,
+        "params": _params(args),
         "columns": columns or [],
         "rows": rows or [],
         "checks": check_list,
@@ -104,51 +122,31 @@ def _envelope(verb: str, params: Dict[str, object], *, rows=None, columns=None, 
 
 
 def _run_words(args) -> Dict[str, object]:
-    p = _require_odd_prime(args.p)
-    if args.n < 1 or args.max_degree < 2:
-        raise CLIError("--n must be >= 1 and --max-degree >= 2")
+    _require_word_window(args)
     # counting and listing are linear in the length, even when one word survives
     if args.n > MAX_BASIS_MONOMIALS:
         raise CLIError(f"--n must be at most {MAX_BASIS_MONOMIALS}, got {args.n}")
-    if aw.count_words(args.n, p, args.max_degree, MAX_BASIS_MONOMIALS) > MAX_BASIS_MONOMIALS:
+    if aw.count_words(args.n, args.p, args.max_degree, MAX_BASIS_MONOMIALS) > MAX_BASIS_MONOMIALS:
         raise CLIError(
-            f"--p {p} --n {args.n} --max-degree {args.max_degree} lists more than {MAX_BASIS_MONOMIALS} words"
+            f"--p {args.p} --n {args.n} --max-degree {args.max_degree} lists more than {MAX_BASIS_MONOMIALS} words"
         )
-    words = aw.enumerate_words(args.n, p, args.max_degree, monic_only=args.monic)
-    rows = [
-        [
-            aw.render(w),
-            len(w),
-            aw.degree(w, p),
-            aw.is_monic(w),
-            "odd" if aw.degree(w, p) % 2 else "even",
-        ]
-        for w in words
-    ]
-    params = {"p": p, "n": args.n, "max_degree": args.max_degree, "monic": args.monic, "seed": args.seed}
-    return _envelope("words", params, rows=rows, columns=["word", "length", "degree", "monic", "parity"])
+    rows = []
+    for w in aw.enumerate_words(args.n, args.p, args.max_degree, monic_only=args.monic):
+        t = aw.degree(w, args.p)
+        rows.append([aw.render(w), len(w), t, aw.is_monic(w), "odd" if t % 2 else "even"])
+    return _envelope(args, rows=rows, columns=["word", "length", "degree", "monic", "parity"])
 
 
 def _run_poincare(args) -> Dict[str, object]:
-    p = _require_odd_prime(args.p)
-    if args.n < 1 or args.max_degree < 2:
-        raise CLIError("--n must be >= 1 and --max-degree >= 2")
-    spec = aw.word_algebra(args.n, p, args.max_degree)
-    series = gh.poincare_series(spec, args.max_degree)
-    rows = [[t, d] for t, d in enumerate(series)]
-    params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
-    return _envelope("poincare", params, rows=rows, columns=["degree", "dimension"])
+    _require_word_window(args)
+    series = gh.poincare_series(aw.word_algebra(args.n, args.p, args.max_degree), args.max_degree)
+    return _envelope(args, rows=[[t, d] for t, d in enumerate(series)], columns=["degree", "dimension"])
 
 
 def _run_tor(args) -> Dict[str, object]:
-    p = _require_odd_prime(args.p)
-    if args.n < 1 or args.max_degree < 2:
-        raise CLIError("--n must be >= 1 and --max-degree >= 2")
-    spec = aw.word_algebra(args.n, p, args.max_degree)
-    dims = bar_tor.tor_dims(spec)
-    rows = [[s, t, d] for (s, t), d in sorted(dims.items())]
-    params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
-    return _envelope("tor", params, rows=rows, columns=["s", "t", "dim"])
+    _require_word_window(args)
+    dims = bar_tor.tor_dims(aw.word_algebra(args.n, args.p, args.max_degree))
+    return _envelope(args, rows=[[s, t, d] for (s, t), d in sorted(dims.items())], columns=["s", "t", "dim"])
 
 
 def _parse_rung(text: str) -> int:
@@ -159,16 +157,17 @@ def _parse_rung(text: str) -> int:
 
 
 def _run_tor_check(args) -> Dict[str, object]:
-    p = _require_odd_prime(args.p)
-    src = _parse_rung(args.source)
-    dst = _parse_rung(args.target)
+    flags = vars(args)  # `from` is a keyword, so the rungs are read by name
+    src, dst = _parse_rung(flags["from"]), _parse_rung(flags["to"])
+    flags["from"], flags["to"] = f"b{src}", f"b{dst}"
     if args.max_degree < 2:
         raise CLIError("--max-degree must be >= 2")
-    report = bar_tor.verify_tor_iso(aw.word_algebra(src, p, args.max_degree), aw.word_algebra(dst, p, args.max_degree))
-    params = {"p": p, "from": f"b{src}", "to": f"b{dst}", "max_degree": args.max_degree, "seed": args.seed}
+    report = bar_tor.verify_tor_iso(
+        aw.word_algebra(src, args.p, args.max_degree), aw.word_algebra(dst, args.p, args.max_degree)
+    )
     details = {key: report[key] for key in ("got", "expected", "first_mismatch")}
-    check = _check_dict("tor.iso", params, report["passed"], details)
-    return _envelope("tor-check", params, check_list=[check])
+    check = _check_dict("tor.iso", _params(args), report["passed"], details)
+    return _envelope(args, check_list=[check])
 
 
 def _tensor_square_size(series: Sequence[int]) -> int:
@@ -195,10 +194,8 @@ def _tensor_square_size(series: Sequence[int]) -> int:
 def _run_primitives(args) -> Dict[str, object]:
     from . import checks
 
-    p = _require_odd_prime(args.p)
-    if args.n < 1 or args.max_degree < 2:
-        raise CLIError("--n must be >= 1 and --max-degree >= 2")
-    spec = aw.word_algebra(args.n, p, args.max_degree)
+    _require_word_window(args)
+    spec = aw.word_algebra(args.n, args.p, args.max_degree)
     # the coproduct kernel in degree t has a row per pair (m1, m2) of positive
     # degrees summing to t: the tensor square's basis, which sets the cost.
     # Two distinct generators of degree at most half the cap multiply to a
@@ -206,7 +203,7 @@ def _run_primitives(args) -> Dict[str, object]:
     # of many generators before its series, generators times cap, is summed
     half = sum(2 * g.degree <= args.max_degree for g in spec.generators)
     _require_small_basis(
-        f"--p {p} --n {args.n} --max-degree {args.max_degree}",
+        f"--p {args.p} --n {args.n} --max-degree {args.max_degree}",
         "tensor-square",
         (half * (half - 1),),
         lambda: _tensor_square_size(gh.poincare_series(spec, args.max_degree)),
@@ -214,33 +211,26 @@ def _run_primitives(args) -> Dict[str, object]:
     routes = checks.primitive_routes(spec)
     rows = [[t, kdim, wcount] for t, kdim, wcount in routes if kdim or wcount]
     agree = all(kdim == wcount for _, kdim, wcount in routes)
-    params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
     check_list = []
     if args.n >= 2:
-        check_list.append(_check_dict("primitives.gap", params, agree, {"routes_agree": agree}))
-    return _envelope(
-        "primitives", params, rows=rows, columns=["degree", "kernel_dim", "word_count"], check_list=check_list
-    )
+        check_list.append(_check_dict("primitives.gap", _params(args), agree, {"routes_agree": agree}))
+    return _envelope(args, rows=rows, columns=["degree", "kernel_dim", "word_count"], check_list=check_list)
 
 
 def _run_relations(args) -> Dict[str, object]:
     from . import multifold as mf
 
-    p = _require_odd_prime(args.p)
     if not 3 <= args.n <= MAX_WEIGHT:
         raise CLIError(f"--n (the weight) must be in 3..{MAX_WEIGHT}")
-    report = mf.relation_module(args.n, p)
-    params = {"p": p, "n": args.n, "seed": args.seed}
-    rows = [[args.n, p, report["type"], report["dimension"], report["agrees"]]]
+    report = mf.relation_module(args.n, args.p)
+    rows = [[args.n, args.p, report["type"], report["dimension"], report["agrees"]]]
     details = {
         "type": report["type"],
         "dimension": report["dimension"],
         "normal_form": _stringify_keys(report["normal_form"]),
     }
-    check = _check_dict("relations.closed-forms", params, report["agrees"], details)
-    return _envelope(
-        "relations", params, rows=rows, columns=["N", "p", "type", "dimension", "agrees"], check_list=[check]
-    )
+    check = _check_dict("relations.closed-forms", _params(args), report["agrees"], details)
+    return _envelope(args, rows=rows, columns=["N", "p", "type", "dimension", "agrees"], check_list=[check])
 
 
 def _parse_table(text: str, weight: int) -> Dict[int, int]:
@@ -265,24 +255,22 @@ def _parse_table(text: str, weight: int) -> Dict[int, int]:
 def _run_decompose(args) -> Dict[str, object]:
     from . import multifold as mf
 
-    p = _require_odd_prime(args.p)
     if not 2 <= args.n <= MAX_WEIGHT:
         raise CLIError(f"--n (the weight) must be in 2..{MAX_WEIGHT}")
     if args.table is None:
-        row = mf.lucas_row(args.n, p)
+        row = mf.lucas_row(args.n, args.p)
         table = {k: row[k] for k in range(1, args.n)}
     else:
         table = _parse_table(args.table, args.n)
-    report = mf.decompose_coproduct(args.n, table, p)
-    params = {"p": p, "n": args.n, "table": sorted(table.items()), "seed": args.seed}
-    check = _check_dict("decompose.normal-form", params, report["consistent"], dict(report))
-    return _envelope("decompose", params, check_list=[check])
+    report = mf.decompose_coproduct(args.n, table, args.p)
+    args.table = sorted(table.items())
+    check = _check_dict("decompose.normal-form", _params(args), report["consistent"], dict(report))
+    return _envelope(args, check_list=[check])
 
 
 def _run_cubes(args) -> Dict[str, object]:
     from . import multifold as mf
 
-    p = _require_odd_prime(args.p)
     if not 1 <= args.n <= 3:
         raise CLIError("--n (pinch directions) must be 1..3")
     if args.max_degree < 0:
@@ -292,36 +280,30 @@ def _run_cubes(args) -> Dict[str, object]:
     _require_small_basis(
         f"--n {args.n} --max-degree {args.max_degree}", "pinched", (), lambda: comb(h + 2 * args.n, 2 * args.n)
     )
-    report = mf.pinch_order_report(args.n, args.max_degree, p)
-    params = {"p": p, "n": args.n, "max_degree": args.max_degree, "seed": args.seed}
+    report = mf.pinch_order_report(args.n, args.max_degree, args.p)
     details = {key: report[key] for key in ("monomials_checked", "orders_per_monomial", "failures")}
-    check = _check_dict("cubes.order-independence", params, report["passed"], details)
-    return _envelope("cubes", params, check_list=[check])
+    check = _check_dict("cubes.order-independence", _params(args), report["passed"], details)
+    return _envelope(args, check_list=[check])
 
 
 def _run_pterm(args) -> Dict[str, object]:
     from . import spectral_engine as se
 
-    p = _require_odd_prime(args.p)
     towers, cap = args.towers, args.max_degree
     if towers < 1 or cap < 2:
         raise CLIError("--towers must be >= 1 and --max-degree >= 2")
     # the page walks every monomial of degree <= cap + 1; its towers of
     # degree 2 alone give C(h + k, k) of them for k towers, h = (cap + 1) // 2
     _require_small_basis(
-        f"--p {p} --towers {towers} --max-degree {cap}",
+        f"--p {args.p} --towers {towers} --max-degree {cap}",
         "page",
         (comb((cap + 1) // 2 + k, k) for k in range(1, towers + 1)),
-        lambda: sum(gh.poincare_series(se.p_term_spec(p, [2] * towers, cap), cap + 1)),
+        lambda: sum(gh.poincare_series(se.p_term_spec(args.p, [2] * towers, cap), cap + 1)),
     )
-    report = se.verify_p_term(p, [2] * towers, cap)
-    params = {"p": p, "towers": args.towers, "max_degree": args.max_degree, "seed": args.seed}
-    details = {
-        "homology": _stringify_keys(report["homology"]),
-        "expected": _stringify_keys(report["expected"]),
-    }
-    check = _check_dict("pterm.closed-form", params, report["passed"], details)
-    return _envelope("pterm", params, check_list=[check])
+    report = se.verify_p_term(args.p, [2] * towers, cap)
+    details = {key: _stringify_keys(report[key]) for key in ("homology", "expected")}
+    check = _check_dict("pterm.closed-form", _params(args), report["passed"], details)
+    return _envelope(args, check_list=[check])
 
 
 def _require_small_basis(what: str, basis: str, lower_bounds: Iterable[int], count: Callable[[], int]) -> None:
@@ -359,19 +341,19 @@ def _power_check_products(p: int, depth: int, n: int) -> int:
 def _run_changebasis(args) -> Dict[str, object]:
     from . import spectral_engine as se
 
-    p = _require_odd_prime(args.p)
-    depth = args.depth if args.depth is not None else (2 if p == 3 else 1)
+    if args.k is None:
+        args.k = 2 if args.p == 3 else 1
     try:
-        coeffs = tuple(int(x) for x in args.r.split(",")) if args.r is not None else (1,)
+        args.r = [int(x) for x in args.r.split(",")] if args.r is not None else [1]
     except ValueError as exc:
         raise CLIError(f"--r must be comma-separated integers, got {args.r!r}") from exc
+    p, depth, n = args.p, args.k, len(args.r)
     if depth < 1:
         raise CLIError("--k must be >= 1")
     # the exchange certificate builds gamma_a(z') for every a <= p^k out of
     # z, x_0 .. x_{L-1}, all of degree 2: C(p^k + L + 1, L + 1) monomials of
     # degree <= 2p^k; checking the smaller depths first stops a large --k
     # before p^k is formed
-    n = len(coeffs)
     what = f"--p {p} --k {depth} with {n} --r coefficient(s)"
     _require_small_basis(
         what,
@@ -381,34 +363,31 @@ def _run_changebasis(args) -> Dict[str, object]:
     )
     if _power_check_products(p, depth, n) > MAX_POWER_PRODUCTS:
         raise CLIError(f"{what} needs more than {MAX_POWER_PRODUCTS} monomial products in its p-th-power check")
-    report = se.change_basis_cycles(p, depth, coeffs)
-    params = {"p": p, "k": depth, "r": list(coeffs), "seed": args.seed}
+    report = se.change_basis_cycles(p, depth, args.r)
     details = {
         "cycles": report["cycle_checks"],
         "pth_powers": report["power_checks"],
         "exchange_invertible": report["exchange_invertible"],
     }
-    check = _check_dict("changebasis.cycles", params, report["passed"], details)
-    return _envelope("changebasis", params, check_list=[check])
+    check = _check_dict("changebasis.cycles", _params(args), report["passed"], details)
+    return _envelope(args, check_list=[check])
 
 
 def _run_rognes(args) -> Dict[str, object]:
     from . import checks
     from . import spectral_engine as se
 
-    p = _require_odd_prime(args.p)
     if args.n < 2:
         raise CLIError("--n must be >= 2")
     # the system has n blocks of C(p^(n-1)+n-1, n-1) rows; the count grows
     # with n, so this loop stops at a small n before any large power
     for k in range(2, args.n + 1):
-        if comb(p ** (k - 1) + k - 1, k - 1) > MAX_ROGNES_COMPOSITIONS:
+        if comb(args.p ** (k - 1) + k - 1, k - 1) > MAX_ROGNES_COMPOSITIONS:
             raise CLIError(
-                f"--n {args.n} at --p {p} needs more than {MAX_ROGNES_COMPOSITIONS} "
+                f"--n {args.n} at --p {args.p} needs more than {MAX_ROGNES_COMPOSITIONS} "
                 "compositions of p^(n-1) into n parts"
             )
-    report = se.rognes_check(p, args.n, include_witness=args.control)
-    params = {"p": p, "n": args.n, "control": args.control, "seed": args.seed}
+    report = se.rognes_check(args.p, args.n, include_witness=args.control)
     details = {
         "verdict": "obstructed" if report["obstructed"] else "hit",
         "rows": report["rows"],
@@ -420,33 +399,15 @@ def _run_rognes(args) -> Dict[str, object]:
             [list(tag[1]), tag[0], coeff] for tag, coeff in report["witness"].items()
         )
         details["witness_verified"] = report["witness_verified"]
-    check = _check_dict("rognes.obstruction", params, checks.rognes_passed(report), details)
-    return _envelope("rognes", params, check_list=[check])
+    check = _check_dict("rognes.obstruction", _params(args), checks.rognes_passed(report), details)
+    return _envelope(args, check_list=[check])
 
 
 def _run_verify_all(args) -> Dict[str, object]:
     from . import checks
 
-    results = checks.run_all(args.seed)
-    params = {"seed": args.seed}
-    check_list = [_check_dict(r.id, r.params, r.passed, r.details) for r in results]
-    return _envelope("verify-all", params, check_list=check_list)
-
-
-_HANDLERS = {
-    "words": _run_words,
-    "poincare": _run_poincare,
-    "tor": _run_tor,
-    "tor-check": _run_tor_check,
-    "primitives": _run_primitives,
-    "relations": _run_relations,
-    "decompose": _run_decompose,
-    "cubes": _run_cubes,
-    "pterm": _run_pterm,
-    "changebasis": _run_changebasis,
-    "rognes": _run_rognes,
-    "verify-all": _run_verify_all,
-}
+    check_list = [_check_dict(r.id, r.params, r.passed, r.details) for r in checks.run_all(args.seed)]
+    return _envelope(args, check_list=check_list)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name, summary, *, n=None, degree=True, p=True):
-        """A verb's parser with only the shared flags its handler reads; n is --n's help."""
+    def verb(name, run, summary, *, n=None, degree=True, p=True):
+        """A verb's parser, bound to its handler run, with only the shared flags run reads; n is --n's help."""
         sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
         if p:
             sp.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
         if n:
@@ -515,36 +477,50 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None, help="write the report to this path")
         return sp
 
-    sp = verb("words", "enumerate admissible words", n="word length")
+    sp = verb("words", _run_words, "enumerate admissible words", n="word length")
     sp.add_argument("--monic", action="store_true", help="restrict to monic words")
 
-    verb("poincare", "dimension series of a word algebra", n="word length")
-    verb("tor", "Tor dimensions over a word algebra, by bidegree", n="word length")
+    verb("poincare", _run_poincare, "dimension series of a word algebra", n="word length")
+    verb("tor", _run_tor, "Tor dimensions over a word algebra, by bidegree", n="word length")
 
-    sp = verb("tor-check", "Tor over one word algebra vs the next")
-    sp.add_argument("--from", dest="source", type=str, required=True, help="source algebra tag, e.g. b2")
-    sp.add_argument("--to", dest="target", type=str, required=True, help="expected answer tag, e.g. b3")
+    sp = verb("tor-check", _run_tor_check, "Tor over one word algebra vs the next")
+    sp.add_argument("--from", metavar="SOURCE", type=str, required=True, help="source algebra tag, e.g. b2")
+    sp.add_argument("--to", metavar="TARGET", type=str, required=True, help="expected answer tag, e.g. b3")
 
-    verb("primitives", "primitive dimensions vs monic word counts", n="word length")
-    verb("relations", "coproduct relation module at one weight", n=f"weight N, 3..{MAX_WEIGHT}", degree=False)
+    verb("primitives", _run_primitives, "primitive dimensions vs monic word counts", n="word length")
+    verb(
+        "relations",
+        _run_relations,
+        "coproduct relation module at one weight",
+        n=f"weight N, 3..{MAX_WEIGHT}",
+        degree=False,
+    )
 
-    sp = verb("decompose", "classify a coproduct coefficient table", n=f"weight N, 2..{MAX_WEIGHT}", degree=False)
+    sp = verb(
+        "decompose",
+        _run_decompose,
+        "classify a coproduct coefficient table",
+        n=f"weight N, 2..{MAX_WEIGHT}",
+        degree=False,
+    )
     sp.add_argument("--table", type=str, default=None, help="comma-separated pos:coeff entries")
 
-    sp = verb("cubes", "pinch-order independence of iterated coproducts", n="pinch directions")
+    sp = verb("cubes", _run_cubes, "pinch-order independence of iterated coproducts", n="pinch directions")
     sp.set_defaults(n=3, max_degree=20, p=5)
 
-    sp = verb("pterm", "height-p differential homology vs closed form")
+    sp = verb("pterm", _run_pterm, "height-p differential homology vs closed form")
     sp.add_argument("--towers", type=int, default=1, help="number of divided towers")
 
-    sp = verb("changebasis", "certify divided-power replacement generators", degree=False)
-    sp.add_argument("--k", dest="depth", type=int, default=None, help="tower depth (default 2 at p=3, else 1)")
+    sp = verb("changebasis", _run_changebasis, "certify divided-power replacement generators", degree=False)
+    sp.add_argument("--k", metavar="DEPTH", type=int, default=None, help="tower depth (default 2 at p=3, else 1)")
     sp.add_argument("--r", type=str, default=None, help="comma-separated twisting coefficients")
 
-    sp = verb("rognes", "two-column hitting problem for the power classes", n="torus coordinates", degree=False)
+    sp = verb(
+        "rognes", _run_rognes, "two-column hitting problem for the power classes", n="torus coordinates", degree=False
+    )
     sp.add_argument("--control", action="store_true", help="include the canonical witness column")
 
-    verb("verify-all", "run the full acceptance battery", degree=False, p=False)
+    verb("verify-all", _run_verify_all, "run the full acceptance battery", degree=False, p=False)
 
     return parser
 
@@ -552,7 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        envelope = _HANDLERS[args.verb](args)
+        if hasattr(args, "p"):  # before the handler and its imports
+            _require_odd_prime(args.p)
+        envelope = args.run(args)
         text = _render_csv(envelope) if args.format == "csv" else _render_json(envelope)
         _emit(text, args.out)
     except CLIError as exc:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thhcalc import admissible_words as aw
-from thhcalc import checks, cli, multifold, spectral_engine
+from thhcalc import bar_tor, checks, cli, multifold, spectral_engine
 from thhcalc import graded_hopf as gh
 from thhcalc.cli import build_parser, main
 from thhcalc.fp_linalg import ContractViolation, FpSparseMatrix
@@ -272,15 +273,11 @@ def _fresh_python(code, *args):
     )
 
 
-# modules a tor-check process must not load: the check family, which cli
-# imports on first use, and dataclasses, which no module of the package imports
-UNREAD_BY_TOR_VERBS = (
-    "dataclasses",
-    "thhcalc.checks",
-    "thhcalc.multifold",
-    "thhcalc.spectral_engine",
-    "thhcalc.torus_model",
-)
+# the check family, which cli imports on first use
+CHECK_FAMILY = ("thhcalc.checks", "thhcalc.multifold", "thhcalc.spectral_engine", "thhcalc.torus_model")
+# modules a tor-check process must not load: the check family, and
+# dataclasses, which no module of the package imports
+UNREAD_BY_TOR_VERBS = ("dataclasses", *CHECK_FAMILY)
 
 
 def test_a_tor_check_process_loads_no_check_family_module(tmp_path):
@@ -296,6 +293,21 @@ def test_a_tor_check_process_loads_no_check_family_module(tmp_path):
     result = _fresh_python(code, str(tmp_path / "report.json"), *UNREAD_BY_TOR_VERBS)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == [b"0"]
+
+
+@pytest.mark.parametrize("verb", ["rognes", "primitives", "relations", "pterm"])
+def test_a_refused_prime_loads_no_check_family_module(verb):
+    # main checks --p before the handler runs, and so before its lazy imports
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from thhcalc import cli\n"
+        "code = cli.main([sys.argv[1], '--p', '9'])\n"
+        "print(code, *sorted((set(sys.modules) - before) & set(sys.argv[2:])))\n"
+    )
+    result = _fresh_python(code, verb, *CHECK_FAMILY)
+    assert result.stdout.split() == [b"2"], result.stderr
+    assert result.stderr == b"error: --p must be an odd prime, got 9\n"
 
 
 def test_no_runtime_module_imports_dataclasses():
@@ -319,8 +331,14 @@ def _fresh_process_calls():
     return sorted(calls.values())
 
 
+def _verbs():
+    """The verb names that build_parser registers."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(subparsers.choices)
+
+
 def test_fresh_process_calls_cover_every_verb():
-    assert sorted(argv.split()[0] for argv, _ in _fresh_process_calls()) == sorted(cli._HANDLERS)
+    assert sorted(argv.split()[0] for argv, _ in _fresh_process_calls()) == _verbs()
 
 
 @pytest.mark.parametrize("argv, digest", _fresh_process_calls())
@@ -344,6 +362,47 @@ def test_reports_are_byte_identical(tmp_path):
 def test_invalid_prime_exits_2(tmp_path):
     assert main(["words", "--n", "2", "--p", "4", "--max-degree", "10"]) == 2
     assert main(["words", "--n", "2", "--p", "9", "--max-degree", "10"]) == 2
+
+
+# every verb that registers --p, with the flags it requires
+PRIME_VERBS = [
+    "words",
+    "poincare",
+    "tor",
+    "tor-check --from b1 --to b2",
+    "primitives",
+    "relations",
+    "decompose",
+    "cubes",
+    "pterm",
+    "changebasis",
+    "rognes",
+]
+
+
+def test_every_verb_but_verify_all_registers_the_prime():
+    assert sorted(argv.split()[0] for argv in PRIME_VERBS) == [verb for verb in _verbs() if verb != "verify-all"]
+
+
+@pytest.mark.parametrize(
+    "prime, message",
+    [
+        ("9", "--p must be an odd prime, got 9"),
+        ("2", "--p must be an odd prime, got 2"),
+        ("2147483659", f"--p must be at most {cli.MAX_PRIME}, got 2147483659"),  # the next prime above MAX_PRIME
+    ],
+)
+@pytest.mark.parametrize("argv", PRIME_VERBS)
+def test_every_verb_refuses_a_bad_prime_with_one_line(argv, prime, message, capsys):
+    assert main([*shlex.split(argv), "--p", prime]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("verb", ["words", "poincare", "tor", "primitives"])
+@pytest.mark.parametrize("window", [["--n", "0"], ["--max-degree", "1"]])
+def test_every_word_length_verb_refuses_a_window_with_one_line(verb, window, capsys):
+    assert main([verb, *window]) == 2
+    assert capsys.readouterr() == ("", "error: --n must be >= 1 and --max-degree >= 2\n")
 
 
 # one flag per verb that the verb's handler never reads
@@ -669,10 +728,10 @@ def test_tor_at_cap_60_finishes_quickly(tmp_path):
 
 
 def test_crash_exits_3_with_one_line_and_no_traceback(monkeypatch, capsys):
-    def broken(args):
+    def broken(spec):
         raise ContractViolation("resolution generator image is not a cycle at (2, 6)\nsecond line")
 
-    monkeypatch.setitem(cli._HANDLERS, "tor", broken)
+    monkeypatch.setattr(bar_tor, "tor_dims", broken)
     assert main(["tor", "--n", "1", "--max-degree", "6"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
