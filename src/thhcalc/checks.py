@@ -10,9 +10,10 @@ making reports reproducible byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from . import admissible_words as aw
 from . import bar_tor
@@ -28,6 +29,25 @@ class CheckResult(NamedTuple):
     params: Dict[str, object]
     passed: bool
     details: Dict[str, object]
+
+
+def _holds_on_basis(law: Callable[..., bool], memo: Dict[tuple, bool], *elements: gh.Element) -> bool:
+    """Whether a multilinear law holds on every tuple of monomials from the elements' supports.
+
+    law takes one monomial per element and decides the law on that tuple
+    of basis elements.  By multilinearity a law that holds on every tuple
+    holds on the elements, so this is at least as strict as testing the
+    elements themselves, and a cancellation between terms cannot hide a
+    failure.  Random draws share many tuples, so memo keeps one verdict per
+    tuple; the caller makes it for one law and drops it when it returns.
+    """
+    for mons in itertools.product(*elements):
+        ok = memo.get(mons)
+        if ok is None:
+            ok = memo[mons] = law(*mons)
+        if not ok:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +200,10 @@ def relation_forms(p: int) -> CheckResult:
     n_max = 200
     failures = []
     by_type: Dict[str, int] = {}
-    # every weight reads the same Lucas rows; build them once for this call
-    binoms = [mf.lucas_row(n, p) for n in range(n_max)]
+    # every weight reads the same binomial tables; build them once for this call
+    tables = mf.lucas_tables(n_max, p)
     for big_n in range(3, n_max + 1):
-        report = mf.relation_module(big_n, p, binoms)
+        report = mf.relation_module(big_n, p, tables)
         by_type[report["type"]] = by_type.get(report["type"], 0) + 1
         if not report["agrees"]:
             failures.append(big_n)
@@ -341,7 +361,12 @@ def _random_bounded(mons: Sequence[gh.Monomial], p: int, rng: random.Random) -> 
 
 
 def sigma_contract(p: int, seed: int) -> CheckResult:
-    """Derivation law, image ideal membership, and top-cell projections."""
+    """Derivation law, image ideal membership, and top-cell projections.
+
+    The derivation law sigma(ab) = sigma(a) b + (-1)^|a| a sigma(b) is
+    bilinear, so `_holds_on_basis` decides each draw on the monomial pairs
+    from its two supports, with one memo per torus for this call.
+    """
     pairs = 1000
     bound = 4 * p + 2
     rng = random.Random(seed)
@@ -359,26 +384,50 @@ def sigma_contract(p: int, seed: int) -> CheckResult:
             ]
         return pools[n, t]
 
+    def derivation_law(torus: tm.TorusAlgebra, n: int) -> Callable[[gh.Monomial, gh.Monomial], bool]:
+        """sigma(xy) = sigma(x) y + (-1)^|x| x sigma(y) on two monomials of torus n.
+
+        Each factor's image is kept for this call: one monomial meets many
+        partners across the draws.
+        """
+        spec = torus.spec
+        images: Dict[gh.Monomial, gh.Element] = {}
+
+        def image(x: gh.Monomial) -> gh.Element:
+            img = images.get(x)
+            if img is None:
+                img = images[x] = tm.sigma(torus, n, {x: 1})
+            return img
+
+        def derivation(x: gh.Monomial, y: gh.Monomial) -> bool:
+            sign = (-1) ** gh.monomial_degree(spec, x)
+            lhs = tm.sigma(torus, n, gh.multiply(spec, {x: 1}, {y: 1}))
+            rhs = gh.add(
+                gh.multiply(spec, image(x), {y: 1}),
+                gh.scalar_mul(sign, gh.multiply(spec, {x: 1}, image(y)), p),
+                p,
+            )
+            return lhs == rhs
+
+        return derivation
+
+    # one law and one verdict per monomial pair for each torus, for this call only
+    laws = {n: derivation_law(torus, n) for n, torus in tori.items()}
+    memos: Dict[int, Dict[tuple, bool]] = {n: {} for n in tori}
     derivation_failures = 0
     checked = 0
     while checked < pairs:
         n = rng.choice((2, 3, 4))
-        torus = tori[n]
         da = rng.randrange(1, bound // 2)
         db = rng.randrange(1, bound // 2)
         a = _random_bounded(pool(n, da), p, rng)
         b = _random_bounded(pool(n, db), p, rng)
         if not a or not b:
             continue
-        lhs = tm.sigma(torus, n, gh.multiply(torus.spec, a, b))
-        rhs = gh.add(
-            gh.multiply(torus.spec, tm.sigma(torus, n, a), b),
-            gh.scalar_mul((-1) ** da, gh.multiply(torus.spec, a, tm.sigma(torus, n, b)), p),
-            p,
-        )
-        if lhs != rhs:
+        if not _holds_on_basis(laws[n], memos[n], a, b):
             derivation_failures += 1
         checked += 1
+    del laws, memos
 
     ideal_checked = 0
     ideal_failures: List[str] = []
@@ -438,25 +487,12 @@ def sigma_contract(p: int, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _coproduct_on_side(
-    spec: gh.AlgebraSpec,
-    ts: gh.TensorSquare,
-    side: int,
-    table: Dict[gh.Monomial, gh.TensorSquare],
-):
-    """(psi (x) 1) ts for side 0, (1 (x) psi) ts for side 1, in A (x) A (x) A.
-
-    table maps each side monomial already expanded to its coproduct and
-    gains the new ones; each monomial is looked up there by one `get`.
-    """
+def _coproduct_on_side(spec: gh.AlgebraSpec, ts: gh.TensorSquare, side: int):
+    """(psi (x) 1) ts for side 0, (1 (x) psi) ts for side 1, in A (x) A (x) A."""
     p = spec.p
     out: Dict[Tuple[gh.Monomial, gh.Monomial, gh.Monomial], int] = {}
     for pair, c in ts.items():
-        mon = pair[side]
-        splits = table.get(mon)
-        if splits is None:
-            splits = table[mon] = gh.coproduct(spec, {mon: 1})
-        for split, d in splits.items():
+        for split, d in gh.coproduct(spec, {pair[side]: 1}).items():
             add_to(out, pair[:side] + split + pair[side + 1 :], c * d, p)
     return out
 
@@ -475,7 +511,15 @@ def _core_config(p: int) -> gh.AlgebraSpec:
 
 
 def core_properties(p: int, seed: int) -> CheckResult:
-    """Six structural laws, each on 1000 random homogeneous draws."""
+    """Six structural laws, each on 1000 random homogeneous draws.
+
+    Associativity, graded commutativity, coassociativity and
+    comultiplication are multilinear, so `_holds_on_basis` decides each
+    draw on the tuples of monomials from its supports, with one memo per
+    law for this call.  The Frobenius law and the dual's dimensions are not
+    multilinear and are decided on the whole draws.  One `ProductTable`
+    serves every law and goes when the call returns.
+    """
     cases = 1000
     spec = _core_config(p)
     bound = spec.degree_bound
@@ -483,59 +527,58 @@ def core_properties(p: int, seed: int) -> CheckResult:
     counts: Dict[str, int] = {}
     failures: Dict[str, int] = {}
 
-    def draw(max_t: int, even: bool = False) -> Tuple[int, gh.Element]:
+    def draw(max_t: int, even: bool = False) -> gh.Element:
         while True:
             t = rng.randrange(1, max_t + 1)
             if even:
                 t = 2 * ((t + 1) // 2)
             e = gh.random_homogeneous(spec, t, rng)
             if e:
-                return t, e
+                return e
 
     def tally(law: str, ok: bool) -> None:
         counts[law] = counts.get(law, 0) + 1
         if not ok:
             failures[law] = failures.get(law, 0) + 1
 
-    # monomial products recur across draws; the table lives for this call only
     products = gh.ProductTable()
 
-    def mul(x: gh.Element, y: gh.Element) -> gh.Element:
-        return gh.multiply(spec, x, y, products)
+    def mul(x: gh.Monomial, y: gh.Monomial) -> gh.Element:
+        return gh.multiply(spec, {x: 1}, {y: 1}, products)
 
-    third = bound // 3
-    for _ in range(cases):
-        _, a = draw(third)
-        _, b = draw(third)
-        _, c = draw(third)
-        tally("associativity", mul(mul(a, b), c) == mul(a, mul(b, c)))
+    def associative(x: gh.Monomial, y: gh.Monomial, z: gh.Monomial) -> bool:
+        return gh.multiply(spec, mul(x, y), {z: 1}, products) == gh.multiply(spec, {x: 1}, mul(y, z), products)
+
+    def commutative(x: gh.Monomial, y: gh.Monomial) -> bool:
+        sign = -1 if gh.monomial_degree(spec, x) * gh.monomial_degree(spec, y) % 2 else 1
+        return mul(x, y) == gh.scalar_mul(sign, mul(y, x), p)
+
+    def coassociative(x: gh.Monomial) -> bool:
+        ts = gh.coproduct(spec, {x: 1})
+        return _coproduct_on_side(spec, ts, 0) == _coproduct_on_side(spec, ts, 1)
+
+    def comultiplicative(x: gh.Monomial, y: gh.Monomial) -> bool:
+        # the closed-form coproduct against products in A and in A (x) A
+        rhs = gh.tensor_multiply(spec, gh.coproduct(spec, {x: 1}), gh.coproduct(spec, {y: 1}), products)
+        return gh.coproduct(spec, mul(x, y)) == rhs
+
+    # (law, name, elements per draw, degree cap of each element)
+    multilinear = [
+        (associative, "associativity", 3, bound // 3),
+        (commutative, "graded-commutativity", 2, bound // 2),
+        (coassociative, "coassociativity", 1, bound // 2),
+        (comultiplicative, "comultiplication", 2, bound // 2),
+    ]
+    for law, name, arity, max_t in multilinear:
+        memo: Dict[tuple, bool] = {}
+        for _ in range(cases):
+            elements = [draw(max_t) for _ in range(arity)]
+            tally(name, _holds_on_basis(law, memo, *elements))
+    del memo
 
     for _ in range(cases):
-        ta, a = draw(bound // 2)
-        tb, b = draw(bound // 2)
-        sign = -1 if (ta * tb) % 2 else 1
-        tally("graded-commutativity", mul(a, b) == gh.scalar_mul(sign, mul(b, a), p))
-
-    # the side monomials of the coassociativity law recur across draws;
-    # their coproducts are kept for this law only
-    sides: Dict[gh.Monomial, gh.TensorSquare] = {}
-    for _ in range(cases):
-        _, a = draw(bound // 2)
-        ts = gh.coproduct(spec, a)
-        tally("coassociativity", _coproduct_on_side(spec, ts, 0, sides) == _coproduct_on_side(spec, ts, 1, sides))
-    del sides
-
-    # the closed-form coproduct against products in A and in A (x) A
-    for _ in range(cases):
-        _, a = draw(bound // 2)
-        _, b = draw(bound // 2)
-        lhs = gh.coproduct(spec, mul(a, b))
-        rhs = gh.tensor_multiply(spec, gh.coproduct(spec, a), gh.coproduct(spec, b), products)
-        tally("comultiplication", lhs == rhs)
-
-    for _ in range(cases):
-        _, a = draw(bound // p, even=True)
-        _, b = draw(bound // p, even=True)
+        a = draw(bound // p, even=True)
+        b = draw(bound // p, even=True)
         lhs = gh.power(spec, gh.add(a, b, p), p, products)
         rhs = gh.add(gh.power(spec, a, p, products), gh.power(spec, b, p, products), p)
         tally("frobenius", lhs == rhs)

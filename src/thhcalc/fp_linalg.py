@@ -254,6 +254,10 @@ def two_term_kernel(
     forces the result.  Each free component gives one sparse vector, 1 at
     its root and the gain product at every other node, in order of each
     component's smallest node.
+
+    A run of relations that share j finds j's root once: a union hangs the
+    other root under j's root, and nothing else moves a root, so that root
+    and j's gain to it stay valid until j changes.
     """
     parent = list(range(n))
     gain = [1] * n
@@ -272,6 +276,7 @@ def two_term_kernel(
             v = parent[v]
         return v, g
 
+    last_j = -1  # the j whose root (rj, gj) is held
     for i, a, j, b in relations:
         a %= p
         b %= p
@@ -283,7 +288,9 @@ def two_term_kernel(
             dead[find(i)[0]] = True
             continue
         ri, gi = find(i)
-        rj, gj = find(j)
+        if j != last_j:
+            rj, gj = find(j)
+            last_j = j
         # a gi x_ri = b gj x_rj
         if ri == rj:
             if (a * gi - b * gj) % p:

@@ -40,12 +40,12 @@ product degree and the Koszul sign as it goes; `monomial_degree` and,
 through it, `tensor_multiply` read the same degrees.
 
 `multiply`, `power` and `tensor_multiply` take an optional `ProductTable`:
-its (m1, m2) -> `mul_monomials` dict, and beside it each distinct nonzero
-product once, which every pair with that product shares.  A caller creates
-the table for one spec, passes it through its loops and then drops it.
-Nothing keeps one at module level or on the spec, whose bases can reach
-100,000 monomials; `tensor_multiply` without one uses a table local to the
-call.
+one row of `mul_monomials` results per left factor m1, keyed by the right
+factor m2, and beside them each distinct nonzero product once, which every
+pair with that product shares.  A caller creates the table for one spec,
+passes it through its loops and then drops it.  Nothing keeps one at
+module level or on the spec, whose bases can reach 100,000 monomials;
+`tensor_multiply` without one uses a table local to the call.
 """
 
 from __future__ import annotations
@@ -260,47 +260,56 @@ def mul_monomials(spec: AlgebraSpec, m1: Monomial, m2: Monomial) -> Optional[Pro
 class ProductTable:
     """Monomial products of one spec, made by a caller and dropped by it.
 
-    `pairs` maps (m1, m2) to `mul_monomials(spec, m1, m2)`, None for a zero
-    product.  Many pairs have equal products, so `results` keeps each
-    distinct nonzero product once and the pairs share it: at p = 5,
-    `checks.core_properties` makes 9,298 nonzero products of 632 monomials.
-    A caller creates one table for one spec, passes it through its loops
-    and then drops it, and both dicts go with it.
+    `rows[m1][m2]` is `mul_monomials(spec, m1, m2)`, None for a zero
+    product.  A lookup hashes one monomial and builds no key tuple, and a
+    caller with many right factors for one left factor reads its row once:
+    one `get` with the default 0, since a cached zero is None and 0 can
+    only mean a pair not yet multiplied.  Many pairs have equal products,
+    so `results` keeps each distinct nonzero product once and the pairs
+    share it.  A caller creates one table for one spec, passes it through
+    its loops and then drops it, and both dicts go with it.
     """
 
-    __slots__ = ("pairs", "results")
+    __slots__ = ("rows", "results")
 
     def __init__(self) -> None:
-        self.pairs: Dict[Tuple[Monomial, Monomial], Optional[Product]] = {}
+        self.rows: Dict[Monomial, Dict[Monomial, Optional[Product]]] = {}
         self.results: Dict[Product, Product] = {}
 
-    def store(self, spec: AlgebraSpec, key: Tuple[Monomial, Monomial]) -> Optional[Product]:
-        """Multiply the pair key = (m1, m2), keep its product and return it."""
-        r = mul_monomials(spec, *key)
+    def row(self, m1: Monomial) -> Dict[Monomial, Optional[Product]]:
+        """The products kept so far with left factor m1."""
+        row = self.rows.get(m1)
+        if row is None:
+            row = self.rows[m1] = {}
+        return row
+
+    def store(
+        self, spec: AlgebraSpec, row: Dict[Monomial, Optional[Product]], m1: Monomial, m2: Monomial
+    ) -> Optional[Product]:
+        """Multiply m1 by m2, keep the product in m1's row and return it."""
+        r = mul_monomials(spec, m1, m2)
         if r is not None:
             r = self.results.setdefault(r, r)
-        self.pairs[key] = r
+        row[m2] = r
         return r
 
 
 def multiply(spec: AlgebraSpec, a: Element, b: Element, products: Optional[ProductTable] = None) -> Element:
     """a * b; with `products`, each monomial product is looked up there first.
 
-    A lookup is one `get` with the default 0: the table stores None for a
-    zero product, so 0 can only mean a pair not yet multiplied.
+    Each term of a reads its row of the table once.
     """
     p = spec.p
-    pairs = None if products is None else products.pairs
     out: Element = {}
     for m1, c1 in a.items():
+        row = None if products is None else products.row(m1)
         for m2, c2 in b.items():
-            if pairs is None:
+            if row is None:
                 r = mul_monomials(spec, m1, m2)
             else:
-                key = (m1, m2)
-                r = pairs.get(key, 0)
+                r = row.get(m2, 0)
                 if r == 0:
-                    r = products.store(spec, key)
+                    r = products.store(spec, row, m1, m2)
             if r is None:
                 continue
             coeff, mon = r
@@ -372,28 +381,27 @@ def tensor_multiply(
 ) -> TensorSquare:
     """Multiply in A (x) A with the Koszul sign (-1)^{|b||c|} on (a(x)b)(c(x)d).
 
-    With `products`, each monomial product is looked up there first, by one
-    `get` as in `multiply`: a cached zero is None, a miss the default 0.
+    Each monomial product is looked up in `products` first, as in
+    `multiply`; each term a (x) b of t1 reads the rows of a and b once.
     """
     if products is None:
         products = ProductTable()  # the same pair recurs across terms even within one call
-    pairs = products.pairs
     p = spec.p
     out: TensorSquare = {}
     terms2 = [(x, y, c2, monomial_degree(spec, x) % 2) for (x, y), c2 in t2.items()]
     for (a, b), c1 in t1.items():
         b_odd = monomial_degree(spec, b) % 2
+        row_a = products.row(a)
+        row_b = products.row(b)
         for x, y, c2, x_odd in terms2:
-            key = (a, x)
-            left = pairs.get(key, 0)
+            left = row_a.get(x, 0)
             if left == 0:
-                left = products.store(spec, key)
+                left = products.store(spec, row_a, a, x)
             if left is None:
                 continue
-            key = (b, y)
-            right = pairs.get(key, 0)
+            right = row_b.get(y, 0)
             if right == 0:
-                right = products.store(spec, key)
+                right = products.store(spec, row_b, b, y)
             if right is None:
                 continue
             cl, ml = left

@@ -14,9 +14,12 @@ terms, and most of them say less than that: over half read 0 = 0 mod p,
 and most of the rest force one unknown to zero that other relations force
 again.  So `relation_rows` streams only the distinct constraints: every
 relation with two nonzero coefficients, then one x_i = 0 per forced
-unknown.  They feed `fp_linalg.two_term_kernel`, a union-find that solves
-them without a matrix, and the claimed closed-form vectors are evaluated
-on every one of them as it passes.  The solution space is classified by
+unknown.  It visits only the (a, b) whose relation says something: the
+Lucas support of C(N - a, .) and the b that add to a without a carry in
+base p, both listed in `lucas_tables`, which a caller solving many weights
+builds once per prime.  The relations feed `fp_linalg.two_term_kernel`, a
+union-find that solves them without a matrix, and the claimed closed-form
+vectors are evaluated on every one of them as it passes.  The solution space is classified by
 the p-adic shape of N:
 
 * N a p-power p^{m+1}: one dimension, spanned by the divided binomial row
@@ -37,7 +40,8 @@ tested directly.  The branch variables sort where the pinched one stood, so
 each new monomial is spliced from slices of the old one, with no sort.
 
 The per-entry work of the digit kernels runs in C: `lucas_row` fills each
-digit step of a row by slice assignment, and `lucas_vs_pascal` holds each
+digit step of a row by slice assignment, `lucas_tables` reads each row's
+support with `itertools.compress`, and `lucas_vs_pascal` holds each
 Pascal row mod p as one int with a byte per entry, so one shift, one add
 and a masked subtraction build the next row (p < 128).
 """
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, factorial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fp_linalg import two_term_kernel
 
@@ -111,7 +115,38 @@ def classify_weight(v: int, p: int) -> Tuple[str, Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def relation_rows(N: int, p: int, binoms: Optional[Sequence[List[int]]] = None) -> Iterator[Relation]:
+class LucasTables(NamedTuple):
+    """Binomials mod p below one weight, shared by every relation system below it.
+
+    rows[n] is lucas_row(n, p); support[n] lists the 0 < k < n with
+    C(n, k) nonzero mod p, in increasing order; for a >= 1, carry_free[a]
+    lists the b >= 1 with a + b below the weight and C(a + b, b) nonzero mod
+    p (no carry when a and b are added in base p), in increasing order, and
+    carry_free[0] is empty.
+    """
+
+    rows: List[List[int]]
+    support: List[List[int]]
+    carry_free: List[List[int]]
+
+
+def lucas_tables(weight: int, p: int) -> LucasTables:
+    """The `LucasTables` of every n below weight, read by `relation_rows` for weights up to it.
+
+    The supports are read off the rows by `itertools.compress`, in C.  A
+    pair (n, k) in the support of row n is the pair (a, b) = (n - k, k), so
+    walking the rows in order appends each carry_free[a] in increasing b.
+    """
+    rows = [lucas_row(n, p) for n in range(weight)]
+    support = [list(itertools.compress(range(1, n), row[1:n])) for n, row in enumerate(rows)]
+    carry_free: List[List[int]] = [[] for _ in range(weight)]
+    for n, ks in enumerate(support):
+        for k in ks:
+            carry_free[n - k].append(k)
+    return LucasTables(rows, support, carry_free)
+
+
+def relation_rows(N: int, p: int, tables: Optional[LucasTables] = None) -> Iterator[Relation]:
     """The distinct coassociativity constraints on (r_1, ..., r_{N-1}).
 
     Each (a, b) gives C(a+b, b) r_{a+b} = C(b+c, b) r_a with c = N - a - b,
@@ -122,23 +157,27 @@ def relation_rows(N: int, p: int, binoms: Optional[Sequence[List[int]]] = None) 
     increasing order, as (i, 1, i, 0).  A vector satisfies every yielded
     relation exactly when it satisfies every (a, b) relation.
 
-    binoms[n] must be lucas_row(n, p) for every n < N; callers solving many
-    weights build the rows once and pass them.
+    Most (a, b) say 0 = 0, so only the others are walked: for each a, the b
+    in the support of C(N - a, .), which give the two-term relations and
+    forced x_{a-1}, and the b carry-free with a, which force x_{a+b-1}
+    where C(N - a, b) vanishes.  tables must be lucas_tables(M, p) for some
+    M >= N; callers solving many weights build them once and pass them.
     """
-    if binoms is None:
-        binoms = [lucas_row(n, p) for n in range(N)]
+    rows, support, carry_free = lucas_tables(N, p) if tables is None else tables
     forced = set()
     for a in range(1, N - 1):
-        outer = binoms[N - a]  # C(b + c, b) with c = N - a - b >= 1
-        for b in range(1, N - a):
-            u = binoms[a + b][b]
-            v = outer[b]
-            if u and v:
-                yield a + b - 1, u, a - 1, v
-            elif u:
-                forced.add(a + b - 1)
-            elif v:
+        outer = rows[N - a]  # C(b + c, b) with c = N - a - b >= 1
+        for b in support[N - a]:
+            u = rows[a + b][b]
+            if u:
+                yield a + b - 1, u, a - 1, outer[b]
+            else:
                 forced.add(a - 1)
+        for b in carry_free[a]:
+            if b >= N - a:
+                break
+            if not outer[b]:
+                forced.add(a + b - 1)
     for i in sorted(forced):
         yield i, 1, i, 0
 
@@ -186,9 +225,7 @@ def _pivots(kind: str, normal: Dict[str, object]) -> Tuple[int, ...]:
     return normal["pivots"] if kind == TWO_POWERS else (normal["pivot"],)
 
 
-def relation_module(
-    N: int, p: int, binoms: Optional[Sequence[List[int]]] = None
-) -> Dict[str, object]:
+def relation_module(N: int, p: int, tables: Optional[LucasTables] = None) -> Dict[str, object]:
     """Solve the weight-N constraint system and verify the closed form.
 
     Returns the computed kernel dimension, the classified type, and whether
@@ -196,14 +233,14 @@ def relation_module(
     evaluated on every constraint, and the claimed vectors must be as many
     as the kernel's dimension and in the pivot form that
     `decompose_coproduct` reads coordinates off (each 1 at its own pivot, 0
-    at the others), which makes them independent.  binoms is passed to
+    at the others), which makes them independent.  tables is passed to
     `relation_rows`.
     """
     if N < 3:
         raise ValueError("weights below 3 carry no constraints worth solving")
     kind, claimed, normal = closed_form_vectors(N, p)
     broken: List[Relation] = []
-    kernel = two_term_kernel(N - 1, _checked(relation_rows(N, p, binoms), claimed, p, broken), p)
+    kernel = two_term_kernel(N - 1, _checked(relation_rows(N, p, tables), claimed, p, broken), p)
     pivots = _pivots(kind, normal)
     pivot_form = all(vec[k - 1] == int(k == own) for own, vec in zip(pivots, claimed) for k in pivots)
     agrees = not broken and pivot_form and len(kernel) == len(claimed) == len(pivots)

@@ -495,14 +495,16 @@ def test_two_term_kernel_examples():
 @st.composite
 def two_term_systems(draw):
     """Relations u x_i = v x_j over a small prime, with one-entry and zero
-    rows, i = j, repeated relations and cycles whose gains may disagree."""
+    rows, i = j, repeated relations, cycles whose gains may disagree, and
+    runs of relations sharing j, as `multifold.relation_rows` yields them,
+    with one-entry and zero rows between them."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(0, 15))
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     relations = []
     if n:
         for _ in range(draw(st.integers(0, 25))):
-            shape = rnd.choice(["two", "two", "one", "zero", "cycle", "repeat"])
+            shape = rnd.choice(["two", "two", "one", "zero", "cycle", "repeat", "run"])
             i, j = rnd.randrange(n), rnd.randrange(n)
             u, v = rnd.randrange(1, 3 * p), rnd.randrange(1, 3 * p)  # multiples of p are zeros
             if shape == "one":
@@ -511,6 +513,15 @@ def two_term_systems(draw):
                 relations.append((i, 0, j, p * rnd.randrange(3)))
             elif shape == "repeat" and relations:
                 relations.append(rnd.choice(relations))
+            elif shape == "run":
+                for _ in range(rnd.randrange(2, 6)):
+                    relations.append((rnd.randrange(n), rnd.randrange(1, p), j, rnd.randrange(1, p)))
+                    between = rnd.random()
+                    if between < 0.2:
+                        k = rnd.randrange(n)
+                        relations.append((k, 1, k, 0) if between < 0.1 else (k, 0, j, v))
+                    elif between < 0.3:
+                        relations.append((rnd.randrange(n), 0, rnd.randrange(n), p))
             elif shape == "cycle":
                 nodes = [rnd.randrange(n) for _ in range(rnd.randrange(2, 5))]
                 for a, b in zip(nodes, nodes[1:] + nodes[:1]):

@@ -452,16 +452,33 @@ def _distinct_constraints(N, p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_relation_matrix_matches_lucas_calls(p):
-    # the streamed constraints are exactly the oracle matrix's distinct ones, in order
-    for N in range(3, 81):
-        assert list(mf.relation_rows(N, p)) == _distinct_constraints(N, p), N
+    # the streamed constraints are exactly the oracle matrix's distinct ones,
+    # in order, up to verify-all's largest weight, from tables built for the
+    # one weight and from tables shared by every weight
+    shared = mf.lucas_tables(200, p)
+    for N in range(3, 201):
+        want = _distinct_constraints(N, p)
+        assert list(mf.relation_rows(N, p)) == want, N
+        assert list(mf.relation_rows(N, p, shared)) == want, N
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 257])
+def test_lucas_tables_match_the_rows(p):
+    weight = 300
+    tables = mf.lucas_tables(weight, p)
+    assert tables.rows == [mf.lucas_row(n, p) for n in range(weight)]
+    for n in range(weight):
+        assert tables.support[n] == [k for k in range(1, n) if lucas(n, k, p)], n
+    assert tables.carry_free[0] == []
+    for a in range(1, weight):
+        assert tables.carry_free[a] == [b for b in range(1, weight - a) if lucas(a + b, b, p)], a
 
 
 def test_relation_module_reads_shared_lucas_rows():
     for p in (3, 5, 7):
-        binoms = [mf.lucas_row(n, p) for n in range(200)]
+        tables = mf.lucas_tables(200, p)
         for N in range(3, 201):
-            assert mf.relation_module(N, p, binoms) == mf.relation_module(N, p), (N, p)
+            assert mf.relation_module(N, p, tables) == mf.relation_module(N, p), (N, p)
 
 
 @pytest.mark.parametrize("p", [3, 5])
