@@ -38,13 +38,31 @@ g be the gcd and c the least of the generator degrees up to the bound.
 `tor_dims` and `verify_tor_iso` do not resolve the whole algebra.  Every
 spec is a tensor product of one-generator algebras, and over a field
 Tor^{A (x) B} = Tor^A (x) Tor^B as bigraded spaces (Cartan-Eilenberg,
-ch. XI).  So `_kunneth` resolves each generator of degree up to the bound as
+ch. XI).  So `_kunneth` resolves each factor of degree up to the bound as
 a one-generator spec, once for each (degree, kind), and convolves the
-tables, adding homological and internal degrees.  A one-generator
-resolution is a few small eliminations per degree, so the ladder
-certificate reaches caps of several hundred, where the whole algebra's
-grows past reach near cap 200.  The resolution of the whole algebra
-remains the test oracle.
+tables, adding homological and internal degrees.
+
+A divided generator is not one factor.  Over F_p, Gamma[y] is the tensor
+product over k >= 0 of the truncated algebras F_p[z_k]/(z_k^p), with z_k
+mapped to gamma_{p^k}(y) and |z_k| = p^k |y| (H. Cartan, Seminaire 7): by
+Lucas' theorem a monomial prod z_k^{a_k}, each a_k < p, goes to a unit times
+gamma_a(y) for a = sum a_k p^k, one monomial for each a, and z_k^p = 0 as
+gamma_{p^k}(y)^p is a multiple of p times gamma_{p^(k+1)}(y).  Inside the degree
+window the split is exact: a factor z_k with p^k |y| above the bound reaches
+no degree up to it, and a product above the bound is dropped on both sides
+alike.  So `_factors` replaces each divided generator by its truncated
+factors of degree up to the bound.  Resolving Gamma[y] as one factor needs
+all those algebra generators at once and cost seconds at cap 1000; each
+truncated factor's resolution is a few scalar steps per degree.
+
+The fold then holds the cost.  Its table starts at (0, 0) and each fold
+visits every pair of a table cell and a factor cell, so `_factors` comes
+highest degree first: the factors of high degree have few cells and keep
+the table small, and the factors of low degree, with the most cells, come
+last.  The table does not depend on the order.  `kunneth_cost` bounds the
+cells of both passes from the factor degrees alone, before anything is
+resolved; the `tor` and `tor-check` verbs refuse a spec above their limit.
+The resolution of the whole algebra remains the test oracle.
 
 `BarComplex` is the reduced bar complex: in homological degree s and
 internal degree t its basis is the s-tuples of positive-degree basis
@@ -266,26 +284,45 @@ def _dims(gens: List[List[Tuple[int, FreeElement]]]) -> Dict[Tuple[int, int], in
 # ---------------------------------------------------------------------------
 
 
-def _kunneth(spec: gh.AlgebraSpec, top: Callable[[int], int]) -> Dict[Tuple[int, int], int]:
-    """Nonzero dims of Tor_{s,t} for t <= the degree bound and s <= top(t), one generator at a time.
+def _factors(spec: gh.AlgebraSpec) -> List[gh.GeneratorSpec]:
+    """The one-generator factors of spec under its degree bound, highest degree first.
 
-    Each generator of degree <= the bound is resolved alone, as a
-    one-generator spec at the spec's degree bound and prime, once for each
-    (degree, kind); the tables are then convolved, adding s and t, keeping
-    only the range.  Both ranges in use, s <= t and s + t <= bound, hold at
-    every factor cell that feeds a kept cell (Tor_{s,t} = 0 for s > t), so
-    each factor is resolved over the same range.
+    A divided generator y of degree d stands for its truncated generators
+    gamma_{p^k}(y) of degree p^k d <= the bound; every other generator is
+    its own factor.  The sort is stable, so factors of one degree keep the
+    spec's order.
+    """
+    p, bound = spec.p, spec.degree_bound
+    out: List[gh.GeneratorSpec] = []
+    for g in spec.generators:
+        if g.kind == gh.DIVIDED:
+            q = 1
+            while q * g.degree <= bound:
+                out.append(gh.truncated(f"gamma_{q}({g.label})", q * g.degree))
+                q *= p
+        elif g.degree <= bound:
+            out.append(g)
+    return sorted(out, key=lambda f: -f.degree)
+
+
+def _kunneth(spec: gh.AlgebraSpec, top: Callable[[int], int]) -> Dict[Tuple[int, int], int]:
+    """Nonzero dims of Tor_{s,t} for t <= the degree bound and s <= top(t), one factor at a time.
+
+    Each factor of `_factors` is resolved alone, as a one-generator spec at
+    the spec's degree bound and prime, once for each (degree, kind); the
+    tables are then convolved in the order of `_factors`, adding s and t,
+    keeping only the range.  Both ranges in use, s <= t and s + t <= bound,
+    hold at every factor cell that feeds a kept cell (Tor_{s,t} = 0 for
+    s > t), so each factor is resolved over the same range.
     """
     bound = spec.degree_bound
     tops = [top(t) for t in range(bound + 1)]
     factors: Dict[Tuple[int, str], Dict[Tuple[int, int], int]] = {}
     table = {(0, 0): 1}
-    for g in spec.generators:
-        if g.degree > bound:
-            continue
-        key = (g.degree, g.kind)
+    for f in _factors(spec):
+        key = (f.degree, f.kind)
         if key not in factors:
-            factors[key] = _dims(_resolve(gh.AlgebraSpec((g,), bound, spec.p), top))
+            factors[key] = _dims(_resolve(gh.AlgebraSpec((f,), bound, spec.p), top))
         product: Dict[Tuple[int, int], int] = {}
         for (s1, t1), d1 in table.items():
             for (s2, t2), d2 in factors[key].items():
@@ -294,6 +331,53 @@ def _kunneth(spec: gh.AlgebraSpec, top: Callable[[int], int]) -> Dict[Tuple[int,
                     product[(s1 + s2, t)] = product.get((s1 + s2, t), 0) + d1 * d2
         table = product
     return table
+
+
+def _factor_cells(factor: gh.GeneratorSpec, spec: gh.AlgebraSpec) -> int:
+    """Cells of a factor's Tor table for s <= t <= the spec's degree bound.
+
+    Tor over E(x) is divided powers on (1, |x|), over P(x) exterior on
+    (1, |x|), and over P(x)/(x^p) exterior on (1, |x|) tensor divided
+    powers on (2, p|x|) (Tate).  `_factors` makes no divided factor.
+    """
+    d, bound = factor.degree, spec.degree_bound
+    if factor.kind == gh.EXTERIOR:
+        return bound // d + 1
+    if factor.kind == gh.POLYNOMIAL:
+        return 2
+    q = spec.p * d
+    return bound // q + 1 + (bound - d) // q + 1
+
+
+def kunneth_cost(spec: gh.AlgebraSpec) -> int:
+    """An upper bound on the work of `_kunneth` for spec, from the factor degrees alone.
+
+    Resolving a factor of degree d visits the cells (s, t) with t a multiple
+    of d up to the bound and s <= t // d: K (K + 1) / 2 of them for
+    K = bound // d, once for each (degree, kind).  Folding a factor into the
+    table visits every pair of a table cell and a factor cell.  Before a
+    fold the table has at most as many cells as the product of the factor
+    tables folded so far, and at most as many as the cells with t a multiple
+    of their degree gcd g and s <= t / c for their least degree c:
+    K + 1 + g K (K + 1) / (2 c) for K = bound // g.  Both hold in both
+    ranges.  A resolution cell counts as four pairs, about their measured
+    ratio in time.  Nothing is resolved.
+    """
+    bound = spec.degree_bound
+    work, size, step = 0, 1, 0
+    resolved = set()
+    for f in _factors(spec):
+        if (f.degree, f.kind) not in resolved:
+            resolved.add((f.degree, f.kind))
+            k = bound // f.degree
+            work += 4 * (k * (k + 1) // 2)
+        cells = _factor_cells(f, spec)
+        work += size * cells
+        # f has the least degree so far, as the factors come highest first
+        step = gcd(step, f.degree)
+        k = bound // step
+        size = min(size * cells, k + 1 + step * k * (k + 1) // (2 * f.degree))
+    return work
 
 
 def tor_dims(spec: gh.AlgebraSpec) -> Dict[Tuple[int, int], int]:

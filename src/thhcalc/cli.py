@@ -28,10 +28,15 @@ cost would run to hours: `--p` above `MAX_PRIME`, `relations` and
 kernels have more than `MAX_BASIS_MONOMIALS` rows in all,
 `pterm` when its page has more than that many of degree <= max_degree + 1,
 `cubes` when one pinch order over its monomials gives more than that
-many, and `words` when it would list more than that many words (with or
+many, `words` when it would list more than that many words (with or
 without `--monic`, whose filter runs after every word is walked), counted
 length by length before any word is built, or when `--n` is above that
-many letters, since the count and the walk are linear in the length.
+many letters, since the count and the walk are linear in the length, and
+`tor` and `tor-check` when `bar_tor.kunneth_cost` of the (source) word
+algebra passes `MAX_TOR_PRODUCTS`: a bound on the resolution cells and the
+fold's cell products, read off the factor degrees before any factor is
+resolved.  The word algebra itself is built before that count, and the
+answer rung of `tor-check` after it.
 
 Importing this module loads only what the `words`, `poincare`, `tor` and
 `tor-check` verbs read: `admissible_words`, `graded_hopf` and `bar_tor`,
@@ -68,6 +73,7 @@ MAX_WEIGHT = 1000  # relations and decompose --n; each holds about N^2/2 numbers
 MAX_ROGNES_COMPOSITIONS = 5000  # compositions of p^(n-1) into n parts
 MAX_BASIS_MONOMIALS = 100_000  # changebasis and pterm pages, cubes pinches, words, primitives kernel rows
 MAX_POWER_PRODUCTS = 500_000  # changebasis p-th-power check; about 1 s
+MAX_TOR_PRODUCTS = 100_000_000  # tor and tor-check, bar_tor.kunneth_cost; at most about 20 s
 
 
 class CLIError(Exception):
@@ -143,9 +149,21 @@ def _run_poincare(args) -> Dict[str, object]:
     return _envelope(args, rows=[[t, d] for t, d in enumerate(series)], columns=["degree", "dimension"])
 
 
+def _require_tractable_tor(what: str, spec: gh.AlgebraSpec) -> None:
+    """Refuse Tor over spec when `bar_tor.kunneth_cost` passes `MAX_TOR_PRODUCTS`.
+
+    The count reads only the degrees of spec's factors: no factor is
+    resolved and no table is convolved before it.
+    """
+    if bar_tor.kunneth_cost(spec) > MAX_TOR_PRODUCTS:
+        raise CLIError(f"{what} needs more than {MAX_TOR_PRODUCTS} Tor cell products")
+
+
 def _run_tor(args) -> Dict[str, object]:
     _require_word_window(args)
-    dims = bar_tor.tor_dims(aw.word_algebra(args.n, args.p, args.max_degree))
+    spec = aw.word_algebra(args.n, args.p, args.max_degree)
+    _require_tractable_tor(f"--p {args.p} --n {args.n} --max-degree {args.max_degree}", spec)
+    dims = bar_tor.tor_dims(spec)
     return _envelope(args, rows=[[s, t, d] for (s, t), d in sorted(dims.items())], columns=["s", "t", "dim"])
 
 
@@ -162,9 +180,9 @@ def _run_tor_check(args) -> Dict[str, object]:
     flags["from"], flags["to"] = f"b{src}", f"b{dst}"
     if args.max_degree < 2:
         raise CLIError("--max-degree must be >= 2")
-    report = bar_tor.verify_tor_iso(
-        aw.word_algebra(src, args.p, args.max_degree), aw.word_algebra(dst, args.p, args.max_degree)
-    )
+    source = aw.word_algebra(src, args.p, args.max_degree)
+    _require_tractable_tor(f"--p {args.p} --from b{src} --max-degree {args.max_degree}", source)
+    report = bar_tor.verify_tor_iso(source, aw.word_algebra(dst, args.p, args.max_degree))
     details = {key: report[key] for key in ("got", "expected", "first_mismatch")}
     check = _check_dict("tor.iso", _params(args), report["passed"], details)
     return _envelope(args, check_list=[check])

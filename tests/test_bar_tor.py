@@ -286,7 +286,10 @@ def test_resolution_matches_bar_on_random_specs(spec, total):
 def test_resolution_checks_each_generator_image_is_a_cycle(monkeypatch):
     # a kernel routine that keeps each vector's free column but drops its other
     # entries picks the same generators, but hands the next step coordinate
-    # vectors as cycles; the engine must refuse the non-cycles it picks from them
+    # vectors as cycles; the engine must refuse the non-cycles it picks from them.
+    # b3 at p = 3 is Gamma[y], |y| = 4, resolved whole; `tor_dims` splits it into
+    # truncated factors, whose F_s have at most one basis pair in each degree, so
+    # their kernel vectors have one entry and the tampering leaves them alone
     kernel_basis = fp_linalg.kernel_basis
 
     def tampered(m, p):
@@ -294,7 +297,7 @@ def test_resolution_checks_each_generator_image_is_a_cycle(monkeypatch):
 
     monkeypatch.setattr(fp_linalg, "kernel_basis", tampered)
     with pytest.raises(ContractViolation, match=r"not a cycle at \(2, 16\)"):
-        tor_dims(aw.word_algebra(3, 3, 30))
+        bar_tor._resolve(aw.word_algebra(3, 3, 30), lambda t: t)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +490,15 @@ def test_each_degree_and_kind_is_resolved_once(monkeypatch):
     monkeypatch.setattr(bar_tor, "_resolve", counting)
     gens = [gh.polynomial("a", 2), gh.exterior("b", 3), gh.polynomial("c", 2), gh.divided("d", 2), gh.exterior("e", 13)]
     table = tor_dims(gh.algebra(gens, 12, 3))
-    # a and c share one resolution; e lies above the bound and is not resolved
-    assert resolved == [(gens[0],), (gens[1],), (gens[3],)]
+    # highest degree first; a and c share one resolution; d is resolved as its
+    # truncated factors gamma_1(d) and gamma_3(d), of degree 2 and 6, each once;
+    # gamma_9(d) and e lie above the bound and are not resolved
+    assert [[(g.degree, g.kind) for g in spec] for spec in resolved] == [
+        [(6, gh.TRUNCATED)],
+        [(3, gh.EXTERIOR)],
+        [(2, gh.POLYNOMIAL)],
+        [(2, gh.TRUNCATED)],
+    ]
     assert table == bar_tor._dims(resolve(gh.algebra(gens, 12, 3), lambda t: t))
 
 
@@ -501,6 +511,129 @@ def test_degree_bound_is_checked_before_any_factor_is_resolved(monkeypatch):
     for spec in (poly_mu(6, 3), gh.algebra([gh.polynomial("m", 20)], 6, 3)):
         with pytest.raises(ValueError, match="^source and answer specs differ in degree bound: 6 and 10$"):
             verify_tor_iso(spec, poly_mu(10, 3))
+
+
+# ---------------------------------------------------------------------------
+# Gamma[y] as its truncated factors, and the fold from the top degree down
+# ---------------------------------------------------------------------------
+
+SPLIT_CAP = 120
+
+
+def divided_generators_of_the_test_specs():
+    """(p, degree) of each divided generator under SPLIT_CAP that the tests resolve.
+
+    The ladder rungs of this file at p = 3, 5 and 7, and the degrees that
+    the hypothesis specs draw.
+    """
+    rungs = [(3, n) for n in range(1, 9)] + [(5, n) for n in range(1, 12)] + [(7, 2), (7, 3)]
+    found = {(p, d) for p in (3, 5, 7) for d in (2, 4, 6)}
+    for p, n in rungs:
+        found |= {(p, g.degree) for g in aw.word_algebra(n, p, SPLIT_CAP).generators if g.kind == gh.DIVIDED}
+    return sorted(found)
+
+
+def split_map(gamma: gh.AlgebraSpec, split: gh.AlgebraSpec):
+    """The map (x) z_k^{a_k} -> prod gamma_{p^k}(y)^{a_k} from split's monomials into gamma's elements."""
+    y = gamma.generators[0].degree
+
+    def image(mon):
+        out = {gh.ONE: 1}
+        for i, a in mon:
+            out = gh.multiply(gamma, out, gh.power(gamma, {((0, split.generators[i].degree // y),): 1}, a))
+        return out
+
+    return image
+
+
+@pytest.mark.parametrize("p, y", divided_generators_of_the_test_specs())
+def test_divided_generator_is_the_tensor_product_of_its_truncated_factors(p, y):
+    # Cartan: over F_p, Gamma[y] = (x)_k F_p[z_k]/(z_k^p) with z_k -> gamma_{p^k}(y),
+    # as algebras through the cap: the map sends each basis monomial to a unit
+    # times a distinct basis monomial, onto each degree, and respects products
+    gamma = gh.algebra([gh.divided("y", y)], SPLIT_CAP, p)
+    factors = bar_tor._factors(gamma)
+    assert all(f.kind == gh.TRUNCATED for f in factors)
+    split = gh.AlgebraSpec(tuple(factors), SPLIT_CAP, p)
+    image = split_map(gamma, split)
+    monomials = []
+    for t in range(SPLIT_CAP + 1):
+        images = [image(m) for m in gh.basis(split, t)]
+        assert all(len(im) == 1 and next(iter(im.values())) % p for im in images), t
+        assert sorted(next(iter(im)) for im in images) == sorted(gh.basis(gamma, t)), t
+        monomials += gh.basis(split, t)
+    for m1 in monomials:
+        for m2 in monomials:
+            product = gh.mul_monomials(split, m1, m2)
+            expected = {} if product is None else gh.scalar_mul(product[0], image(product[1]), p)
+            assert gh.multiply(gamma, image(m1), image(m2)) == expected, (m1, m2)
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)] + [(7, 2), (7, 3)])
+def test_descending_and_ascending_folds_give_equal_tables(monkeypatch, p, n):
+    cap = 150
+    spec = aw.word_algebra(n, p, cap)
+    descending = [bar_tor._kunneth(spec, top) for top in both_ranges(cap)]
+    factors = bar_tor._factors
+    monkeypatch.setattr(bar_tor, "_factors", lambda spec: factors(spec)[::-1])
+    assert [bar_tor._kunneth(spec, top) for top in both_ranges(cap)] == descending
+
+
+# ---------------------------------------------------------------------------
+# the cost bound of the Tor guard
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("kind, degrees", [("exterior", (1, 3, 5, 7)), ("polynomial", (2, 4)), ("truncated", (2, 4, 6, 10))])
+def test_factor_cells_count_each_factor_table(p, kind, degrees):
+    # the cells of each factor's Tor table, read off its kind and degree alone
+    for d in degrees:
+        spec = gh.algebra([gh.GeneratorSpec("x", d, kind)], 90, p)
+        table = bar_tor._dims(bar_tor._resolve(spec, lambda t: t))
+        assert bar_tor._factor_cells(spec.generators[0], spec) == len(table), d
+
+
+def kunneth_work(spec, top):
+    """The work of `_kunneth`, counted as it runs: four per resolution cell, one per fold pair.
+
+    `_resolve` on a factor of degree d visits t = d, 2d, ... and s <= min(top(t), t // d)."""
+    bound = spec.degree_bound
+    resolved = {}
+    work = 0
+    table = {(0, 0): 1}
+    for f in bar_tor._factors(spec):
+        key = (f.degree, f.kind)
+        if key not in resolved:
+            resolved[key] = bar_tor._dims(bar_tor._resolve(gh.AlgebraSpec((f,), bound, spec.p), top))
+            work += 4 * sum(min(top(t), t // f.degree) for t in range(f.degree, bound + 1, f.degree))
+        work += len(table) * len(resolved[key])
+        product = {}
+        for (s1, t1), d1 in table.items():
+            for (s2, t2), d2 in resolved[key].items():
+                if t1 + t2 <= bound and s1 + s2 <= top(t1 + t2):
+                    product[(s1 + s2, t1 + t2)] = product.get((s1 + s2, t1 + t2), 0) + d1 * d2
+        table = product
+    assert table == bar_tor._kunneth(spec, top)
+    return work
+
+
+@pytest.mark.parametrize(
+    "p, n, cap", [(3, n, 150) for n in range(1, 7)] + [(5, n, 200) for n in range(2, 6)] + [(7, 3, 200), (3, 7, 300)]
+)
+def test_kunneth_cost_bounds_the_work_in_both_ranges(p, n, cap):
+    spec = aw.word_algebra(n, p, cap)
+    cost = bar_tor.kunneth_cost(spec)
+    for top in both_ranges(cap):
+        work = kunneth_work(spec, top)
+        assert work <= cost, (work, cost)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_specs())
+def test_kunneth_cost_bounds_the_work_on_specs_of_all_four_kinds(spec):
+    for top in both_ranges(spec.degree_bound):
+        assert kunneth_work(spec, top) <= bar_tor.kunneth_cost(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +657,10 @@ def test_deeper_ladder_rungs(p, n, cap):
     assert report["first_mismatch"] is None
 
 
-@pytest.mark.parametrize("p, n, cap", [(3, 5, 200), (3, 6, 400), (5, 9, 600)])
+@pytest.mark.parametrize("p, n, cap", [(3, 5, 200), (3, 6, 400), (5, 9, 600), (3, 7, 1000)])
 def test_deep_ladder_rungs_at_caps_of_hundreds(p, n, cap):
-    # rungs whose whole-algebra resolution took seconds to minutes
+    # rungs whose whole-algebra resolution took seconds to minutes; b7 at cap
+    # 1000 took 8 s with each Gamma[y] as one factor, and about 2 s split
     report = verify_tor_iso(aw.word_algebra(n, p, cap), aw.word_algebra(n + 1, p, cap))
     assert report["first_mismatch"] is None
     assert report["passed"]

@@ -719,6 +719,56 @@ def test_changebasis_argvs_in_use_pass_the_guard(tmp_path):
         assert _run(tmp_path, *argv)[0] == 0, argv
 
 
+# every Tor configuration in use, as (n, p, cap) of the word algebra the guard
+# reads: GOLDEN_DIGESTS, the benchmark's verb-sweep grid and tor-deep calls,
+# CI's steps, verify-all's tor.iso rungs and the ladder tests of test_bar_tor
+TOR_IN_USE = sorted(
+    {(2, 3, 16), (2, 3, 20), (5, 3, 120), (2, 3, 24), (2, 3, 12), (1, 3, 12), (1, 3, 60)}
+    | {(n, p, cap) for p in (3, 5) for n, caps in ((1, (10, 12, 14, 16, 18)), (2, (16, 20, 24)), (3, (20, 30))) for cap in caps}
+    | {(1, 3, 36), (3, 5, 60)}
+    | {(1, 3, 20), (6, 3, 400), (5, 3, 260), (20, 3, 1000), (10, 5, 2000)}
+    | {(n, p, cap) for p in (3, 5) for n, cap in ((1, 30), (2, 24), (3, 2 + 4 * p))}
+    | {(n, p, cap) for p in (3, 5, 7) for n in range(1, 6) for cap in (150, 120)}
+    | {(1, 3, 200), (5, 3, 200), (6, 3, 400), (9, 5, 600), (7, 3, 1000)}
+    | {(n, 3, 80) for n in range(4, 8)}
+    | {(n, 5, 120) for n in range(4, 12)}
+)
+
+
+def test_tor_configurations_in_use_pass_the_guard():
+    for n, p, cap in TOR_IN_USE:
+        cli._require_tractable_tor("in use", aw.word_algebra(n, p, cap))
+
+
+def test_tor_above_the_work_limit_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["tor", "--n", "5", "--max-degree", "3000"]) == 2  # 259,727,298; 48 s
+    assert main(["tor", "--n", "1", "--max-degree", "30000"]) == 2  # one resolution of 112,507,500 cells
+    assert main(["tor-check", "--from", "b7", "--to", "b8", "--max-degree", "3000"]) == 2  # 302,469,507
+    assert time.perf_counter() - start < 1.0
+    # 407,058,237 and 54 s; building b20's 20,929 generators takes most of the
+    # half second before the refusal
+    assert main(["tor-check", "--from", "b20", "--to", "b21", "--max-degree", "2000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    limit = cli.MAX_TOR_PRODUCTS
+    assert f"error: --p 3 --n 5 --max-degree 3000 needs more than {limit} Tor cell products\n" in err
+    assert f"error: --p 3 --from b20 --max-degree 2000 needs more than {limit} Tor cell products\n" in err
+
+
+def test_tor_guard_reads_no_factor_table(monkeypatch):
+    # the count comes before any factor is resolved, and the answer rung is
+    # not built for a refused tor-check
+    def unreachable(*args):
+        raise AssertionError("built past the guard")
+
+    monkeypatch.setattr(bar_tor, "_resolve", unreachable)
+    assert main(["tor", "--n", "5", "--max-degree", "3000"]) == 2
+    real = aw.word_algebra
+    monkeypatch.setattr(aw, "word_algebra", lambda n, p, cap: unreachable() if n == 8 else real(n, p, cap))
+    assert main(["tor-check", "--from", "b7", "--to", "b8", "--max-degree", "3000"]) == 2
+
+
 def test_tor_at_cap_60_finishes_quickly(tmp_path):
     start = time.perf_counter()
     code, doc = _run_json(tmp_path, "tor", "--n", "1", "--max-degree", "60")

@@ -446,7 +446,9 @@ def test_rref_matches_back_substitution_oracle_on_resolution_matrices(monkeypatc
         return real_kernel_basis(m, p)
 
     monkeypatch.setattr(fp_linalg, "kernel_basis", recording_kernel_basis)
-    bar_tor.tor_dims(aw.word_algebra(5, 3, 120))
+    # the whole algebra's resolution: tor_dims resolves one-generator factors,
+    # whose matrices have at most one row
+    bar_tor._resolve(aw.word_algebra(5, 3, 120), lambda t: t)
     assert len(seen) > 100
     for m, p in seen:
         assert_same_rref(m, p)
